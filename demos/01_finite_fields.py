@@ -14,9 +14,8 @@ print(f"GF(4) modulus (low degree first): {f4.modulus}")
 print(f"alpha * alpha = {f4.mul(2, 2)}  (code 3 is alpha + 1)")
 print(f"alpha^-1     = {f4.inv(2)}")
 
-# The wrapper type reads more naturally for scratch work.
-a = f4.element(2)
-print(f"(alpha + 1) * alpha = {(a + 1) * a!r}")
+# Operations compose on the raw codes.
+print(f"(alpha + 1) * alpha = {f4.mul(f4.add(2, 1), 2)}")
 
 # GF(2^6) over GF(2): 64 elements, power basis (1, a, ..., a^5).
 e = extension_field(2, 6)

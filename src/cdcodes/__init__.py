@@ -8,7 +8,7 @@ tool (cli) exposes construction, verification, bound evaluation and table
 regeneration.
 """
 
-from .gf import GF, GFExtension, FieldElement, extension_field, field_of_order
+from .gf import GF, GFExtension, extension_field, field_of_order
 from .linalg import (
     MatrixGF,
     Subspace,
@@ -74,7 +74,7 @@ from .bounds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GF", "GFExtension", "FieldElement", "extension_field", "field_of_order",
+    "GF", "GFExtension", "extension_field", "field_of_order",
     "MatrixGF", "Subspace", "enumerate_subspaces", "intersection_dim",
     "kernel_dim", "rank", "rref", "subspace_distance", "subspace_from_rows",
     "BudgetError", "QPolynomial", "RectQPolynomial", "enumerate_filtration",

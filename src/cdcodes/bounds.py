@@ -15,6 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import tables
+from .gf import factor_prime_power
 from .rankdist import filtration_size, gaussian_binomial
 
 
@@ -35,6 +36,7 @@ class BoundRecord:
         return f"A_{self.q}({self.n},{self.d},{self.k})"
 
     def __post_init__(self):
+        factor_prime_power(self.q)  # raises ValueError: GF(q) must exist
         if self.value < 1:
             raise ValueError("a bound on a nonempty code must be at least 1")
 
@@ -199,7 +201,7 @@ def compare(records, table: BestKnownTable):
 _MULTIBLOCK_TABLES = {2: 1, 4: 2, 5: 3}
 
 
-def generate_table(table_id: int, best_known: BestKnownTable | None = None):
+def generate_table(table_id: int):
     """Recompute one of tables 2-5 row by row, in published order."""
     if table_id in _MULTIBLOCK_TABLES:
         s = _MULTIBLOCK_TABLES[table_id]

@@ -77,6 +77,8 @@ def read_codeset(fh) -> CodeSet:
     if not header_line.strip():
         raise ValueError("empty code file")
     header = json.loads(header_line)
+    if not isinstance(header, dict):
+        raise ValueError("code file header is not a JSON object")
     for key in ("q", "p", "m", "moduli", "N", "k", "claimed_distance", "count"):
         if key not in header:
             raise ValueError(f"code file header is missing '{key}'")
@@ -88,6 +90,9 @@ def read_codeset(fh) -> CodeSet:
         if not line.strip():
             continue
         rows = json.loads(line)
+        if not isinstance(rows, list) or not all(
+                isinstance(r, list) and len(r) == header["N"] for r in rows):
+            raise ValueError(f"line {lineno}: member is not a list of rows of length N={header['N']}")
         member = Subspace(field, header["N"], [tuple(r) for r in rows])
         canonical = subspace_from_rows(MatrixGF(field, member.basis))
         if canonical != member:

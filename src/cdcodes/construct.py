@@ -3,7 +3,8 @@
 Four constructions, all returning a CodeSet of canonical subspaces:
 
 * lifted_mrd_code / rect_lifted_mrd_code: row spaces of (I | A) with A
-  running over a (possibly rectangular) MRD code.
+  running over a square or rectangular MRD code; one builder serves both,
+  which differ only in the provenance they record.
 * linkage: append rank-metric codewords to the generator matrices of an
   existing code, multiplying the sizes while the distance stays at least
   min(d1, 2*d2).
@@ -26,12 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .gf import GF, field_of_order
 from .linalg import MatrixGF, Subspace, enumerate_subspaces, intersection_dim, subspace_from_rows
-from .qpoly import (
-    BudgetError,
-    enumerate_filtration,
-    enumerate_mrd,
-    enumerate_rect_mrd,
-)
+from .qpoly import BudgetError, enumerate_filtration, enumerate_mrd
 from .rankdist import filtration_size, gaussian_binomial, lifted_mrd_size
 
 DEFAULT_MEMBER_BUDGET = 1 << 24
@@ -94,42 +90,33 @@ def _collect(field, ambient_dim, dim, distance, subspaces, provenance, predicted
     )
 
 
-def lifted_mrd_code(q: int, n: int, t: int, *, budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
-    """Row spaces of (I_n | M_f), f of q-degree <= t: a (2n, q^(n(t+1)), 2(n-t), n) code."""
+def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None) -> CodeSet:
+    """Row spaces of (I_k | M), M in the k x (k+h) MRD code of q-degree <= t maps."""
     field = field_of_order(q)
-    ident = MatrixGF.identity(field, n)
-    predicted = lifted_mrd_size(q, n, n - t)
+    ident = MatrixGF.identity(field, k)
+    predicted = lifted_mrd_size(q, k, k - t) * q ** (h * (t + 1))
 
     def members():
-        for f in enumerate_mrd(q, n, t, budget=budget):
+        for f in enumerate_mrd(q, k, t, h=h, budget=budget):
             yield subspace_from_rows(ident.hstack(f.to_matrix()))
 
-    return _collect(
-        field, 2 * n, n, 2 * (n - t), members(),
-        {"construction": "lifted", "q": q, "n": n, "t": t},
-        predicted, budget,
-    )
+    return _collect(field, 2 * k + h, k, 2 * (k - t), members(), provenance, predicted, budget)
+
+
+def lifted_mrd_code(q: int, n: int, t: int, *, budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
+    """Row spaces of (I_n | M_f), f of q-degree <= t: a (2n, q^(n(t+1)), 2(n-t), n) code."""
+    return _lifted(q, n, 0, t, {"construction": "lifted", "q": q, "n": n, "t": t}, budget)
 
 
 def rect_lifted_mrd_code(q: int, k: int, h: int, t: int, *,
                          budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
     """Row spaces of (I_k | M), M in the k x (k+h) MRD code of q-degree <= t maps.
 
-    A (2k+h, q^((k+h)(t+1)), 2(k-t), k) code; h = 0 recovers lifted_mrd_code.
+    A (2k+h, q^((k+h)(t+1)), 2(k-t), k) code; h = 0 builds the members of
+    lifted_mrd_code, under the provenance "rect-lifted".
     """
-    field = field_of_order(q)
-    ident = MatrixGF.identity(field, k)
-    predicted = q ** ((k + h) * (t + 1))
-
-    def members():
-        for f in enumerate_rect_mrd(q, k, h, t, budget=budget):
-            yield subspace_from_rows(ident.hstack(f.to_matrix()))
-
-    return _collect(
-        field, 2 * k + h, k, 2 * (k - t), members(),
-        {"construction": "rect-lifted", "q": q, "k": k, "h": h, "t": t},
-        predicted, budget,
-    )
+    return _lifted(q, k, h, t,
+                   {"construction": "rect-lifted", "q": q, "k": k, "h": h, "t": t}, budget)
 
 
 def grassmannian_code(q: int, ambient_dim: int, dim: int, *,
@@ -219,7 +206,7 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
 
     def members():
         square = [f.to_matrix() for f in enumerate_mrd(q, k, t, budget=budget)]
-        for rect in enumerate_rect_mrd(q, k, h, t, budget=budget):
+        for rect in enumerate_mrd(q, k, t, h=h, budget=budget):
             left = ident.hstack(rect.to_matrix())
             for m in square:
                 yield subspace_from_rows(left.hstack(m))

@@ -1,22 +1,25 @@
-"""Exact arithmetic in GF(q) for prime powers q, and in extensions GF(q^n).
+"""Exact arithmetic in the finite fields GF(q^n), built as towers over GF(p).
 
-Field elements are plain Python ints.  In GF(p^m) the base-p digits of the
-integer are the coefficients of the residue polynomial, lowest degree first.
-In GF(q^n) over GF(q) the base-q digits are the coordinates with respect to
-the power basis (1, alpha, ..., alpha^(n-1)).  With these encodings 0 and 1
-are always the additive and multiplicative identities, and for p = 2
-addition of any two elements is XOR of their codes.
+One class, GF, covers every field.  GF(p) is the prime field, the base
+case; GF(base, n) is the degree-n extension of any field `base`, and
+GF(p, m) is the extension GF(GF(p), m).  Field elements are plain Python
+ints: in GF(q^n) over GF(q) the base-q digits of the integer are the
+coordinates with respect to the power basis (1, alpha, ..., alpha^(n-1)),
+which are the coefficients of the residue polynomial, lowest degree first.
+With this encoding 0 and 1 are always the additive and multiplicative
+identities, and for p = 2 addition of any two elements is XOR of their
+codes.
 
 Moduli are chosen deterministically: the lexicographically smallest monic
 irreducible polynomial, comparing coefficient tuples low degree first.  Two
 runs (or two machines) therefore agree on every element code and every
 multiplication table.
 
-Multiplication uses precomputed log/antilog tables for fields of up to
-2^16 elements; larger fields (allowed up to 2^20) fall back to polynomial
-multiplication per operation.  Field objects are immutable after
-construction and all operations are pure, so they can be shared freely
-across threads.
+Prime fields use modular integer arithmetic.  Extensions multiply through
+precomputed log/antilog tables for fields of up to 2^16 elements; larger
+fields (allowed up to 2^20) fall back to polynomial multiplication per
+operation.  Field objects are immutable after construction and all
+operations are pure, so they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -176,12 +179,12 @@ def _digit_neg(a: int, p: int) -> int:
 
 
 def _pow_raw(field, a: int, e: int) -> int:
-    """Square-and-multiply on top of _mul_raw; usable before log tables exist."""
+    """Square-and-multiply on top of field.mul; usable before log tables exist."""
     out, base = 1, a
     while e:
         if e & 1:
-            out = field._mul_raw(out, base)
-        base = field._mul_raw(base, base)
+            out = field.mul(out, base)
+        base = field.mul(base, base)
         e >>= 1
     return out
 
@@ -215,60 +218,70 @@ def _build_log_tables(field):
     for i in range(n1):
         exp[i] = x
         log[x] = i
-        x = field._mul_raw(x, g)
+        x = field.mul(x, g)
     return exp, log
 
 
 class GF:
-    """The finite field GF(p^m) with integer-coded elements.
+    """The finite field GF(q^n), a degree-n extension of a base field GF(q).
 
-    Elements are ints in [0, p^m); the base-p digits are the polynomial
-    coefficients, lowest degree first, so 0 and 1 are the identities and
-    the code p represents the residue class of x.
+    GF(p) is the prime field, the degree-1 base case with no base field;
+    GF(p, m, modulus) is GF(GF(p), m, modulus), and GF(base, n, modulus)
+    extends any field.  Codes are ints in [0, q^n); the base-q digits are
+    the coordinates over the base field in the power basis, so
+    to_vector/from_vector are trivial re-encodings and the code q**i
+    represents alpha^i.  Attributes: p the characteristic, m the degree
+    over GF(p), q the base-field order, n the degree over the base field.
     """
 
-    def __init__(self, p: int, m: int = 1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if not 1 <= m <= 4:
-            raise ValueError(f"extension degree m = {m} outside supported range 1..4")
-        self.p = p
-        self.m = m
-        self.q = p ** m
-        self.order = self.q
-        if m == 1:
-            self.modulus = (0, 1) if modulus is None else tuple(modulus)
-            if len(self.modulus) != 2 or self.modulus[1] != 1:
-                raise ValueError("prime-field modulus must be monic of degree 1")
-            self._exp = self._log = None
+    def __init__(self, base, n: int = 1, modulus=None):
+        if isinstance(base, GF):
+            if n < 1:
+                raise ValueError("extension degree n must be >= 1")
+            self.p, self.q, self.m = base.p, base.order, base.m * n
         else:
-            fp = prime_field(p)
-            if modulus is None:
-                modulus = smallest_irreducible(fp, m)
-            modulus = tuple(modulus)
-            if len(modulus) != m + 1 or modulus[m] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not all(0 <= c < p for c in modulus):
-                raise ValueError("modulus coefficients must be reduced mod p")
-            if not _poly_is_irreducible(fp, list(modulus)):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-            self.modulus = modulus
+            if not is_prime(base):
+                raise ValueError(f"p = {base} is not prime")
+            if not 1 <= n <= 4:
+                raise ValueError(f"extension degree m = {n} outside supported range 1..4")
+            self.p = self.q = base
+            self.m = n
+            base = prime_field(base) if n > 1 else None
+        self.base = base
+        self.n = n
+        self.order = self.q ** n
+        if base is not None and self.order > ORDER_LIMIT:
+            raise ValueError(f"field order {self.q}^{n} exceeds supported limit 2^20")
+        if modulus is None:
+            modulus = (0, 1) if n == 1 else smallest_irreducible(base, n)
+        modulus = tuple(modulus)
+        if len(modulus) != n + 1 or modulus[n] != 1:
+            raise ValueError(f"modulus must be monic of degree {n}")
+        if not all(0 <= c < self.q for c in modulus):
+            raise ValueError(f"modulus coefficients must be reduced mod {self.q}")
+        if not _poly_is_irreducible(base, list(modulus)):
+            raise ValueError(f"modulus {modulus} is reducible over {base!r}")
+        self.modulus = modulus
+        self._key = (self.p if base is None else base._key, n, modulus)
+        self._exp = self._log = self._frob = None
+        if self.m > 1 and self.order <= TABLE_LIMIT:
             self._exp, self._log = _build_log_tables(self)
-
-    # -- raw arithmetic used while bootstrapping the log tables --
+            # x -> x^q as a permutation table for fast q-power iteration
+            n1 = self.order - 1
+            self._frob = [0] + [
+                self._exp[(self._log[x] * self.q) % n1] for x in range(1, self.order)
+            ]
 
     def _mul_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        pa = _digits(a, self.p, self.m)
-        pb = _digits(b, self.p, self.m)
-        fp = prime_field(self.p)
-        prod = _poly_mul(fp, list(pa), list(pb))
-        prod = _poly_rem(fp, prod, list(self.modulus))
-        prod += [0] * (self.m - len(prod))
-        return _undigits(prod, self.p)
+        """Product of the coordinate polynomials modulo the modulus."""
+        pa = list(_digits(a, self.q, self.n))
+        pb = list(_digits(b, self.q, self.n))
+        prod = _poly_mul(self.base, pa, pb)
+        prod = _poly_rem(self.base, prod, list(self.modulus))
+        prod += [0] * (self.n - len(prod))
+        return _undigits(prod, self.q)
 
-    # -- public arithmetic on element codes --
+    # -- arithmetic on element codes; m == 1 is arithmetic mod p --
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -288,131 +301,18 @@ class GF:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("division by zero in GF(q)")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    def descriptor(self) -> dict:
-        """Serializable description: {p, m, modulus}."""
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "GF":
-        return cls(desc["p"], desc["m"], tuple(desc["modulus"]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GF)
-            and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
-
-
-class GFExtension:
-    """GF(q^n) as a vector space over a base GF(q), with the power basis.
-
-    Codes are ints in [0, q^n); the base-q digits are the coordinates over
-    the base field, so to_vector/from_vector are trivial re-encodings and
-    the code q**i represents the basis element alpha^i.
-    """
-
-    def __init__(self, base: GF, n: int, modulus=None):
-        if n < 1:
-            raise ValueError("extension degree n must be >= 1")
-        self.base = base
-        self.n = n
-        self.q = base.order
-        self.order = self.q ** n
-        if self.order > ORDER_LIMIT:
-            raise ValueError(f"field order {self.q}^{n} exceeds supported limit 2^20")
-        if modulus is None:
-            modulus = smallest_irreducible(base, n)
-        modulus = tuple(modulus)
-        if len(modulus) != n + 1 or modulus[n] != 1:
-            raise ValueError(f"modulus must be monic of degree {n}")
-        if not _poly_is_irreducible(base, list(modulus)):
-            raise ValueError(f"modulus {modulus} is reducible over {base!r}")
-        self.modulus = modulus
-        if self.order <= TABLE_LIMIT:
-            self._exp, self._log = _build_log_tables(self)
-            # x -> x^q as a permutation table for fast q-power iteration
-            n1 = self.order - 1
-            self._frob = [0] + [
-                self._exp[(self._log[x] * self.q) % n1] for x in range(1, self.order)
-            ]
-        else:
-            self._exp = self._log = None
-            self._frob = None
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        pa = list(_digits(a, self.q, self.n))
-        pb = list(_digits(b, self.q, self.n))
-        prod = _poly_mul(self.base, pa, pb)
-        prod = _poly_rem(self.base, prod, list(self.modulus))
-        prod += [0] * (self.n - len(prod))
-        return _undigits(prod, self.q)
-
-    def _pow_nolog(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        return _digit_add(a, b, self.base.p)
-
-    def neg(self, a: int) -> int:
-        return _digit_neg(a, self.base.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         if self._exp is not None:
             return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise ZeroDivisionError("division by zero in GF(q^n)")
+            raise ZeroDivisionError("division by zero in GF(q)")
+        if self.m == 1:
+            return pow(a, self.p - 2, self.p)
         if self._exp is not None:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        return self._pow_nolog(a, self.order - 2)
+        return _pow_raw(self, a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -422,14 +322,14 @@ class GFExtension:
             a, e = self.inv(a), -e
         if a != 0 and self._log is not None:
             return self._exp[(self._log[a] * e) % (self.order - 1)]
-        return self._pow_nolog(a, e)
+        return _pow_raw(self, a, e)
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^i); the i-fold Frobenius over the base field."""
         if i < 0:
             raise ValueError("Frobenius iteration count must be >= 0")
         for _ in range(i % self.n):
-            a = self._frob[a] if self._frob is not None else self._pow_nolog(a, self.q)
+            a = self._frob[a] if self._frob is not None else _pow_raw(self, a, self.q)
         return a
 
     def to_vector(self, a: int) -> tuple[int, ...]:
@@ -447,79 +347,28 @@ class GFExtension:
     def elements(self) -> range:
         return range(self.order)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
+    def descriptor(self) -> dict:
+        """Serializable description {p, m, modulus} of a field over GF(p)."""
+        if self.base is not None and self.base.base is not None:
+            raise ValueError(f"{self!r} is not a field over GF(p); it has no descriptor")
+        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
+
+    @classmethod
+    def from_descriptor(cls, desc: dict) -> "GF":
+        return cls(desc["p"], desc["m"], tuple(desc["modulus"]))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GFExtension)
-            and self.base == other.base
-            and (self.n, self.modulus) == (other.n, other.modulus)
-        )
+        return other is self or (isinstance(other, GF) and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.base, self.n, self.modulus))
+        return hash(self._key)
 
     def __repr__(self):
-        return f"GF({self.q}^{self.n})/{self.base!r}"
+        return f"GF({self.p})" if self.base is None else f"GF({self.q}^{self.n})/{self.base!r}"
 
 
-class FieldElement:
-    """Convenience wrapper pairing a code with its field; hot paths use raw ints."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value: int):
-        if not 0 <= value < field.order:
-            raise ValueError(f"code {value} out of range for {field!r}")
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed fields in arithmetic")
-            return other.value
-        value = int(other)
-        if not 0 <= value < self.field.order:
-            raise ValueError(f"code {value} out of range for {self.field!r}")
-        return value
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"{self.field!r}[{self.value}]"
+# Same class: cdcbench/spans.py wraps GFExtension.__init__ by name.
+GFExtension = GF
 
 
 @lru_cache(maxsize=None)
@@ -535,6 +384,6 @@ def field_of_order(q: int) -> GF:
 
 
 @lru_cache(maxsize=None)
-def extension_field(q: int, n: int) -> GFExtension:
+def extension_field(q: int, n: int) -> GF:
     """The canonical GF(q^n) over field_of_order(q)."""
-    return GFExtension(field_of_order(q), n)
+    return GF(field_of_order(q), n)

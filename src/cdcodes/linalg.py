@@ -63,11 +63,6 @@ class MatrixGF:
             raise ValueError("hstack shape/field mismatch")
         return MatrixGF(self.field, [a + b for a, b in zip(self.rows, other.rows)])
 
-    def vstack(self, other: "MatrixGF") -> "MatrixGF":
-        if self.field != other.field or self.ncols != other.ncols:
-            raise ValueError("vstack shape/field mismatch")
-        return MatrixGF(self.field, self.rows + other.rows)
-
     def add(self, other: "MatrixGF") -> "MatrixGF":
         self._check_same_shape(other)
         f = self.field

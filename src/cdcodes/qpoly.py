@@ -3,10 +3,12 @@
 A map x -> a_0 x + a_1 x^q + ... + a_t x^(q^t) with coefficients in
 GF(q^n) is GF(q)-linear, so it has an n x n matrix over GF(q); the code of
 all such maps with q-degree at most t is MRD with rank distance n - t.
-This module enumerates that code, its bounded-rank subsets (kernel
-dimension at least j, zero map excluded), and the rectangular variant
-GF(q^k) -> GF(q^(k+h)) obtained by applying a fixed GF(q)-linear embedding
-after the Frobenius powers.
+The rectangular code of n x (n+h) matrices comes from the same maps with
+coefficients in GF(q^(n+h)): the Frobenius powers are taken in GF(q^n) and
+embedded by padding their coordinates with h zeros, which leaves every
+element code unchanged.  The square code is h = 0.  This module
+enumerates that code and its bounded-rank subsets (kernel dimension at
+least j, zero map excluded).
 
 Enumeration order is an odometer over the integer codes of
 (a_0, ..., a_t) with a_0 varying fastest; streams accept start/stop
@@ -16,7 +18,7 @@ deterministically.
 
 from __future__ import annotations
 
-from .gf import GFExtension, extension_field
+from .gf import GF, extension_field
 from .linalg import MatrixGF
 
 DEFAULT_ENUM_BUDGET = 1 << 24
@@ -27,45 +29,51 @@ class BudgetError(Exception):
 
 
 class QPolynomial:
-    """The GF(q)-linear map x -> sum a_i x^(q^i) on GF(q^n)."""
+    """The GF(q)-linear map x -> sum a_i phi(x^(q^i)) from ext to big.
 
-    __slots__ = ("ext", "coeffs")
+    ext = GF(q^n) holds x and its Frobenius powers; phi pads their
+    coordinates with zeros into big = GF(q^(n+h)), which holds the
+    coefficients.  big defaults to ext, the square map on GF(q^n).
+    """
 
-    def __init__(self, ext: GFExtension, coeffs):
+    __slots__ = ("ext", "big", "coeffs")
+
+    def __init__(self, ext: GF, coeffs, big: GF | None = None):
+        if big is None:
+            big = ext
+        elif big.base != ext.base or big.n < ext.n:
+            raise ValueError("incompatible field pair for a rectangular map")
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("need at least the degree-0 coefficient")
         for a in coeffs:
-            if not 0 <= a < ext.order:
+            if not 0 <= a < big.order:
                 raise ValueError("coefficient code out of range")
         self.ext = ext
+        self.big = big
         self.coeffs = coeffs
-
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def evaluate(self, x: int) -> int:
-        ext = self.ext
+        ext, big = self.ext, self.big
         acc = 0
         power = x
         for a in self.coeffs:
             if a:
-                acc = ext.add(acc, ext.mul(a, power))
+                acc = big.add(acc, big.mul(a, power))
             power = ext.frobenius(power, 1)
         return acc
 
     def to_matrix(self) -> MatrixGF:
-        """n x n matrix over GF(q), row i = coordinates of f(alpha^i).
+        """n x (n+h) matrix over GF(q), row i = coordinates of f(alpha^i).
 
         Row-vector convention: coords(f(x)) = coords(x) @ M.
         """
         ext = self.ext
         q = ext.q
-        rows = [ext.to_vector(self.evaluate(q ** i)) for i in range(ext.n)]
+        rows = [self.big.to_vector(self.evaluate(q ** i)) for i in range(ext.n)]
         return MatrixGF(ext.base, rows)
 
     def kernel_dim(self) -> int:
@@ -73,25 +81,25 @@ class QPolynomial:
         return m.nrows - m.rank()
 
     def _combine(self, other: "QPolynomial", op) -> "QPolynomial":
-        if self.ext != other.ext:
+        if (self.ext, self.big) != (other.ext, other.big):
             raise ValueError("mixed extension fields")
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a = a + (0,) * (len(b) - len(a))
         elif len(b) < len(a):
             b = b + (0,) * (len(a) - len(b))
-        return QPolynomial(self.ext, tuple(op(x, y) for x, y in zip(a, b)))
+        return QPolynomial(self.ext, tuple(op(x, y) for x, y in zip(a, b)), self.big)
 
     def __add__(self, other):
-        return self._combine(other, self.ext.add)
+        return self._combine(other, self.big.add)
 
     def __sub__(self, other):
-        return self._combine(other, self.ext.sub)
+        return self._combine(other, self.big.sub)
 
     def __eq__(self, other):
         return (
             isinstance(other, QPolynomial)
-            and self.ext == other.ext
+            and (self.ext, self.big) == (other.ext, other.big)
             and self.coeffs == other.coeffs
         )
 
@@ -99,7 +107,14 @@ class QPolynomial:
         return hash(self.coeffs)
 
     def __repr__(self):
-        return f"QPolynomial(q={self.ext.q}, n={self.ext.n}, coeffs={self.coeffs})"
+        return (
+            f"QPolynomial(q={self.ext.q}, n={self.ext.n}, h={self.big.n - self.ext.n}, "
+            f"coeffs={self.coeffs})"
+        )
+
+
+# Same class: cdcbench/spans.py wraps RectQPolynomial.to_matrix by name.
+RectQPolynomial = QPolynomial
 
 
 def _check_budget(total: int, budget: int, what: str):
@@ -110,20 +125,23 @@ def _check_budget(total: int, budget: int, what: str):
         )
 
 
-def enumerate_mrd(q: int, n: int, t: int, *, start: int = 0, stop: int | None = None,
-                  budget: int | None = DEFAULT_ENUM_BUDGET, ext: GFExtension | None = None):
-    """All q^(n(t+1)) maps of q-degree <= t on GF(q^n), in odometer order.
+def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
+                  stop: int | None = None, budget: int | None = DEFAULT_ENUM_BUDGET):
+    """All q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) of q-degree <= t, in odometer order.
 
-    The code of returned polynomials is an MRD code with rank distance n - t.
-    Validation (including the budget check) happens at call time.
+    Their n x (n+h) matrices form an MRD code with rank distance n - t;
+    h = 0 is the square code.  Validation (including the budget check)
+    happens at call time.
     """
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
-    if ext is None:
-        ext = extension_field(q, n)
-    order = ext.order
+    if h < 0:
+        raise ValueError("h must be non-negative")
+    ext = extension_field(q, n)
+    big = extension_field(q, n + h)
+    order = big.order
     total = order ** (t + 1)
-    _check_budget(total, budget, f"the rank-metric code with q={q}, n={n}, t={t}")
+    _check_budget(total, budget, f"the rank-metric code of {n}x{n + h} matrices with q={q}, t={t}")
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
@@ -136,7 +154,7 @@ def enumerate_mrd(q: int, n: int, t: int, *, start: int = 0, stop: int | None = 
             for _ in range(t + 1):
                 rest, a = divmod(rest, order)
                 coeffs.append(a)
-            yield QPolynomial(ext, coeffs)
+            yield QPolynomial(ext, coeffs, big)
 
     return gen()
 
@@ -160,100 +178,8 @@ def enumerate_filtration(q: int, n: int, t: int, j: int, *, include_zero: bool =
             yield f
 
 
-class RectQPolynomial:
-    """GF(q)-linear map GF(q^k) -> GF(q^(k+h)): x -> sum a_i phi(x^(q^i)).
-
-    The Frobenius powers are taken in GF(q^k) first; phi then embeds by
-    padding the length-k coordinate vector with h zeros (a fixed full-rank
-    coordinate embedding).  Coefficients live in GF(q^(k+h)).
-    """
-
-    __slots__ = ("small", "big", "coeffs")
-
-    def __init__(self, small: GFExtension, big: GFExtension, coeffs):
-        if small.base != big.base or big.n < small.n:
-            raise ValueError("incompatible field pair for a rectangular map")
-        coeffs = tuple(coeffs)
-        for a in coeffs:
-            if not 0 <= a < big.order:
-                raise ValueError("coefficient code out of range")
-        self.small = small
-        self.big = big
-        self.coeffs = coeffs
-
-    @property
-    def k(self) -> int:
-        return self.small.n
-
-    @property
-    def h(self) -> int:
-        return self.big.n - self.small.n
-
-    def embed(self, x: int) -> int:
-        """The coordinate embedding phi: pad with zeros on the high end."""
-        return self.big.from_vector(self.small.to_vector(x) + (0,) * self.h)
-
-    def evaluate(self, x: int) -> int:
-        big, small = self.big, self.small
-        acc = 0
-        power = x
-        for a in self.coeffs:
-            if a:
-                acc = big.add(acc, big.mul(a, self.embed(power)))
-            power = small.frobenius(power, 1)
-        return acc
-
-    def to_matrix(self) -> MatrixGF:
-        """k x (k+h) matrix over GF(q), row i = coordinates of f(beta^i)."""
-        q = self.small.q
-        rows = [self.big.to_vector(self.evaluate(q ** i)) for i in range(self.k)]
-        return MatrixGF(self.small.base, rows)
-
-    def kernel_dim(self) -> int:
-        m = self.to_matrix()
-        return m.nrows - m.rank()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RectQPolynomial)
-            and (self.small, self.big) == (other.small, other.big)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return (
-            f"RectQPolynomial(q={self.small.q}, k={self.k}, h={self.h}, "
-            f"coeffs={self.coeffs})"
-        )
-
-
 def enumerate_rect_mrd(q: int, k: int, h: int, t: int, *,
                        budget: int | None = DEFAULT_ENUM_BUDGET):
-    """All q^((k+h)(t+1)) rectangular maps of q-degree <= t, odometer order.
-
-    Their matrices form an MRD code of k x (k+h) matrices with rank
-    distance k - t; with h = 0 this is the square code again.
-    """
-    if not 0 <= t < k:
-        raise ValueError(f"need 0 <= t < k, got t={t}, k={k}")
-    if h < 0:
-        raise ValueError("h must be non-negative")
-    small = extension_field(q, k)
-    big = extension_field(q, k + h)
-    order = big.order
-    total = order ** (t + 1)
-    _check_budget(total, budget, f"the rectangular rank-metric code q={q}, {k}x{k + h}, t={t}")
-
-    def gen():
-        for idx in range(total):
-            coeffs = []
-            rest = idx
-            for _ in range(t + 1):
-                rest, a = divmod(rest, order)
-                coeffs.append(a)
-            yield RectQPolynomial(small, big, coeffs)
-
-    return gen()
+    """enumerate_mrd(q, k, t, h=h): the k x (k+h) MRD code of q-degree <= t maps."""
+    # Kept by name for cdcbench/spans.py; library code calls enumerate_mrd.
+    return enumerate_mrd(q, k, t, h=h, budget=budget)

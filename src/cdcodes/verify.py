@@ -21,6 +21,7 @@ so splitting pair ranges across workers cannot change any result.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -110,7 +111,7 @@ def min_distance_exhaustive(code, cap: int = 5000):
         return math.inf, None
     members, masks = membership_masks(code)
     if masks is None:
-        return _min_distance_pairs_generic(members)
+        return _min_distance_pairs_generic(members, itertools.combinations(range(m), 2))
     k2 = 2 * code.dim
     best_count = -1
     witness = None
@@ -126,16 +127,18 @@ def min_distance_exhaustive(code, cap: int = 5000):
     return dist, witness
 
 
-def _min_distance_pairs_generic(members):
-    best = None
-    witness = None
-    for i in range(len(members) - 1):
-        for j in range(i + 1, len(members)):
-            d = subspace_distance(members[i], members[j])
-            if best is None or d < best:
-                best = d
-                witness = (members[i], members[j])
-    return best, witness
+def _min_distance_pairs_generic(members, pairs):
+    """(minimum stacked-rank distance, witness) over index pairs i < j.
+
+    Ties go to the smallest index pair, which is the smallest subspace pair
+    because members are sorted.
+    """
+    best = witness = None
+    for i, j in pairs:
+        d = subspace_distance(members[i], members[j])
+        if best is None or d < best or (d == best and (i, j) < witness):
+            best, witness = d, (i, j)
+    return best, (members[witness[0]], members[witness[1]])
 
 
 def min_distance_sampled(code, pairs: int, seed: int):
@@ -163,14 +166,8 @@ def min_distance_sampled(code, pairs: int, seed: int):
     members, masks = membership_masks(code)
     k2 = 2 * code.dim
     if masks is None:
-        best = None
-        witness = None
-        for i, j in zip(left.tolist(), right.tolist()):
-            d = subspace_distance(members[i], members[j])
-            pair = tuple(sorted((members[i], members[j])))
-            if best is None or d < best or (d == best and pair < witness):
-                best, witness = d, pair
-        return best, witness
+        return _min_distance_pairs_generic(
+            members, zip(np.minimum(left, right).tolist(), np.maximum(left, right).tolist()))
     counts = np.empty(pairs, dtype=np.int64)
     chunk = 1 << 16
     for lo in range(0, pairs, chunk):

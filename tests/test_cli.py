@@ -47,6 +47,13 @@ def test_bound_bad_parameters_exit_2(capsys):
     assert "error" in err
 
 
+def test_bound_q_not_a_prime_power_exit_2(capsys):
+    code, out, err = run_cli(capsys, "bound", "multiblock", "--q", "6", "--n", "4", "--t", "2", "--s", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "prime power" in err
+
+
 def test_table_check_passes(capsys):
     for tid in ("2", "3", "4", "5"):
         code, out, _ = run_cli(capsys, "table", tid, "--check")
@@ -180,6 +187,21 @@ def test_verify_non_canonical_member_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert "canonical" in err
+
+
+def test_verify_malformed_header_and_member_shape_exit_2(tmp_path, capsys):
+    path = tmp_path / "code.jsonl"
+    path.write_text("5\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "JSON object" in err
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps([row + [0] for row in json.loads(lines[1])])  # rows of length N+1
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "length N=4" in err
 
 
 def test_cli_multiblock_4621_end_to_end(tmp_path, capsys):

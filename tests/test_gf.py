@@ -164,19 +164,18 @@ def test_extension_inverses_exhaustive_f4096():
         assert e.frobenius(a, 12) == a
 
 
-def test_field_element_wrapper():
-    f = GF(2, 2)
-    a = f.element(2)
-    b = f.element(3)
-    assert (a * b).value == 1
-    assert (a + a).value == 0
-    assert (a / b).value == f.div(2, 3)
-    assert (-a).value == 2
-    assert a ** 3 == f.element(1)
-    with pytest.raises(ZeroDivisionError):
-        a / f.element(0)
+def test_prime_power_field_is_the_extension_of_its_prime_field():
+    for q in (4, 8, 9):
+        p, m = factor_prime_power(q)
+        direct, tower = GF(p, m), GF(prime_field(p), m)
+        assert direct == tower and hash(direct) == hash(tower)
+        assert (direct.q, direct.n, direct.modulus) == (p, m, tower.modulus)
+        pairs = list(itertools.product(range(q), repeat=2))
+        assert [direct.mul(a, b) for a, b in pairs] == [tower.mul(a, b) for a, b in pairs]
+    assert GF(2, 3) == extension_field(2, 3)
+    assert GF(2) != GF(GF(2), 1)
     with pytest.raises(ValueError):
-        a + GF(3).element(1)
+        GF(GF(2), 2, modulus=(1, 3, 1))  # coefficient 3 is not reduced mod 2
 
 
 def test_descriptor_roundtrip():
@@ -184,6 +183,8 @@ def test_descriptor_roundtrip():
         f = field_of_order(q)
         d = f.descriptor()
         assert GF.from_descriptor(d) == f
+    with pytest.raises(ValueError):
+        extension_field(4, 2).descriptor()  # modulus over GF(4), not GF(2)
 
 
 def test_is_prime():
