@@ -35,6 +35,7 @@ from .rankdist import (
     filtration_size,
     gaussian_binomial,
     lifted_mrd_size,
+    multiblock_size,
 )
 from .construct import (
     BlockGenerator,
@@ -80,7 +81,7 @@ __all__ = [
     "BudgetError", "QPolynomial", "RectQPolynomial", "enumerate_filtration",
     "enumerate_mrd", "enumerate_rect_mrd",
     "RankDistribution", "closed_form_first_three", "delsarte_distribution",
-    "filtration_size", "gaussian_binomial", "lifted_mrd_size",
+    "filtration_size", "gaussian_binomial", "lifted_mrd_size", "multiblock_size",
     "BlockGenerator", "CodeSet", "ConstructionError", "grassmannian_code",
     "intersection_bound_pairwise", "lifted_mrd_code", "linkage",
     "multiblock_generators", "multiblock_parallel_mrd", "parallel_linkage",

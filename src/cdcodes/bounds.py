@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import tables
 from .gf import factor_prime_power
-from .rankdist import filtration_size, gaussian_binomial
+from .rankdist import filtration_size, gaussian_binomial, multiblock_size
 
 
 @dataclass(frozen=True)
@@ -41,25 +41,13 @@ class BoundRecord:
             raise ValueError("a bound on a nonempty code must be at least 1")
 
 
-def _blocksum_term(q: int, n: int, t: int) -> int:
-    """Sum of the rank counts for ranks n-t..t of the distance-(n-t) MRD code."""
-    if 2 * t < n:
-        raise ValueError(f"need 2t >= n, got t={t}, n={n}")
-    if t >= n:
-        raise ValueError(f"need t < n, got t={t}, n={n}")
-    return filtration_size(q, n, t, n - t)
-
-
 def bound_multiblock(q: int, n: int, t: int, s: int) -> BoundRecord:
     """Lower bound on A_q((s+1)n, 2(n-t), n) from s+1 parallel blocks.
 
     value = sum_{j=0}^{s} q^((s-j) n (t+1)) * F^j with F the bounded-rank
     subset size; s = 1, 2, 3 give the published two/three/four-block tables.
     """
-    if s < 1:
-        raise ValueError("need at least s = 1 extra blocks")
-    f = _blocksum_term(q, n, t)
-    value = sum(q ** ((s - j) * n * (t + 1)) * f ** j for j in range(s + 1))
+    value = multiblock_size(q, n, t, s)
     return BoundRecord(
         q=q, n=(s + 1) * n, d=2 * (n - t), k=n, value=value, kind="lower",
         formula=f"multiblock(s={s})",
@@ -68,8 +56,7 @@ def bound_multiblock(q: int, n: int, t: int, s: int) -> BoundRecord:
 
 def bound_johnson_halving(q: int, n: int, t: int) -> BoundRecord:
     """Lower bound on A_q(2n-1, 2(n-t), n-1): the s=1 bound divided by q^n + 1, floored."""
-    f = _blocksum_term(q, n, t)
-    value = (q ** (n * (t + 1)) + f) // (q ** n + 1)
+    value = multiblock_size(q, n, t, 1) // (q ** n + 1)
     return BoundRecord(
         q=q, n=2 * n - 1, d=2 * (n - t), k=n - 1, value=value, kind="lower",
         formula="johnson-halving",
@@ -124,7 +111,8 @@ def multiblock_closed_form_2k(q: int, k: int, s: int) -> int:
     prod = Fraction(q ** (2 * k) - 1)
     for i in range(k):
         prod *= Fraction(q ** (2 * k - i) - 1, q ** (k - i) - 1)
-    assert prod.denominator == 1
+    if prod.denominator != 1:
+        raise ArithmeticError("internal error: the n = 2k subset count is not an integer")
     a_k = int(prod)
     n = 2 * k
     t = k

@@ -72,6 +72,11 @@ def write_codeset(code: CodeSet, fh) -> None:
         fh.write(json.dumps([list(row) for row in member.basis]) + "\n")
 
 
+def _all_ints(values) -> bool:
+    """True for a list of plain ints (JSON floats and booleans excluded)."""
+    return isinstance(values, list) and all(type(x) is int for x in values)
+
+
 def read_codeset(fh) -> CodeSet:
     header_line = fh.readline()
     if not header_line.strip():
@@ -82,6 +87,9 @@ def read_codeset(fh) -> CodeSet:
     for key in ("q", "p", "m", "moduli", "N", "k", "claimed_distance", "count"):
         if key not in header:
             raise ValueError(f"code file header is missing '{key}'")
+        if not _all_ints(header[key] if key == "moduli" else [header[key]]):
+            kind = "a list of integers" if key == "moduli" else "an integer"
+            raise ValueError(f"code file header '{key}' is not {kind}")
     field = GF(header["p"], header["m"], tuple(header["moduli"]))
     if field.order != header["q"]:
         raise ValueError("header q does not match p^m")
@@ -93,6 +101,8 @@ def read_codeset(fh) -> CodeSet:
         if not isinstance(rows, list) or not all(
                 isinstance(r, list) and len(r) == header["N"] for r in rows):
             raise ValueError(f"line {lineno}: member is not a list of rows of length N={header['N']}")
+        if not all(_all_ints(r) for r in rows):
+            raise ValueError(f"line {lineno}: member entries are not all integers")
         member = Subspace(field, header["N"], [tuple(r) for r in rows])
         canonical = subspace_from_rows(MatrixGF(field, member.basis))
         if canonical != member:

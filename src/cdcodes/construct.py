@@ -26,9 +26,9 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .gf import GF, field_of_order
-from .linalg import MatrixGF, Subspace, enumerate_subspaces, intersection_dim, subspace_from_rows
-from .qpoly import BudgetError, enumerate_filtration, enumerate_mrd
-from .rankdist import filtration_size, gaussian_binomial, lifted_mrd_size
+from .linalg import MatrixGF, Subspace, enumerate_subspaces, subspace_from_rows
+from .qpoly import BudgetError, enumerate_mrd
+from .rankdist import filtration_size, gaussian_binomial, lifted_mrd_size, multiblock_size
 
 DEFAULT_MEMBER_BUDGET = 1 << 24
 
@@ -211,13 +211,10 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
             for m in square:
                 yield subspace_from_rows(left.hstack(m))
         v_gens = _generator_matrices(v_code)
-        for f in enumerate_mrd(q, k, t, budget=budget):
-            m = f.to_matrix()
-            r = m.rank()
-            if not d // 2 <= r <= k - d // 2:
-                continue
-            for g in v_gens:
-                yield subspace_from_rows(m.hstack(g))
+        for m in square:
+            if d // 2 <= m.rank() <= k - d // 2:
+                for g in v_gens:
+                    yield subspace_from_rows(m.hstack(g))
 
     return _collect(
         field, 3 * k + h, k, d, members(),
@@ -253,22 +250,14 @@ def multiblock_generators(q: int, n: int, t: int, s: int, *,
     over the maps with kernel dimension >= n-t (zero map excluded) and the
     s-p blocks after it run over the whole MRD code.
     """
-    if s < 1:
-        raise ValueError("need at least s = 1 extra blocks")
-    if 2 * t < n:
-        raise ValueError(f"need 2t >= n, got t={t}, n={n}")
-    field = field_of_order(q)
-    f_size = filtration_size(q, n, t, n - t)
-    total = sum(q ** ((s - j) * n * (t + 1)) * f_size ** j for j in range(s + 1))
+    total = multiblock_size(q, n, t, s)
     if budget is not None and total > budget:
         raise BudgetError(
             f"the {s + 1}-block construction has {total} members, above the budget {budget}"
         )
-    ident = MatrixGF.identity(field, n)
+    ident = MatrixGF.identity(field_of_order(q), n)
     full = [f.to_matrix() for f in enumerate_mrd(q, n, t, budget=budget)]
-    restricted = [
-        f.to_matrix() for f in enumerate_filtration(q, n, t, n - t, budget=budget)
-    ]
+    restricted = [m for m in full if 0 < m.rank() <= t]  # kernel dim >= n - t, nonzero
 
     def gen():
         for pos in range(s + 1):
@@ -283,23 +272,18 @@ def multiblock_generators(q: int, n: int, t: int, s: int, *,
 def multiblock_parallel_mrd(q: int, n: int, t: int, s: int, *,
                             budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
     """The (s+1)-block parallel code: ((s+1)n, sum_j q^((s-j)n(t+1)) F^j, 2(n-t), n)."""
-    field = field_of_order(q)
-    f_size = filtration_size(q, n, t, n - t)
-    predicted = sum(
-        q ** ((s - j) * n * (t + 1)) * f_size ** j for j in range(s + 1)
-    )
+    predicted = multiblock_size(q, n, t, s)
     members = (g.subspace() for g in multiblock_generators(q, n, t, s, budget=budget))
     return _collect(
-        field, (s + 1) * n, n, 2 * (n - t), members,
+        field_of_order(q), (s + 1) * n, n, 2 * (n - t), members,
         {"construction": "multiblock", "q": q, "n": n, "t": t, "s": s},
         predicted, budget,
     )
 
 
 def intersection_bound_pairwise(g1: BlockGenerator, g2: BlockGenerator) -> int:
-    """Intersection-dimension bound n - rank(I - A_j B_i) for members with
-    the identity at different block positions; asserts the actual
-    intersection dimension never exceeds it."""
+    """Intersection-dimension bound n - rank(I - A_j B_i) for members whose
+    identity blocks sit at different positions, i in g1 and j in g2."""
     if len(g1.blocks) != len(g2.blocks):
         raise ValueError("generator tuples have different block counts")
     i, j = g1.position, g2.position
@@ -309,9 +293,4 @@ def intersection_bound_pairwise(g1: BlockGenerator, g2: BlockGenerator) -> int:
     b_i = g2.blocks[i]
     n = a_j.nrows
     ident = MatrixGF.identity(a_j.field, n)
-    bound = n - ident.sub(a_j @ b_i).rank()
-    actual = intersection_dim(g1.subspace(), g2.subspace())
-    assert actual <= bound, (
-        f"intersection dimension {actual} exceeds the bound {bound}"
-    )
-    return bound
+    return n - ident.sub(a_j @ b_i).rank()

@@ -4,9 +4,10 @@ Everything here is arbitrary-precision integer arithmetic: Gaussian
 binomials, the Delsarte rank distribution of an MRD code in the space of
 n x n matrices, the closed forms for its first three nonzero counts, the
 sizes of the bounded-rank subsets used by the block constructions, and the
-cardinality of a lifted MRD code.  Division steps assert exact
-divisibility; no rounding can occur anywhere.  All functions are pure, so
-the memo caches are safe for concurrent readers.
+cardinality of a lifted MRD code.  Division steps check exact
+divisibility and raise ArithmeticError otherwise; no rounding can occur
+anywhere.  All functions are pure, so the memo caches are safe for
+concurrent readers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         out *= q ** (n - i) - 1
         den = q ** (i + 1) - 1
-        assert out % den == 0, "internal error: inexact division in Gaussian binomial"
+        if out % den:
+            raise ArithmeticError("internal error: inexact division in Gaussian binomial")
         out //= den
     return out
 
@@ -67,7 +69,7 @@ def delsarte_distribution(q: int, n: int, d: int) -> RankDistribution:
 
     A_r = [n r]_q * sum_{i=0}^{r-d} (-1)^i q^binom(i,2) [r i]_q (q^(n(r-i-d+1)) - 1)
     for d <= r <= n, A_0 = 1, and A_r = 0 for 0 < r < d.  The normalization
-    sum_r A_r = q^(n(n-d+1)) is asserted.
+    sum_r A_r = q^(n(n-d+1)) is checked.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -77,14 +79,13 @@ def delsarte_distribution(q: int, n: int, d: int) -> RankDistribution:
         acc = 0
         for i in range(r - d + 1):
             exponent = n * (r - i - d + 1)
-            assert r - i >= d
             term = gaussian_binomial(r, i, q) * (q ** exponent - 1)
             term *= q ** (i * (i - 1) // 2)
             acc += -term if i % 2 else term
         counts[r] = gaussian_binomial(n, r, q) * acc
     dist = RankDistribution(q, n, d, tuple(counts))
-    assert dist.total() == q ** (n * (n - d + 1)), \
-        "internal error: rank distribution does not sum to the code size"
+    if dist.total() != q ** (n * (n - d + 1)):
+        raise ArithmeticError("internal error: rank distribution does not sum to the code size")
     return dist
 
 
@@ -100,7 +101,8 @@ def closed_form_first_three(q: int, n: int, d: int):
     if d + 1 <= n:
         inner = q ** (2 * n) - 1 - Fraction(q ** (d + 1) - 1, q - 1) * (q ** n - 1)
         val = gaussian_binomial(n, d + 1, q) * inner
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise ArithmeticError("internal error: closed form of A_{d+1} is not an integer")
         a_d1 = int(val)
     if d + 2 <= n:
         inner = (
@@ -112,7 +114,8 @@ def closed_form_first_three(q: int, n: int, d: int):
             * (q ** n - 1)
         )
         val = gaussian_binomial(n, d + 2, q) * inner
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise ArithmeticError("internal error: closed form of A_{d+2} is not an integer")
         a_d2 = int(val)
     return a_d, a_d1, a_d2
 
@@ -128,6 +131,22 @@ def filtration_size(q: int, n: int, t: int, j: int) -> int:
         raise ValueError(f"need 0 <= j <= t < n, got q={q}, n={n}, t={t}, j={j}")
     dist = delsarte_distribution(q, n, n - t)
     return dist.range_sum(n - t, n - j)
+
+
+def multiblock_size(q: int, n: int, t: int, s: int) -> int:
+    """Member count sum_{j=0}^{s} q^((s-j) n (t+1)) F^j of the (s+1)-block code.
+
+    F = filtration_size(q, n, t, n - t) counts the nonzero maps of rank at
+    most t, which fill the blocks before the identity.
+    """
+    if s < 1:
+        raise ValueError("need at least s = 1 extra blocks")
+    if 2 * t < n:
+        raise ValueError(f"need 2t >= n, got t={t}, n={n}")
+    if t >= n:
+        raise ValueError(f"need t < n, got t={t}, n={n}")
+    f = filtration_size(q, n, t, n - t)
+    return sum(q ** ((s - j) * n * (t + 1)) * f ** j for j in range(s + 1))
 
 
 def lifted_mrd_size(q: int, n: int, d: int) -> int:

@@ -8,6 +8,10 @@ as a bitmask over all q^N ambient vector codes, and pairs are intersected
 with vectorized popcounts).  Codes whose mask table would be too large fall
 back to the stacked-rank formula pair by pair.
 
+Rank distance between k x m matrices goes through the same oracle via the
+lifting of Silva, Kschischang and Koetter (2008): the row spaces of
+(I_k | A) and (I_k | B) are at subspace distance 2 rank(A - B).
+
 Sampling uses SplitMix64, fixed here by its constants so independent
 implementations can reproduce reports bit for bit: the state advances by
 0x9E3779B97F4A7C15 per draw and the output mix is
@@ -26,7 +30,8 @@ import math
 
 import numpy as np
 
-from .linalg import subspace_distance
+from .construct import CodeSet
+from .linalg import MatrixGF, Subspace, subspace_distance
 
 MASK_BIT_BUDGET = 1 << 28
 
@@ -193,60 +198,28 @@ def empirical_rank_distribution(matrices) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-_RANK_TABLES: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _gf2_rank_table(nrows: int, ncols: int) -> np.ndarray:
-    """Rank of every nrows x ncols GF(2) matrix, indexed by its packed bits."""
-    from .linalg import _rref_bits
-
-    key = (nrows, ncols)
-    if key not in _RANK_TABLES:
-        table = np.empty(1 << (nrows * ncols), dtype=np.uint8)
-        mask = (1 << ncols) - 1
-        for bits in range(len(table)):
-            rows = [(bits >> (ncols * i)) & mask for i in range(nrows)]
-            table[bits] = _rref_bits(rows, ncols)[1]
-        _RANK_TABLES[key] = table
-    return _RANK_TABLES[key]
-
-
 def pairwise_min_rank_distance(matrices) -> int:
-    """Exact minimum of rank(A - B) over all unordered pairs of distinct matrices.
+    """Exact minimum of rank(A - B) over all unordered pairs of the list.
 
-    GF(2) matrices of at most 16 entries are packed into words and ranked
-    through a lookup table, which keeps the full quadratic scan fast; other
-    shapes take the direct route.
+    Each k x m matrix A is lifted to the row space of (I_k | A); two lifts
+    are at subspace distance 2 rank(A - B), so the exhaustive subspace
+    oracle does the scan and the answer is half its distance.  A repeated
+    matrix gives 0; fewer than two matrices give math.inf.
     """
     matrices = list(matrices)
     if len(matrices) < 2:
         return math.inf
     first = matrices[0]
-    if first.field.order == 2 and first.nrows * first.ncols <= 16:
-        ncols = first.ncols
-        packed = []
-        for m in matrices:
-            bits = 0
-            for i, row in enumerate(m.rows):
-                for c, x in enumerate(row):
-                    bits |= x << (ncols * i + c)
-            packed.append(bits)
-        arr = np.array(packed, dtype=np.uint32)
-        table = _gf2_rank_table(first.nrows, ncols)
-        best = first.nrows
-        for i in range(len(arr) - 1):
-            ranks = table[np.bitwise_xor(arr[i], arr[i + 1:])]
-            best = min(best, int(ranks.min()))
-            if best == 0:
-                break
-        return best
-    best = None
-    for i in range(len(matrices) - 1):
-        for j in range(i + 1, len(matrices)):
-            r = matrices[i].sub(matrices[j]).rank()
-            if best is None or r < best:
-                best = r
-    return best
+    if any(m.field != first.field or m.nrows != first.nrows or m.ncols != first.ncols
+           for m in matrices):
+        raise ValueError("matrices differ in shape or field")
+    ident = MatrixGF.identity(first.field, first.nrows)
+    lifts = tuple(  # (I | A) is already the canonical RREF basis
+        Subspace(first.field, first.nrows + first.ncols, ident.hstack(m).rows)
+        for m in matrices)
+    code = CodeSet(first.field, first.nrows + first.ncols, first.nrows, 0, lifts)
+    dist, _witness = min_distance_exhaustive(code, cap=len(matrices))
+    return dist // 2
 
 
 def _subspace_payload(s) -> list[list[int]]:

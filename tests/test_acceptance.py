@@ -265,7 +265,7 @@ def test_acceptance_10e_block_bound_dominance():
     for g1, g2 in itertools.combinations(gens, 2):
         if g1.position == g2.position:
             continue
-        bound = intersection_bound_pairwise(g1, g2)  # asserts dominance internally
+        bound = intersection_bound_pairwise(g1, g2)
         assert intersection_dim(spaces[g1], spaces[g2]) <= bound
         pairs += 1
     assert pairs == 256 * 144 + 256 * 81 + 144 * 81

@@ -204,6 +204,36 @@ def test_verify_malformed_header_and_member_shape_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "length N=4" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p", "2"), ("q", 4.0), ("N", True), ("moduli", [1, "1"]), ("moduli", 3),
+])
+def test_verify_non_integer_header_exit_2(tmp_path, capsys, field, value):
+    path = tmp_path / "code.jsonl"
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[field] = value
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and f"'{field}'" in err
+
+
+@pytest.mark.parametrize("entry", ["a", 1.0, True, None])
+def test_verify_non_integer_member_entry_exit_2(tmp_path, capsys, entry):
+    path = tmp_path / "code.jsonl"
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
+    lines = path.read_text().splitlines()
+    rows = json.loads(lines[1])
+    rows[0][0] = entry
+    lines[1] = json.dumps(rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "line 2" in err and "integers" in err
+
+
 def test_cli_multiblock_4621_end_to_end(tmp_path, capsys):
     path = tmp_path / "big.jsonl"
     code, _, _ = run_cli(

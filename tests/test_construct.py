@@ -17,7 +17,7 @@ from cdcodes.construct import (
 )
 from cdcodes.gf import field_of_order
 from cdcodes.linalg import MatrixGF, intersection_dim, subspace_distance
-from cdcodes.qpoly import BudgetError, enumerate_mrd
+from cdcodes.qpoly import BudgetError, enumerate_filtration, enumerate_mrd
 from cdcodes.bounds import bound_multiblock
 
 
@@ -202,10 +202,20 @@ def test_multiblock_2212():
 
 
 def test_multiblock_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        multiblock_parallel_mrd(2, 4, 1, 1)  # 2t < n
-    with pytest.raises(ValueError):
-        multiblock_parallel_mrd(2, 2, 1, 0)
+    # the construction and the bound share one size formula and its checks
+    for n, t, s, message in [(4, 1, 1, "2t >= n"), (2, 2, 1, "t < n"), (2, 1, 0, "s = 1")]:
+        with pytest.raises(ValueError, match=message):
+            multiblock_parallel_mrd(2, n, t, s)
+        with pytest.raises(ValueError, match=message):
+            bound_multiblock(2, n, t, s)
+
+
+def test_multiblock_restricted_blocks_are_the_filtration_stream():
+    # s = 1, identity last: one member per restricted block, in enumeration order
+    for q, n, t in [(2, 2, 1), (2, 3, 2), (3, 2, 1)]:
+        gens = multiblock_generators(q, n, t, 1)
+        restricted = [g.blocks[0] for g in gens if g.position == 1]
+        assert restricted == [f.to_matrix() for f in enumerate_filtration(q, n, t, n - t)]
 
 
 def test_multiblock_generator_layout():
@@ -239,10 +249,12 @@ def test_intersection_bound_pairwise():
     gens = list(multiblock_generators(2, 2, 1, 1))
     g_first = [g for g in gens if g.position == 0]
     g_second = [g for g in gens if g.position == 1]
+    spaces = {g: g.subspace() for g in gens}
     for g1 in g_first:
         for g2 in g_second:
             bound = intersection_bound_pairwise(g1, g2)
             assert 0 <= bound <= 2
+            assert intersection_dim(spaces[g1], spaces[g2]) <= bound
     # zero block forces a trivial intersection bound
     field = field_of_order(2)
     ident = MatrixGF.identity(field, 2)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -128,7 +129,7 @@ def test_mrd_distance_exhaustive():
 
 
 def test_mrd_distance_exhaustive_2_4_2_packed():
-    # 4096 matrices -> 8.4M pairs via the packed-rank scan
+    # 4096 matrices -> 8.4M pairs through the lifted-subspace scan
     from cdcodes.verify import pairwise_min_rank_distance
 
     mats = [f.to_matrix() for f in enumerate_mrd(2, 4, 2)]
@@ -136,11 +137,21 @@ def test_mrd_distance_exhaustive_2_4_2_packed():
 
 
 def test_pairwise_min_rank_distance_matches_brute():
+    # the brute-force pair loop stays the reference for the lifted-subspace scan
     from cdcodes.verify import pairwise_min_rank_distance
 
-    for q, n, t in [(2, 2, 1), (3, 2, 1)]:
-        mats = [f.to_matrix() for f in enumerate_mrd(q, n, t)]
-        assert pairwise_min_rank_distance(mats) == min_rank_distance(mats) == n - t
+    for q, n, t, h, expect in [(2, 2, 1, 0, 1), (3, 2, 1, 0, 1), (3, 3, 1, 0, 2),
+                               (2, 2, 0, 1, 2), (2, 3, 1, 1, 2), (2, 2, 1, 2, 1)]:
+        mats = [f.to_matrix() for f in enumerate_mrd(q, n, t, h=h)]
+        assert pairwise_min_rank_distance(mats) == min_rank_distance(mats) == expect
+    mats = [f.to_matrix() for f in enumerate_mrd(2, 2, 1)]
+    assert pairwise_min_rank_distance(mats + mats[3:4]) == min_rank_distance(mats + mats[3:4]) == 0
+    assert pairwise_min_rank_distance(mats[:1]) == pairwise_min_rank_distance([]) == math.inf
+    rect = next(enumerate_mrd(2, 2, 1, h=1)).to_matrix()
+    with pytest.raises(ValueError):
+        pairwise_min_rank_distance(mats + [rect])
+    with pytest.raises(ValueError):
+        pairwise_min_rank_distance(mats + [next(enumerate_mrd(3, 2, 1)).to_matrix()])
 
 
 def test_filtration_counts():
@@ -174,11 +185,13 @@ def test_rect_mrd_counts_and_distance():
 
 
 def test_rect_mrd_distance_more_cases():
+    from cdcodes.verify import pairwise_min_rank_distance
+
     for q, k, h, t, expect in [(2, 2, 1, 0, 2), (2, 3, 1, 1, 2), (3, 2, 1, 1, 1), (2, 3, 2, 1, 2)]:
         polys = list(enumerate_rect_mrd(q, k, h, t))
         mats = [f.to_matrix() for f in polys]
         assert len(mats) == q ** ((k + h) * (t + 1))
-        assert min_rank_distance(mats) == expect
+        assert pairwise_min_rank_distance(mats) == expect
         for f, m in zip(polys, mats):
             if not any(f.coeffs):
                 continue
