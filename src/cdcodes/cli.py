@@ -74,7 +74,7 @@ def write_codeset(code: CodeSet, fh) -> None:
 
 def _all_ints(values) -> bool:
     """True for a list of plain ints (JSON floats and booleans excluded)."""
-    return isinstance(values, list) and all(type(x) is int for x in values)
+    return isinstance(values, list) and {int}.issuperset(map(type, values))
 
 
 def read_codeset(fh) -> CodeSet:
@@ -101,11 +101,11 @@ def read_codeset(fh) -> CodeSet:
         if not isinstance(rows, list) or not all(
                 isinstance(r, list) and len(r) == header["N"] for r in rows):
             raise ValueError(f"line {lineno}: member is not a list of rows of length N={header['N']}")
-        if not all(_all_ints(r) for r in rows):
+        if not all(map(_all_ints, rows)):
             raise ValueError(f"line {lineno}: member entries are not all integers")
-        member = Subspace(field, header["N"], [tuple(r) for r in rows])
-        canonical = subspace_from_rows(MatrixGF(field, member.basis))
-        if canonical != member:
+        member = Subspace(field, header["N"], rows)
+        # a canonical basis comes back unchanged, without elimination
+        if subspace_from_rows(MatrixGF(field, member.basis)) != member:
             raise ValueError(f"line {lineno}: basis is not a canonical full-rank RREF")
         members.append(member)
     if len(members) != header["count"]:
@@ -126,6 +126,18 @@ def read_codeset(fh) -> CodeSet:
 # Subcommands
 # ----------------------------------------------------------------------
 
+_STR_BITS = 13_000  # ~3,900 digits, under Python's default 4,300-digit limit on str(int)
+
+
+def _decimal(value: int) -> str:
+    """Decimal text of a non-negative int of any size, without str(int)'s digit limit."""
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(value, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def cmd_bound(args) -> int:
     if args.formula == "multiblock":
         rec = bounds_mod.bound_multiblock(args.q, args.n, args.t, args.s)
@@ -137,7 +149,7 @@ def cmd_bound(args) -> int:
         rec = bounds_mod.bound_parallel_linkage(
             args.q, args.k, args.h, args.d, args.input, input_source="cli"
         )
-    print(f"{rec.value} {rec.formula} {rec.kind} {rec.label()}")
+    print(f"{_decimal(rec.value)} {rec.formula} {rec.kind} {rec.label()}")
     return EXIT_OK
 
 
@@ -281,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="validate a code file and print a JSON report")
     p_ver.add_argument("path")
-    p_ver.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
+    p_ver.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto",
+                       help="auto scans all pairs up to --cap members and samples --pairs above")
     p_ver.add_argument("--cap", type=int, default=5000, help="exhaustive pair-scan cap")
     p_ver.add_argument("--pairs", type=int, default=1_000_000)
     p_ver.add_argument("--seed", type=int, default=0x5EED)

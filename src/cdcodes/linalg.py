@@ -37,14 +37,14 @@ class MatrixGF:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: GF, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            for x in r:
-                if not 0 <= x < field.order:
-                    raise ValueError(f"entry {x} outside field of order {field.order}")
+            if r and (min(r) < 0 or max(r) >= field.order):
+                x = next(x for x in r if not 0 <= x < field.order)
+                raise ValueError(f"entry {x} outside field of order {field.order}")
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
@@ -220,7 +220,7 @@ class Subspace:
     def __init__(self, field: GF, ambient_dim: int, basis_rows):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(r) for r in basis_rows)
+        self.basis = tuple(map(tuple, basis_rows))
         self.dim = len(self.basis)
 
     def basis_matrix(self) -> MatrixGF:
@@ -268,10 +268,36 @@ class Subspace:
 
 
 def subspace_from_rows(m: MatrixGF) -> Subspace:
-    """Canonical representative of the row space; rank drops are kept visible."""
+    """Canonical representative of the row space; rank drops are kept visible.
+
+    Rows that already are the canonical basis (is_canonical_basis) are kept
+    without elimination.
+    """
+    if is_canonical_basis(m.rows, m.field.order):
+        return Subspace(m.field, m.ncols, m.rows)
     reduced = m.rref()
     basis = [r for r in reduced.rows if any(r)]
     return Subspace(m.field, m.ncols, basis)
+
+
+def is_canonical_basis(rows, q: int) -> bool:
+    """True iff the rows are the canonical full-rank RREF basis of their row space.
+
+    That is exactly when elimination would leave them unchanged: every
+    entry lies in [0, q), every row is nonzero, every leading entry is 1,
+    pivot columns strictly increase and every pivot column is zero in the
+    other rows.  Checked directly, without elimination.
+    """
+    cols = list(zip(*rows))
+    last = -1
+    for row in rows:
+        if min(row, default=0) < 0 or max(row, default=0) >= q or 1 not in row:
+            return False
+        lead = row.index(1)
+        if lead <= last or any(row[:lead]) or cols[lead].count(0) != len(rows) - 1:
+            return False
+        last = lead
+    return True
 
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:

@@ -1,8 +1,10 @@
 import io
 import json
+import sys
 
 import pytest
 
+from cdcodes import bounds
 from cdcodes.cli import main, read_codeset, write_codeset
 from cdcodes.construct import lifted_mrd_code, multiblock_parallel_mrd
 
@@ -52,6 +54,21 @@ def test_bound_q_not_a_prime_power_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "prime power" in err
+
+
+def test_bound_above_the_int_str_digit_limit(capsys):
+    value = bounds.bound_multiblock(9, 40, 39, 3).value
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "bound", "multiblock", "--q", "9", "--n", "40", "--t", "39",
+                             "--s", "3")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit  # the interpreter-wide limit is untouched
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(value)) > 4300
+        assert out.split()[0] == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_table_check_passes(capsys):
@@ -261,6 +278,22 @@ def test_verify_sampled_deterministic(tmp_path, capsys):
                              "--pairs", "5000", "--seed", "11")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_defaults_to_auto_mode(tmp_path, capsys):
+    path = tmp_path / "code.jsonl"
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
+    code, out, _ = run_cli(capsys, "verify", str(path))  # 16 members, under the cap
+    assert code == 0
+    dist = next(c for c in json.loads(out)["checks"] if c["check"] == "min_distance")
+    assert dist["actual"] == "2 (exhaustive)"
+    code, out, _ = run_cli(capsys, "verify", str(path), "--cap", "10", "--pairs", "5000")
+    assert code == 0
+    dist = next(c for c in json.loads(out)["checks"] if c["check"] == "min_distance")
+    assert dist["actual"] == f"2 (sampled(5000,seed={0x5EED}))"
+    code, out, err = run_cli(capsys, "verify", str(path), "--mode", "exhaustive", "--cap", "10")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "above the exhaustive cap 10" in err
 
 
 def test_codeset_roundtrip_identity():

@@ -2,15 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdcodes.gf import GF, field_of_order
 from cdcodes.linalg import (
     MatrixGF,
+    Subspace,
     _rref_generic,
     decode_vector,
     encode_vector,
     enumerate_subspaces,
     intersection_dim,
+    is_canonical_basis,
     kernel_dim,
     rank,
     rref,
@@ -167,3 +171,68 @@ def test_vector_encoding_roundtrip():
         assert len(vecs) == q ** 2
         assert len(set(vecs)) == q ** 2
         assert 0 in vecs
+
+
+DEFECTS = ("none", "scale", "add_row", "zero_row", "repeat_row", "swap", "out_of_range")
+
+
+@st.composite
+def bases_with_defects(draw):
+    """Rows over GF(2), GF(3), GF(4) or GF(9): an RREF basis or a random matrix,
+    then at most one defect (unnormalised pivot, unreduced column, zero or
+    repeated row, swapped rows, entry outside [0, q))."""
+    field = field_of_order(draw(st.sampled_from([2, 3, 4, 9])))
+    q = field.order
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        pivots = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+        rows = [[0] * n for _ in range(k)]
+        for r, p in enumerate(pivots):
+            rows[r][p] = 1
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    rows[r][c] = draw(st.integers(0, q - 1))
+    else:
+        row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        rows = draw(st.lists(row, min_size=k, max_size=k))
+    defect = draw(st.sampled_from(DEFECTS))
+    if rows and defect != "none":
+        i = draw(st.integers(0, k - 1))
+        j = (i + draw(st.integers(1, max(1, k - 1)))) % k  # another row when k > 1
+        c = draw(st.integers(1, q - 1))
+        if defect == "scale":
+            rows[i] = [field.mul(c, x) for x in rows[i]]
+        elif defect == "add_row":
+            rows[i] = [field.add(x, field.mul(c, y)) for x, y in zip(rows[i], rows[j])]
+        elif defect == "zero_row":
+            rows[i] = [0] * n
+        elif defect == "repeat_row":
+            rows.append(list(rows[i]))
+        elif defect == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, q, q + 5]))
+    return field, n, rows
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(bases_with_defects())
+@example((F3, 3, [[1, 0, 2], [0, 1, 1]]))  # canonical
+@example((F3, 3, [[0, 1, 1], [1, 0, 2]]))  # pivots out of order
+@example((F3, 3, [[2, 0, 1], [0, 1, 1]]))  # unnormalised pivot
+@example((F3, 3, [[1, 1, 2], [0, 1, 1]]))  # pivot column not reduced
+@example((F3, 3, [[1, 0, 2], [1, 0, 2]]))  # rank-deficient
+@example((F3, 3, [[1, 0, 2], [0, 0, 0]]))  # zero row
+@example((F3, 3, [[1, 0, 3], [0, 1, 1]]))  # entry outside [0, q)
+@example((F3, 3, [[1, 0, -1], [0, 1, 1]]))  # negative entry
+def test_canonical_basis_check_matches_elimination(case):
+    field, n, rows = case
+    in_range = all(0 <= x < field.order for r in rows for x in r)
+    eliminated = None
+    if in_range:  # nonzero rows of the elimination kernel's RREF
+        eliminated = tuple(r for r in MatrixGF(field, rows).rref().rows if any(r))
+    basis = tuple(map(tuple, rows))
+    assert is_canonical_basis(rows, field.order) == (eliminated == basis)
+    if in_range and rows:  # the fast path of subspace_from_rows agrees with elimination
+        assert subspace_from_rows(MatrixGF(field, rows)) == Subspace(field, n, eliminated)

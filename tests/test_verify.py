@@ -1,9 +1,16 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from cdcodes.construct import CodeSet, grassmannian_code, lifted_mrd_code, multiblock_parallel_mrd
+from cdcodes.construct import (
+    CodeSet,
+    grassmannian_code,
+    lifted_mrd_code,
+    multiblock_parallel_mrd,
+    rect_lifted_mrd_code,
+)
 from cdcodes.gf import field_of_order
 from cdcodes.linalg import MatrixGF, subspace_distance, subspace_from_rows
 from cdcodes.qpoly import enumerate_mrd
@@ -16,6 +23,7 @@ from cdcodes.verify import (
     min_distance_sampled,
     validate_codeset,
 )
+import cdcodes.verify as verify
 
 
 def brute_min_distance(code):
@@ -67,8 +75,6 @@ def test_exhaustive_cap():
 
 def test_generic_path_agrees_with_masked():
     # shrink the mask budget to force the rank-formula fallback
-    import cdcodes.verify as verify
-
     code = multiblock_parallel_mrd(2, 2, 1, 1)
     masked = min_distance_exhaustive(code)
     members, none_masks = membership_masks(code, bit_budget=1)
@@ -76,6 +82,71 @@ def test_generic_path_agrees_with_masked():
     generic = verify._min_distance_pairs_generic(
         members, itertools.combinations(range(len(members)), 2))
     assert masked == generic
+
+
+def reference_masks(code, bit_budget=verify.MASK_BIT_BUDGET):
+    """The per-member mask builder: expand each member with Subspace.vectors()."""
+    members = sorted(code.members)
+    points = code.q ** code.ambient_dim
+    if not members or points * len(members) > bit_budget:
+        return members, None
+    words = (points + 63) // 64
+    arr = np.zeros((len(members), words), dtype=np.uint64)
+    for idx, s in enumerate(members):
+        mask = 0
+        for v in s.vectors():
+            mask |= 1 << v
+        arr[idx] = np.frombuffer(mask.to_bytes(8 * words, "little"), dtype="<u8")
+    return members, arr
+
+
+def mask_test_codes(q):
+    """Lifted, rect-lifted, multiblock and Grassmannian codes over GF(q), and a
+    code mixing members of dimension 0, 1 and 2."""
+    field = field_of_order(q)
+    lines = grassmannian_code(q, 3, 1)
+    planes = grassmannian_code(q, 3, 2)
+    zero = subspace_from_rows(MatrixGF.zeros(field, 1, 3))
+    mixed = CodeSet(field, 3, 1, 2, (zero,) + lines.members + planes.members)
+    return [lifted_mrd_code(q, 2, 0), rect_lifted_mrd_code(q, 2, 1, 0),
+            multiblock_parallel_mrd(q, 2, 1, 1), lines, mixed]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_masks_match_the_vectors_reference(q, monkeypatch):
+    for code in mask_test_codes(q):
+        members, masks = membership_masks(code)
+        ref_members, ref_masks = reference_masks(code)
+        assert members == ref_members
+        assert masks.dtype == np.uint64 and np.array_equal(masks, ref_masks)
+        if len(members) > 400:  # the default chunks already split these codes
+            continue
+        # one member per chunk, then a few: boundaries fall inside the code
+        for chunk_bytes in (1, 3000):
+            monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
+            assert np.array_equal(membership_masks(code)[1], ref_masks)
+        monkeypatch.undo()
+        fast = (min_distance_exhaustive(code, cap=len(members)),
+                min_distance_sampled(code, 2000, seed=q))
+        monkeypatch.setattr(verify, "membership_masks", reference_masks)
+        slow = (min_distance_exhaustive(code, cap=len(members)),
+                min_distance_sampled(code, 2000, seed=q))
+        monkeypatch.undo()
+        assert fast == slow  # distances and witnesses
+
+
+def test_masks_respect_the_bit_budget():
+    code = lifted_mrd_code(3, 2, 0)
+    points = 3 ** 4
+    assert membership_masks(code, bit_budget=points * 9 + 64 * 9)[1] is not None
+    assert membership_masks(code, bit_budget=points * 9 + 64 * 9 - 1)[1] is None
+
+
+def test_dim_from_count_rejects_a_count_that_is_not_a_power_of_q():
+    assert verify._dim_from_count(27, 3) == 3
+    assert verify._dim_from_count(1, 3) == 0
+    with pytest.raises(ArithmeticError, match="not a power of q=3"):
+        verify._dim_from_count(18, 3)
 
 
 def test_splitmix_reference_sequence():
@@ -107,8 +178,6 @@ def test_sampled_covers_all_pairs_eventually():
 
 
 def test_sampled_generic_path():
-    import cdcodes.verify as verify
-
     code = lifted_mrd_code(2, 2, 1)
     masked = min_distance_sampled(code, 500, seed=3)
     orig = verify.MASK_BIT_BUDGET
