@@ -14,9 +14,6 @@ from .linalg import (
     Subspace,
     enumerate_subspaces,
     intersection_dim,
-    kernel_dim,
-    rank,
-    rref,
     subspace_distance,
     subspace_from_rows,
 )
@@ -36,6 +33,7 @@ from .rankdist import (
     gaussian_binomial,
     lifted_mrd_size,
     multiblock_size,
+    parallel_linkage_size,
 )
 from .construct import (
     BlockGenerator,
@@ -59,7 +57,6 @@ from .verify import (
     validate_codeset,
 )
 from .bounds import (
-    BestKnownTable,
     BoundRecord,
     anticode_upper,
     bound_johnson_halving,
@@ -77,18 +74,19 @@ __version__ = "0.1.0"
 __all__ = [
     "GF", "GFExtension", "extension_field", "field_of_order",
     "MatrixGF", "Subspace", "enumerate_subspaces", "intersection_dim",
-    "kernel_dim", "rank", "rref", "subspace_distance", "subspace_from_rows",
+    "subspace_distance", "subspace_from_rows",
     "BudgetError", "QPolynomial", "RectQPolynomial", "enumerate_filtration",
     "enumerate_mrd", "enumerate_rect_mrd",
     "RankDistribution", "closed_form_first_three", "delsarte_distribution",
     "filtration_size", "gaussian_binomial", "lifted_mrd_size", "multiblock_size",
+    "parallel_linkage_size",
     "BlockGenerator", "CodeSet", "ConstructionError", "grassmannian_code",
     "intersection_bound_pairwise", "lifted_mrd_code", "linkage",
     "multiblock_generators", "multiblock_parallel_mrd", "parallel_linkage",
     "rect_lifted_mrd_code",
     "SplitMix64", "empirical_rank_distribution", "min_distance_exhaustive",
     "min_distance_sampled", "pairwise_min_rank_distance", "validate_codeset",
-    "BestKnownTable", "BoundRecord", "anticode_upper", "bound_johnson_halving",
+    "BoundRecord", "anticode_upper", "bound_johnson_halving",
     "bound_multiblock", "bound_parallel_linkage", "compare",
     "default_best_known", "generate_table", "generate_table1", "load_best_known",
 ]

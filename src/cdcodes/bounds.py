@@ -10,13 +10,13 @@ reference strings normalize by stripping non-digits first.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from . import tables
 from .gf import factor_prime_power
-from .rankdist import filtration_size, gaussian_binomial, multiblock_size
+from .rankdist import gaussian_binomial, multiblock_size, parallel_linkage_size
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,9 @@ def bound_parallel_linkage(q: int, k: int, h: int, d: int, input_value: int,
     k x k maps of rank between d/2 and k-d/2 and input_value is a known
     lower bound on A_q(2k+h, d, k) (recorded in the result's inputs).
     """
-    if d % 2 != 0:
-        raise ValueError("the subspace distance d must be even")
-    if not 0 < d <= k:
-        raise ValueError(f"need 0 < d <= k, got d={d}, k={k}")
-    if h < 0:
-        raise ValueError("h must be non-negative")
+    value = parallel_linkage_size(q, k, h, d, input_value)
     if input_value < 1:
         raise ValueError("the A_q(2k+h,d,k) input must be positive")
-    t = k - d // 2  # >= 1 whenever d <= k and d is even
-    subset = filtration_size(q, k, t, d // 2)
-    value = q ** ((2 * k + h) * (t + 1)) + subset * input_value
     return BoundRecord(
         q=q, n=3 * k + h, d=d, k=k, value=value, kind="lower",
         formula="parallel-linkage",
@@ -126,21 +118,9 @@ def multiblock_closed_form_2k(q: int, k: int, s: int) -> int:
 CSV_HEADER = ["q", "n", "d", "k", "value", "source"]
 
 
-@dataclass
-class BestKnownTable:
-    """Known lower bounds keyed by (q, n, d, k), loaded from CSV."""
-
-    rows: dict = field(default_factory=dict)  # (q,n,d,k) -> (value, source)
-
-    def get(self, q: int, n: int, d: int, k: int):
-        return self.rows.get((q, n, d, k))
-
-    def __len__(self):
-        return len(self.rows)
-
-
-def load_best_known(path) -> BestKnownTable:
-    table = BestKnownTable()
+def load_best_known(path) -> dict:
+    """The registry {(q, n, d, k): (value, source)} of a best-known CSV."""
+    table = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(CSV_HEADER) - set(reader.fieldnames or ())
@@ -154,24 +134,24 @@ def load_best_known(path) -> BestKnownTable:
                 raise ValueError(f"bad best-known CSV row at line {lineno}: {row}") from exc
             if value < 1:
                 raise ValueError(f"non-positive value at line {lineno}")
-            if key in table.rows:
+            if key in table:
                 raise ValueError(f"duplicate key {key} at line {lineno}")
-            table.rows[key] = (value, row["source"] or "")
+            table[key] = (value, row["source"] or "")
     return table
 
 
-def default_best_known() -> BestKnownTable:
+def default_best_known() -> dict:
     """The shipped registry: the previously best known values quoted alongside the tables."""
     ref = resources.files("cdcodes").joinpath("data/best_known.csv")
     with resources.as_file(ref) as path:
         return load_best_known(path)
 
 
-def compare(records, table: BestKnownTable):
+def compare(records, table: dict):
     """Flag each record as improvement / tie / below / unknown against the registry."""
     out = []
     for rec in records:
-        known = table.get(rec.q, rec.n, rec.d, rec.k)
+        known = table.get((rec.q, rec.n, rec.d, rec.k))
         if known is None:
             status = "unknown"
             old = None
@@ -200,7 +180,7 @@ def generate_table(table_id: int):
     raise ValueError(f"no generated grid for table id {table_id}; use generate_table1 for table 1")
 
 
-def generate_table1(best_known: BestKnownTable):
+def generate_table1(best_known: dict):
     """Three-block linkage rows; each needs a best-known A_q(2k+h, d, k) input.
 
     Returns (records, skipped) where skipped lists (q, k, h, d, reason) for
@@ -209,7 +189,7 @@ def generate_table1(best_known: BestKnownTable):
     records = []
     skipped = []
     for q, k, h, d, _new, _old in tables.TABLE1:
-        known = best_known.get(q, 2 * k + h, d, k)
+        known = best_known.get((q, 2 * k + h, d, k))
         if known is None:
             skipped.append((q, k, h, d, f"no best-known value for A_{q}({2 * k + h},{d},{k})"))
             continue

@@ -22,6 +22,7 @@ overrides the default enumeration cap of 2^24 elements.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,8 +38,8 @@ from .construct import (
 )
 from .gf import GF
 from .linalg import MatrixGF, Subspace, subspace_from_rows
-from .qpoly import BudgetError
-from .verify import validate_codeset
+from .qpoly import DEFAULT_BUDGET, BudgetError
+from .verify import EXHAUSTIVE_CAP, SAMPLED_PAIRS, SAMPLED_SEED, validate_codeset
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -48,7 +49,7 @@ EXIT_BUDGET = 3
 
 def default_budget() -> int:
     value = os.environ.get("CDC_BUDGET")
-    return int(value) if value else 1 << 24
+    return int(value) if value else DEFAULT_BUDGET
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +233,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `cdc` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cdc",
         description="Constant-dimension subspace codes: constructions, verification, bound tables.",
@@ -295,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("path")
     p_ver.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto",
                        help="auto scans all pairs up to --cap members and samples --pairs above")
-    p_ver.add_argument("--cap", type=int, default=5000, help="exhaustive pair-scan cap")
-    p_ver.add_argument("--pairs", type=int, default=1_000_000)
-    p_ver.add_argument("--seed", type=int, default=0x5EED)
+    p_ver.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP, help="exhaustive pair-scan cap")
+    p_ver.add_argument("--pairs", type=int, default=SAMPLED_PAIRS)
+    p_ver.add_argument("--seed", type=int, default=SAMPLED_SEED)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

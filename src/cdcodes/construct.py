@@ -27,10 +27,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .gf import GF, field_of_order
 from .linalg import MatrixGF, Subspace, enumerate_subspaces, subspace_from_rows
-from .qpoly import BudgetError, enumerate_mrd
-from .rankdist import filtration_size, gaussian_binomial, lifted_mrd_size, multiblock_size
-
-DEFAULT_MEMBER_BUDGET = 1 << 24
+from .qpoly import DEFAULT_BUDGET, BudgetError, enumerate_mrd
+from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, parallel_linkage_size
 
 
 class ConstructionError(ValueError):
@@ -103,13 +101,13 @@ def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None
     return _collect(field, 2 * k + h, k, 2 * (k - t), members(), provenance, predicted, budget)
 
 
-def lifted_mrd_code(q: int, n: int, t: int, *, budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
+def lifted_mrd_code(q: int, n: int, t: int, *, budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """Row spaces of (I_n | M_f), f of q-degree <= t: a (2n, q^(n(t+1)), 2(n-t), n) code."""
     return _lifted(q, n, 0, t, {"construction": "lifted", "q": q, "n": n, "t": t}, budget)
 
 
 def rect_lifted_mrd_code(q: int, k: int, h: int, t: int, *,
-                         budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
+                         budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """Row spaces of (I_k | M), M in the k x (k+h) MRD code of q-degree <= t maps.
 
     A (2k+h, q^((k+h)(t+1)), 2(k-t), k) code; h = 0 builds the members of
@@ -120,7 +118,7 @@ def rect_lifted_mrd_code(q: int, k: int, h: int, t: int, *,
 
 
 def grassmannian_code(q: int, ambient_dim: int, dim: int, *,
-                      budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
+                      budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """Every dim-dimensional subspace of GF(q)^ambient_dim; distance 2 when nontrivial."""
     field = field_of_order(q)
     predicted = gaussian_binomial(ambient_dim, dim, q)
@@ -131,13 +129,8 @@ def grassmannian_code(q: int, ambient_dim: int, dim: int, *,
     )
 
 
-def _generator_matrices(code: CodeSet):
-    """SC-representation of a CodeSet: the canonical full-row-rank bases."""
-    return [s.basis_matrix() for s in code.members]
-
-
 def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
-            budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
+            budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """Row spaces of (U | Q): a (n1+n2, N1*N2, min(d1, 2*d2), k) code.
 
     u_code supplies the SC-representation (its canonical bases); q_matrices
@@ -151,7 +144,7 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
     for m in q_matrices:
         if m.nrows != k or m.ncols != n2 or m.field != u_code.field:
             raise ValueError("rank-metric codewords must be k x n2 over the same field")
-    gens = _generator_matrices(u_code)
+    gens = [s.basis_matrix() for s in u_code.members]
     for g in gens:
         if g.rank() != k:
             raise ConstructionError("SC-representation matrix with deficient row rank")
@@ -172,7 +165,7 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
 
 
 def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = None, *,
-                     budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
+                     budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """Two linked families on ambient 3k+h with distance d (d even, d <= k).
 
     Family one: (I_k | Q | R) with Q over the rectangular MRD code on k x (k+h)
@@ -182,12 +175,7 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
     the full Grassmannian for d = 2 and the lifted rectangular MRD code
     otherwise.
     """
-    if d % 2 != 0:
-        raise ValueError("the subspace distance d must be even")
-    if not 0 < d <= k:
-        raise ValueError(f"need 0 < d <= k, got d={d}, k={k}")
-    if h < 0:
-        raise ValueError("h must be non-negative")
+    parallel_linkage_size(q, k, h, d, 0)  # validates d and h before v_code is built
     t = k - d // 2
     field = field_of_order(q)
     if v_code is None:
@@ -201,8 +189,7 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
         raise ValueError(f"v_code distance {v_code.claimed_distance} is below {d}")
 
     ident = MatrixGF.identity(field, k)
-    subset_size = filtration_size(q, k, t, d // 2)
-    predicted = q ** ((2 * k + h) * (t + 1)) + subset_size * len(v_code)
+    predicted = parallel_linkage_size(q, k, h, d, len(v_code))
 
     def members():
         square = [f.to_matrix() for f in enumerate_mrd(q, k, t, budget=budget)]
@@ -210,9 +197,9 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
             left = ident.hstack(rect.to_matrix())
             for m in square:
                 yield subspace_from_rows(left.hstack(m))
-        v_gens = _generator_matrices(v_code)
+        v_gens = [s.basis_matrix() for s in v_code.members]
         for m in square:
-            if d // 2 <= m.rank() <= k - d // 2:
+            if 0 < m.rank() <= t:  # nonzero maps have rank >= k - t = d/2
                 for g in v_gens:
                     yield subspace_from_rows(m.hstack(g))
 
@@ -243,7 +230,7 @@ class BlockGenerator:
 
 
 def multiblock_generators(q: int, n: int, t: int, s: int, *,
-                          budget: int | None = DEFAULT_MEMBER_BUDGET):
+                          budget: int | None = DEFAULT_BUDGET):
     """Generator tuples of the (s+1)-block construction, one per member.
 
     For identity position p (0-based), the p blocks before the identity run
@@ -270,7 +257,7 @@ def multiblock_generators(q: int, n: int, t: int, s: int, *,
 
 
 def multiblock_parallel_mrd(q: int, n: int, t: int, s: int, *,
-                            budget: int | None = DEFAULT_MEMBER_BUDGET) -> CodeSet:
+                            budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """The (s+1)-block parallel code: ((s+1)n, sum_j q^((s-j)n(t+1)) F^j, 2(n-t), n)."""
     predicted = multiblock_size(q, n, t, s)
     members = (g.subspace() for g in multiblock_generators(q, n, t, s, budget=budget))

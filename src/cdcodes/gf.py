@@ -314,16 +314,6 @@ class GF:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
         return _pow_raw(self, a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        if a != 0 and self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        return _pow_raw(self, a, e)
-
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^i); the i-fold Frobenius over the base field."""
         if i < 0:
@@ -346,16 +336,6 @@ class GF:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def descriptor(self) -> dict:
-        """Serializable description {p, m, modulus} of a field over GF(p)."""
-        if self.base is not None and self.base.base is not None:
-            raise ValueError(f"{self!r} is not a field over GF(p); it has no descriptor")
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "GF":
-        return cls(desc["p"], desc["m"], tuple(desc["modulus"]))
 
     def __eq__(self, other):
         return other is self or (isinstance(other, GF) and self._key == other._key)

@@ -23,14 +23,6 @@ def encode_vector(coords, q: int) -> int:
     return out
 
 
-def decode_vector(code: int, q: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        code, r = divmod(code, q)
-        out.append(r)
-    return tuple(out)
-
-
 class MatrixGF:
     """Immutable dense matrix over a GF instance; entries are element codes."""
 
@@ -63,15 +55,9 @@ class MatrixGF:
             raise ValueError("hstack shape/field mismatch")
         return MatrixGF(self.field, [a + b for a, b in zip(self.rows, other.rows)])
 
-    def add(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_same_shape(other)
-        f = self.field
-        return MatrixGF(f, [
-            [f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
-
     def sub(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_same_shape(other)
+        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape/field mismatch")
         f = self.field
         return MatrixGF(f, [
             [f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
@@ -89,22 +75,15 @@ class MatrixGF:
             ])
         return MatrixGF(f, out)
 
-    def _check_same_shape(self, other):
-        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape/field mismatch")
-
     def rref(self) -> "MatrixGF":
+        """Reduced row-echelon form; the row space is preserved."""
         if self.field.order == 2:
-            packed = [_pack_row(r) for r in self.rows]
-            reduced, _rank, _piv = _rref_bits(packed, self.ncols)
-            return MatrixGF(self.field, [_unpack_row(r, self.ncols) for r in reduced])
-        reduced, _rank, _piv = _rref_generic(self.field, self.rows, self.ncols)
-        return MatrixGF(self.field, reduced)
+            packed = _rref_bits([_pack_row(r) for r in self.rows], self.ncols)[0]
+            return MatrixGF(self.field, [_unpack_row(r, self.ncols) for r in packed])
+        return MatrixGF(self.field, _rref_generic(self.field, self.rows, self.ncols)[0])
 
     def rank(self) -> int:
-        if self.field.order == 2:
-            return _rref_bits([_pack_row(r) for r in self.rows], self.ncols)[1]
-        return _rref_generic(self.field, self.rows, self.ncols)[1]
+        return _rank(self.field, self.rows, self.ncols)
 
     def __eq__(self, other):
         return (
@@ -129,14 +108,13 @@ def _dot(f, row, col) -> int:
 
 
 # ----------------------------------------------------------------------
-# Elimination kernels.  Both return (rows, rank, pivot_columns); the
-# bit-packed q=2 kernel must agree with the generic one entry for entry.
+# Elimination kernels.  Both return (rows, rank); the bit-packed q=2
+# kernel must agree with the generic one entry for entry.
 # ----------------------------------------------------------------------
 
 def _rref_generic(field, rows, ncols):
     rows = [list(r) for r in rows]
     nrows = len(rows)
-    pivots = []
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -152,11 +130,10 @@ def _rref_generic(field, rows, ncols):
                 rows[i] = [
                     field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
                 ]
-        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return [tuple(r_) for r_ in rows], r, pivots
+    return [tuple(r_) for r_ in rows], r
 
 
 def _pack_row(row) -> int:
@@ -174,7 +151,6 @@ def _unpack_row(bits: int, ncols: int) -> tuple[int, ...]:
 def _rref_bits(rows, ncols):
     rows = list(rows)
     nrows = len(rows)
-    pivots = []
     r = 0
     for c in range(ncols):
         bit = 1 << c
@@ -186,25 +162,16 @@ def _rref_bits(rows, ncols):
         for i in range(nrows):
             if i != r and rows[i] & bit:
                 rows[i] ^= pivot_row
-        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, r, pivots
+    return rows, r
 
 
-def rref(m: MatrixGF) -> MatrixGF:
-    """Reduced row-echelon form; the row space is preserved."""
-    return m.rref()
-
-
-def rank(m: MatrixGF) -> int:
-    return m.rank()
-
-
-def kernel_dim(m: MatrixGF) -> int:
-    """Dimension of the left kernel {x : x M = 0} = nrows - rank."""
-    return m.nrows - m.rank()
+def _rank(field, rows, ncols) -> int:
+    if field.order == 2:
+        return _rref_bits([_pack_row(r) for r in rows], ncols)[1]
+    return _rref_generic(field, rows, ncols)[1]
 
 
 class Subspace:
@@ -304,12 +271,7 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
     """dim(U) + dim(V) - rank of the stacked bases."""
     if u.ambient_dim != v.ambient_dim or u.field != v.field:
         raise ValueError("subspaces live in different ambient spaces")
-    if u.field.order == 2:
-        stacked = [_pack_row(r) for r in u.basis] + [_pack_row(r) for r in v.basis]
-        r = _rref_bits(stacked, u.ambient_dim)[1]
-    else:
-        r = _rref_generic(u.field, u.basis + v.basis, u.ambient_dim)[1]
-    return u.dim + v.dim - r
+    return u.dim + v.dim - _rank(u.field, u.basis + v.basis, u.ambient_dim)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .gf import GF, extension_field
 from .linalg import MatrixGF
 
-DEFAULT_ENUM_BUDGET = 1 << 24
+DEFAULT_BUDGET = 1 << 24  # elements an enumeration or a construction may produce
 
 
 class BudgetError(Exception):
@@ -80,22 +80,6 @@ class QPolynomial:
         m = self.to_matrix()
         return m.nrows - m.rank()
 
-    def _combine(self, other: "QPolynomial", op) -> "QPolynomial":
-        if (self.ext, self.big) != (other.ext, other.big):
-            raise ValueError("mixed extension fields")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a = a + (0,) * (len(b) - len(a))
-        elif len(b) < len(a):
-            b = b + (0,) * (len(a) - len(b))
-        return QPolynomial(self.ext, tuple(op(x, y) for x, y in zip(a, b)), self.big)
-
-    def __add__(self, other):
-        return self._combine(other, self.big.add)
-
-    def __sub__(self, other):
-        return self._combine(other, self.big.sub)
-
     def __eq__(self, other):
         return (
             isinstance(other, QPolynomial)
@@ -126,7 +110,7 @@ def _check_budget(total: int, budget: int, what: str):
 
 
 def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
-                  stop: int | None = None, budget: int | None = DEFAULT_ENUM_BUDGET):
+                  stop: int | None = None, budget: int | None = DEFAULT_BUDGET):
     """All q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) of q-degree <= t, in odometer order.
 
     Their n x (n+h) matrices form an MRD code with rank distance n - t;
@@ -159,27 +143,22 @@ def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
     return gen()
 
 
-def enumerate_filtration(q: int, n: int, t: int, j: int, *, include_zero: bool = False,
-                         budget: int | None = DEFAULT_ENUM_BUDGET):
-    """Maps of q-degree <= t whose kernel dimension is at least j.
+def enumerate_filtration(q: int, n: int, t: int, j: int, *,
+                         budget: int | None = DEFAULT_BUDGET):
+    """Nonzero maps of q-degree <= t whose kernel dimension is at least j.
 
-    The zero map (kernel dimension n) is excluded by default, which makes
-    the stream length equal filtration_size(q, n, t, j); pass
-    include_zero=True to keep it.
+    The zero map (kernel dimension n) is excluded, which makes the stream
+    length equal filtration_size(q, n, t, j).
     """
     if not 0 <= j <= t:
         raise ValueError(f"need 0 <= j <= t, got j={j}, t={t}")
     for f in enumerate_mrd(q, n, t, budget=budget):
-        if f.is_zero():
-            if include_zero:
-                yield f
-            continue
-        if f.kernel_dim() >= j:
+        if not f.is_zero() and f.kernel_dim() >= j:
             yield f
 
 
 def enumerate_rect_mrd(q: int, k: int, h: int, t: int, *,
-                       budget: int | None = DEFAULT_ENUM_BUDGET):
+                       budget: int | None = DEFAULT_BUDGET):
     """enumerate_mrd(q, k, t, h=h): the k x (k+h) MRD code of q-degree <= t maps."""
     # Kept by name for cdcbench/spans.py; library code calls enumerate_mrd.
     return enumerate_mrd(q, k, t, h=h, budget=budget)

@@ -4,9 +4,9 @@ Everything here is arbitrary-precision integer arithmetic: Gaussian
 binomials, the Delsarte rank distribution of an MRD code in the space of
 n x n matrices, the closed forms for its first three nonzero counts, the
 sizes of the bounded-rank subsets used by the block constructions, and the
-cardinality of a lifted MRD code.  Division steps check exact
-divisibility and raise ArithmeticError otherwise; no rounding can occur
-anywhere.  All functions are pure, so the memo caches are safe for
+cardinalities of the multi-block, parallel-linkage and lifted MRD codes.
+Division steps check exact divisibility and raise ArithmeticError
+otherwise; no rounding can occur anywhere.  All functions are pure, so the memo caches are safe for
 concurrent readers.
 """
 
@@ -147,6 +147,22 @@ def multiblock_size(q: int, n: int, t: int, s: int) -> int:
         raise ValueError(f"need t < n, got t={t}, n={n}")
     f = filtration_size(q, n, t, n - t)
     return sum(q ** ((s - j) * n * (t + 1)) * f ** j for j in range(s + 1))
+
+
+def parallel_linkage_size(q: int, k: int, h: int, d: int, v_size: int) -> int:
+    """Member count q^((2k+h)(t+1)) + S * v_size of the parallel linkage, t = k - d/2.
+
+    S = filtration_size(q, k, t, d/2) counts the nonzero k x k maps of rank
+    at most t that prefix the v_size members of the second family.
+    """
+    if d % 2 != 0:
+        raise ValueError("the subspace distance d must be even")
+    if not 0 < d <= k:
+        raise ValueError(f"need 0 < d <= k, got d={d}, k={k}")
+    if h < 0:
+        raise ValueError("h must be non-negative")
+    t = k - d // 2  # >= 1 whenever d <= k and d is even
+    return q ** ((2 * k + h) * (t + 1)) + filtration_size(q, k, t, d // 2) * v_size
 
 
 def lifted_mrd_size(q: int, n: int, d: int) -> int:

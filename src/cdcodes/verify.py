@@ -44,6 +44,9 @@ from .linalg import MatrixGF, Subspace, subspace_distance
 _chain = itertools.chain.from_iterable
 
 MASK_BIT_BUDGET = 1 << 28
+EXHAUSTIVE_CAP = 5000  # members; larger codes are sampled in mode "auto"
+SAMPLED_PAIRS = 1_000_000
+SAMPLED_SEED = 0x5EED
 
 _U64 = (1 << 64) - 1
 
@@ -150,7 +153,7 @@ def _dim_from_count(count: int, q: int) -> int:
     return d
 
 
-def min_distance_exhaustive(code, cap: int = 5000):
+def min_distance_exhaustive(code, cap: int = EXHAUSTIVE_CAP):
     """(exact minimum distance, lexicographically smallest witnessing pair).
 
     Scans all unordered pairs; raises if the code is larger than cap.
@@ -273,8 +276,9 @@ def _subspace_payload(s) -> list[list[int]]:
     return [list(row) for row in s.basis]
 
 
-def validate_codeset(code, exhaustive_cap: int = 5000, sampled_pairs: int = 1_000_000,
-                     seed: int = 0x5EED, mode: str = "auto") -> dict:
+def validate_codeset(code, exhaustive_cap: int = EXHAUSTIVE_CAP,
+                     sampled_pairs: int = SAMPLED_PAIRS, seed: int = SAMPLED_SEED,
+                     mode: str = "auto") -> dict:
     """Machine-readable pass/fail report on a CodeSet's own claims.
 
     Checks membership invariants, cardinality against the construction's

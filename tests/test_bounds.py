@@ -126,8 +126,8 @@ def test_table_row_counts():
 
 def test_default_best_known_and_compare():
     table = default_best_known()
-    assert table.get(2, 12, 6, 6) == (16813481, "prior-tables")
-    assert table.get(2, 13, 6, 6)[0] == 269057345
+    assert table[2, 12, 6, 6] == (16813481, "prior-tables")
+    assert table[2, 13, 6, 6][0] == 269057345
     rec = bound_multiblock(2, 6, 3, 1)
     [res] = compare([rec], table)
     assert res["status"] == "improvement"

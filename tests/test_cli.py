@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cdcodes import bounds
+from cdcodes import bounds, cli
 from cdcodes.cli import main, read_codeset, write_codeset
 from cdcodes.construct import lifted_mrd_code, multiblock_parallel_mrd
 
@@ -13,6 +13,34 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_per_process(capsys):
+    argvs = [
+        ["bound", "multiblock", "--q", "2", "--n", "4", "--t", "2", "--s", "1"],
+        ["bound", "anticode", "--q", "2"],  # argparse usage error
+        ["construct", "lifted", "--q", "2"],  # missing construction options
+        ["bound", "johnson", "--q", "3", "--n", "4", "--t", "2"],
+        ["table", "3", "--check"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    cached = [run(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    assert cached == fresh
+    assert [code for code, _out, _err in cached] == [0, 2, 2, 0, 0]
 
 
 def test_bound_multiblock(capsys):

@@ -18,7 +18,7 @@ from cdcodes.construct import (
 from cdcodes.gf import field_of_order
 from cdcodes.linalg import MatrixGF, intersection_dim, subspace_distance
 from cdcodes.qpoly import BudgetError, enumerate_filtration, enumerate_mrd
-from cdcodes.bounds import bound_multiblock
+from cdcodes.bounds import bound_multiblock, bound_parallel_linkage
 
 
 def exhaustive_min_distance(code):
@@ -132,10 +132,6 @@ def test_parallel_linkage_acceptance_shape():
     assert len(code) == 571
     assert code.ambient_dim == 6 and code.dim == 2
     assert code.provenance["predicted_size"] == 2 ** 8 + 9 * 35
-    # built size equals the bound formula fed with |V| as the known input
-    from cdcodes.bounds import bound_parallel_linkage
-
-    assert len(code) == bound_parallel_linkage(2, 2, 0, 2, len(v)).value
 
 
 def test_parallel_linkage_defaults():
@@ -183,6 +179,23 @@ def test_parallel_linkage_h1():
     expected = 2 ** (5 * 2) + 9 * gaussian_binomial(5, 2, 2)
     assert len(code) == expected
     assert code.ambient_dim == 7
+
+
+@pytest.mark.parametrize("h", [0, 1])
+def test_parallel_linkage_size_is_the_bound(h):
+    v = grassmannian_code(2, 4 + h, 2)
+    assert len(parallel_linkage(2, 2, h, 2, v)) == bound_parallel_linkage(2, 2, h, 2, len(v)).value
+
+
+@pytest.mark.parametrize("q, k, h, d", [
+    (2, 2, 0, 3), (2, 2, 0, 4), (2, 2, 0, 0), (2, 2, 0, -2), (2, 2, -1, 2), (6, 2, 0, 2),
+])
+def test_parallel_linkage_construct_and_bound_reject_alike(q, k, h, d):
+    with pytest.raises(ValueError) as built:
+        parallel_linkage(q, k, h, d)
+    with pytest.raises(ValueError) as bounded:
+        bound_parallel_linkage(q, k, h, d, 35)
+    assert str(built.value) == str(bounded.value)
 
 
 def test_multiblock_2211():

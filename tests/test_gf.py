@@ -74,7 +74,7 @@ def test_field_axioms_exhaustive_small():
 def test_division_errors():
     f = GF(5)
     with pytest.raises(ZeroDivisionError):
-        f.div(3, 0)
+        f.inv(0)
     e = extension_field(2, 3)
     with pytest.raises(ZeroDivisionError):
         e.inv(0)
@@ -176,15 +176,6 @@ def test_prime_power_field_is_the_extension_of_its_prime_field():
     assert GF(2) != GF(GF(2), 1)
     with pytest.raises(ValueError):
         GF(GF(2), 2, modulus=(1, 3, 1))  # coefficient 3 is not reduced mod 2
-
-
-def test_descriptor_roundtrip():
-    for q in SMALL_ORDERS:
-        f = field_of_order(q)
-        d = f.descriptor()
-        assert GF.from_descriptor(d) == f
-    with pytest.raises(ValueError):
-        extension_field(4, 2).descriptor()  # modulus over GF(4), not GF(2)
 
 
 def test_is_prime():

@@ -1,7 +1,10 @@
 """Source-level rules for the package."""
 
 import ast
+import types
 from pathlib import Path
+
+import cdcodes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cdcodes"
 
@@ -15,3 +18,14 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert sorted(SRC.glob("*.py")) and not offenders, offenders
+
+
+def test_all_matches_public_names():
+    public = {
+        name for name, value in vars(cdcodes).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(cdcodes.__all__) == sorted(public)
+    namespace = {}
+    exec("from cdcodes import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
