@@ -16,7 +16,7 @@ from cdcodes import (
 
 q, n, t = 2, 4, 2
 print(f"Enumerating all q-degree <= {t} maps on GF({q}^{n}): {q ** (n * (t + 1))} of them")
-hist = empirical_rank_distribution(f.to_matrix() for f in enumerate_mrd(q, n, t))
+hist = empirical_rank_distribution(enumerate_mrd(q, n, t))
 print(f"empirical rank histogram: {hist}")
 
 dist = delsarte_distribution(q, n, n - t)

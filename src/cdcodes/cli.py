@@ -15,8 +15,8 @@ Numeric tables are CSV with columns ``A_q(n,d,k), new, old, formula``; the
 best-known registry is CSV with header ``q,n,d,k,value,source``.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or parse
-error, 3 enumeration budget exceeded.  The environment variable CDC_BUDGET
-overrides the default enumeration cap of 2^24 elements.
+error, 3 enumeration budget exceeded.  ``construct --budget`` sets the
+enumeration cap, 2^24 elements by default.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -45,11 +44,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def default_budget() -> int:
-    value = os.environ.get("CDC_BUDGET")
-    return int(value) if value else DEFAULT_BUDGET
 
 
 # ----------------------------------------------------------------------
@@ -201,19 +195,18 @@ def cmd_table(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    budget = args.budget if args.budget is not None else default_budget()
     if args.construction == "lifted":
-        code = lifted_mrd_code(args.q, args.n, args.t, budget=budget)
+        code = lifted_mrd_code(args.q, args.n, args.t, budget=args.budget)
     elif args.construction == "multiblock":
-        code = multiblock_parallel_mrd(args.q, args.n, args.t, args.s, budget=budget)
+        code = multiblock_parallel_mrd(args.q, args.n, args.t, args.s, budget=args.budget)
     elif args.construction == "parallel-linkage":
         v_code = None
         if args.v_code:
             with open(args.v_code, encoding="utf-8") as fh:
                 v_code = read_codeset(fh)
-        code = parallel_linkage(args.q, args.k, args.h, args.d, v_code, budget=budget)
+        code = parallel_linkage(args.q, args.k, args.h, args.d, v_code, budget=args.budget)
     else:  # grassmannian, handy for building v-code inputs
-        code = grassmannian_code(args.q, args.n, args.k, budget=budget)
+        code = grassmannian_code(args.q, args.n, args.k, budget=args.budget)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             write_codeset(code, fh)
@@ -289,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--d", type=int, help="target distance (parallel-linkage)")
     p_con.add_argument("--v-code", dest="v_code", default=None,
                        help="code file for the second linkage family")
-    p_con.add_argument("--budget", type=int, default=None,
-                       help="override the enumeration budget (default CDC_BUDGET or 2^24)")
+    p_con.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="enumeration budget (default 2^24)")
     p_con.add_argument("-o", "--output", default=None)
     p_con.set_defaults(func=cmd_construct)
 

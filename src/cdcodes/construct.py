@@ -94,9 +94,9 @@ def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None
     ident = MatrixGF.identity(field, k)
     predicted = lifted_mrd_size(q, k, k - t) * q ** (h * (t + 1))
 
-    def members():
-        for f in enumerate_mrd(q, k, t, h=h, budget=budget):
-            yield subspace_from_rows(ident.hstack(f.to_matrix()))
+    def members():  # (I | M) is already the canonical RREF basis
+        for m in enumerate_mrd(q, k, t, h=h, budget=budget):
+            yield Subspace(field, 2 * k + h, ident.hstack(m).rows)
 
     return _collect(field, 2 * k + h, k, 2 * (k - t), members(), provenance, predicted, budget)
 
@@ -192,11 +192,11 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
     predicted = parallel_linkage_size(q, k, h, d, len(v_code))
 
     def members():
-        square = [f.to_matrix() for f in enumerate_mrd(q, k, t, budget=budget)]
+        square = list(enumerate_mrd(q, k, t, budget=budget))
         for rect in enumerate_mrd(q, k, t, h=h, budget=budget):
-            left = ident.hstack(rect.to_matrix())
-            for m in square:
-                yield subspace_from_rows(left.hstack(m))
+            left = ident.hstack(rect)
+            for m in square:  # (I | Q | R) is already the canonical RREF basis
+                yield Subspace(field, 3 * k + h, left.hstack(m).rows)
         v_gens = [s.basis_matrix() for s in v_code.members]
         for m in square:
             if 0 < m.rank() <= t:  # nonzero maps have rank >= k - t = d/2
@@ -243,7 +243,7 @@ def multiblock_generators(q: int, n: int, t: int, s: int, *,
             f"the {s + 1}-block construction has {total} members, above the budget {budget}"
         )
     ident = MatrixGF.identity(field_of_order(q), n)
-    full = [f.to_matrix() for f in enumerate_mrd(q, n, t, budget=budget)]
+    full = list(enumerate_mrd(q, n, t, budget=budget))
     restricted = [m for m in full if 0 < m.rank() <= t]  # kernel dim >= n - t, nonzero
 
     def gen():

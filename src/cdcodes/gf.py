@@ -18,8 +18,9 @@ multiplication table.
 Prime fields use modular integer arithmetic.  Extensions multiply through
 precomputed log/antilog tables for fields of up to 2^16 elements; larger
 fields (allowed up to 2^20) fall back to polynomial multiplication per
-operation.  Field objects are immutable after construction and all
-operations are pure, so they can be shared freely across threads.
+operation.  Frobenius powers are square-and-multiply on top of mul.
+Field objects are immutable after construction and all operations are
+pure, so they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -263,14 +264,9 @@ class GF:
             raise ValueError(f"modulus {modulus} is reducible over {base!r}")
         self.modulus = modulus
         self._key = (self.p if base is None else base._key, n, modulus)
-        self._exp = self._log = self._frob = None
+        self._exp = self._log = None
         if self.m > 1 and self.order <= TABLE_LIMIT:
             self._exp, self._log = _build_log_tables(self)
-            # x -> x^q as a permutation table for fast q-power iteration
-            n1 = self.order - 1
-            self._frob = [0] + [
-                self._exp[(self._log[x] * self.q) % n1] for x in range(1, self.order)
-            ]
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Product of the coordinate polynomials modulo the modulus."""
@@ -318,9 +314,7 @@ class GF:
         """a^(q^i); the i-fold Frobenius over the base field."""
         if i < 0:
             raise ValueError("Frobenius iteration count must be >= 0")
-        for _ in range(i % self.n):
-            a = self._frob[a] if self._frob is not None else _pow_raw(self, a, self.q)
-        return a
+        return _pow_raw(self, a, self.q ** (i % self.n))
 
     def to_vector(self, a: int) -> tuple[int, ...]:
         """Coordinates of a over the base field, length n."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .gf import GF
 
 
@@ -21,6 +23,29 @@ def encode_vector(coords, q: int) -> int:
     for c in reversed(coords):
         out = out * q + c
     return out
+
+
+def span(field: GF, rows, idx) -> np.ndarray:
+    """The combinations sum_i c_i row_i of rows (..., r, L) for each index in idx.
+
+    c_i is base-q digit i of the index, c_0 least significant, and the
+    result is an int64 array (..., len(idx), L) of element codes.  The sum
+    is taken over the prime field: the m base-p digits of a code are its
+    coordinates over GF(p), and multiplication by the code p^e is the
+    m x m map over GF(p) whose row j holds the digits of p^e * p^j, so
+    rows times digits is one integer matrix product mod p for any q.
+    """
+    p, m = field.p, field.m
+    powers = p ** np.arange(m, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    *batch, r, width = rows.shape
+    times = np.array([[field.mul(int(a), int(b)) for b in powers] for a in powers])
+    scaled = np.einsum("...rlj,ejk->...relk", rows[..., None] // powers % p,
+                       times[..., None] // powers % p) % p  # digits of p^e * row_r
+    scaled = scaled.reshape(*batch, r * m, width * m)
+    digits = np.asarray(idx, dtype=np.int64)[:, None] // p ** np.arange(r * m, dtype=np.int64)
+    out = digits % p @ scaled % p
+    return out.reshape(*out.shape[:-1], width, m) @ powers
 
 
 class MatrixGF:

@@ -6,9 +6,14 @@ all such maps with q-degree at most t is MRD with rank distance n - t.
 The rectangular code of n x (n+h) matrices comes from the same maps with
 coefficients in GF(q^(n+h)): the Frobenius powers are taken in GF(q^n) and
 embedded by padding their coordinates with h zeros, which leaves every
-element code unchanged.  The square code is h = 0.  This module
-enumerates that code and its bounded-rank subsets (kernel dimension at
-least j, zero map excluded).
+element code unchanged.  The square code is h = 0.
+
+The code is GF(q)-linear (Gabidulin 1985): the matrix of a map is linear
+in the base-q digits of its coefficients, so the codeword with odometer
+index idx is sum_d digit_d(idx) B_d over the (n+h)(t+1) basis matrices
+B_d, each computed once with QPolynomial.to_matrix.  enumerate_mrd yields
+these codeword matrices from linalg.span, and enumerate_filtration keeps
+its bounded-rank subsets (kernel dimension at least j, zero map excluded).
 
 Enumeration order is an odometer over the integer codes of
 (a_0, ..., a_t) with a_0 varying fastest; streams accept start/stop
@@ -18,10 +23,13 @@ deterministically.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .gf import GF, extension_field
-from .linalg import MatrixGF
+from .linalg import MatrixGF, span
 
 DEFAULT_BUDGET = 1 << 24  # elements an enumeration or a construction may produce
+_CHUNK = 1 << 9  # codewords per span call
 
 
 class BudgetError(Exception):
@@ -53,9 +61,6 @@ class QPolynomial:
         self.big = big
         self.coeffs = coeffs
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def evaluate(self, x: int) -> int:
         ext, big = self.ext, self.big
         acc = 0
@@ -75,20 +80,6 @@ class QPolynomial:
         q = ext.q
         rows = [self.big.to_vector(self.evaluate(q ** i)) for i in range(ext.n)]
         return MatrixGF(ext.base, rows)
-
-    def kernel_dim(self) -> int:
-        m = self.to_matrix()
-        return m.nrows - m.rank()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QPolynomial)
-            and (self.ext, self.big) == (other.ext, other.big)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return (
@@ -111,11 +102,11 @@ def _check_budget(total: int, budget: int, what: str):
 
 def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
                   stop: int | None = None, budget: int | None = DEFAULT_BUDGET):
-    """All q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) of q-degree <= t, in odometer order.
+    """The n x (n+h) matrices of the maps of q-degree <= t, in odometer order.
 
-    Their n x (n+h) matrices form an MRD code with rank distance n - t;
-    h = 0 is the square code.  Validation (including the budget check)
-    happens at call time.
+    The q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) form an MRD code with
+    rank distance n - t; h = 0 is the square code.  Validation (including the budget check) happens at call time;
+    indices are int64, so a code of more than 2^62 codewords is refused.
     """
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
@@ -123,38 +114,40 @@ def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
         raise ValueError("h must be non-negative")
     ext = extension_field(q, n)
     big = extension_field(q, n + h)
-    order = big.order
-    total = order ** (t + 1)
+    total = big.order ** (t + 1)
     _check_budget(total, budget, f"the rank-metric code of {n}x{n + h} matrices with q={q}, t={t}")
+    if total > 1 << 62:
+        raise ValueError(f"the code has {total} codewords, above the 2^62 index range")
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError("bad enumeration sub-range")
 
     def gen():
-        for idx in range(start, stop):
-            coeffs = []
-            rest = idx
-            for _ in range(t + 1):
-                rest, a = divmod(rest, order)
-                coeffs.append(a)
-            yield QPolynomial(ext, coeffs, big)
+        # basis matrix i*(n+h) + d is the map alpha^d x^(q^i): index digit order
+        basis = [QPolynomial(ext, [0] * i + [q ** d], big).to_matrix().rows
+                 for i in range(t + 1) for d in range(n + h)]
+        basis = np.reshape(basis, (len(basis), -1))
+        for lo in range(start, stop, _CHUNK):
+            block = span(ext.base, basis, np.arange(lo, min(lo + _CHUNK, stop)))
+            for rows in block.reshape(-1, n, n + h).tolist():
+                yield MatrixGF(ext.base, rows)
 
     return gen()
 
 
 def enumerate_filtration(q: int, n: int, t: int, j: int, *,
                          budget: int | None = DEFAULT_BUDGET):
-    """Nonzero maps of q-degree <= t whose kernel dimension is at least j.
+    """Matrices of the nonzero maps of q-degree <= t whose kernel dimension is at least j.
 
     The zero map (kernel dimension n) is excluded, which makes the stream
     length equal filtration_size(q, n, t, j).
     """
     if not 0 <= j <= t:
         raise ValueError(f"need 0 <= j <= t, got j={j}, t={t}")
-    for f in enumerate_mrd(q, n, t, budget=budget):
-        if not f.is_zero() and f.kernel_dim() >= j:
-            yield f
+    for m in enumerate_mrd(q, n, t, budget=budget):
+        if 0 < m.rank() <= n - j:  # nonzero, kernel dimension n - rank >= j
+            yield m
 
 
 def enumerate_rect_mrd(q: int, k: int, h: int, t: int, *,

@@ -6,15 +6,15 @@ intersections, where dim(U cap V) is read off the number q^dim of common
 member vectors (Koetter and Kschischang 2008).  Each member is stored once
 as a bitmask over all q^N ambient vector codes, and pairs are intersected
 with vectorized popcounts.  The masks are built in numpy, the same way for
-every q: the field's addition and multiplication are tabulated as q x q
-arrays, the canonical bases of a chunk of members are stacked into one
+every q: the canonical bases of a chunk of members are stacked into one
 (members, k, N) array, and the q^k vectors of each row space are its
-combinations sum_i c_i row_i, taken in k table-lookup folds.  Each vector
-is encoded as its base-q code (linalg.encode_vector), and the bits are set
-in a boolean hit matrix that np.packbits packs into the mask words.  A
-chunk holds about 64 KB of temporaries, so the mask array itself is the
-build's only large allocation.  Codes whose mask table would be too large
-fall back to the stacked-rank formula pair by pair.
+combinations sum_i c_i row_i, computed by linalg.span, the kernel that
+also enumerates MRD codewords.  Each vector is encoded as its base-q code
+(linalg.encode_vector), and the bits are set in a boolean hit matrix that
+np.packbits packs into the mask words.  A chunk holds about 256 KB of
+temporaries, so the mask array itself is the build's only large
+allocation.  Codes whose mask table would be too large fall back to the
+stacked-rank formula pair by pair.
 
 Rank distance between k x m matrices goes through the same oracle via the
 lifting of Silva, Kschischang and Koetter (2008): the row spaces of
@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .construct import CodeSet
-from .linalg import MatrixGF, Subspace, subspace_distance
+from .linalg import MatrixGF, Subspace, span, subspace_distance
 
 _chain = itertools.chain.from_iterable
 
@@ -86,15 +86,7 @@ def _sorted_members(code):
 
 # Bytes of temporaries one chunk of the mask build may hold (at least one
 # member per chunk).
-_CHUNK_BYTES = 1 << 16
-
-
-def _field_tables(field, dtype):
-    """The field's addition and multiplication as q x q arrays of element codes."""
-    elems = range(field.order)
-    add = np.array([[field.add(a, b) for b in elems] for a in elems], dtype=dtype)
-    mul = np.array([[field.mul(a, b) for b in elems] for a in elems], dtype=dtype)
-    return add, mul
+_CHUNK_BYTES = 1 << 18
 
 
 def membership_masks(code, bit_budget: int = MASK_BIT_BUDGET):
@@ -102,38 +94,28 @@ def membership_masks(code, bit_budget: int = MASK_BIT_BUDGET):
 
     Row i of the array is the characteristic bitmask of member i's vector
     set over the q^N ambient vector codes, packed into uint64 words (code
-    v is bit v % 64 of word v // 64).  The field's two q x q tables, at
-    up to 32 bits an entry, count against the bit budget too.
+    v is bit v % 64 of word v // 64).
     """
     members = _sorted_members(code)
     q, n = code.q, code.ambient_dim
     points = q ** n
-    if not members or points * len(members) + 64 * q * q > bit_budget:
+    if not members or points * len(members) > bit_budget:
         return members, None
-    dtype = np.min_scalar_type(q * q - 1)  # holds a * q + b for codes a, b
-    add, mul = (table.ravel() for table in _field_tables(code.field, dtype))
-    coefs = np.arange(q, dtype=dtype)[:, None]
+    place = q ** np.arange(n, dtype=np.int64)  # linalg.encode_vector, base-q digits
     words = (points + 63) // 64
     arr = np.zeros((len(members), words), dtype=np.uint64)
     start = 0
     for dim, group in itertools.groupby(members, key=lambda s: s.dim):
         group = list(group)
         size = len(group)
-        basis = np.fromiter(_chain(_chain(s.basis for s in group)), dtype=dtype,
+        basis = np.fromiter(_chain(_chain(s.basis for s in group)), dtype=np.int64,
                             count=size * dim * n).reshape(size, dim, n)
-        per_member = q ** dim * (2 * n * dtype.itemsize + 24) + words * 72
+        combos = np.arange(q ** dim)
+        per_member = q ** dim * 8 * (2 * n * code.field.m + n + 1) + words * 72
         step = max(1, _CHUNK_BYTES // per_member)
         for lo in range(0, size, step):
             rows = basis[lo:lo + step]
-            # All q^dim combinations sum_i c_i row_i, one table fold per row.
-            vecs = np.zeros((len(rows), 1, n), dtype=dtype)
-            for i in range(dim):
-                scaled = mul.take(coefs * q + rows[:, None, i, :])  # (chunk, c_i, n)
-                vecs = add.take(vecs[:, :, None, :] * q + scaled[:, None, :, :])
-                vecs = vecs.reshape(len(rows), -1, n)
-            codes = np.zeros(vecs.shape[:2], dtype=np.int64)
-            for j in reversed(range(n)):  # linalg.encode_vector, base-q digits
-                codes = codes * q + vecs[:, :, j]
+            codes = span(code.field, rows, combos) @ place  # (chunk, q^dim)
             hit = np.zeros((len(rows), words * 64), dtype=bool)
             hit[np.arange(len(rows))[:, None], codes] = True
             arr[start + lo:start + lo + len(rows)] = np.packbits(

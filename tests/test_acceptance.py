@@ -110,9 +110,7 @@ def test_acceptance_05_parallel_linkage_anchors():
 def test_acceptance_06_delsarte_oracle_equivalence():
     started = time.perf_counter()
     for q, n, t in [(2, 2, 1), (2, 3, 1), (2, 3, 2), (2, 4, 2), (3, 2, 1)]:
-        hist = empirical_rank_distribution(
-            f.to_matrix() for f in enumerate_mrd(q, n, t)
-        )
+        hist = empirical_rank_distribution(enumerate_mrd(q, n, t))
         dist = delsarte_distribution(q, n, n - t)
         assert hist == {r: c for r, c in enumerate(dist.counts) if c}
         assert sum(hist.values()) == q ** (n * (t + 1))
@@ -152,7 +150,7 @@ def test_acceptance_08_parallel_linkage_end_to_end():
 
 def test_acceptance_09_mrd_distance_property():
     started = time.perf_counter()
-    mats = [f.to_matrix() for f in enumerate_mrd(2, 4, 2)]
+    mats = list(enumerate_mrd(2, 4, 2))
     assert pairwise_min_rank_distance(mats) == 2
     lifted = lifted_mrd_code(2, 4, 2)
     sampled, _ = min_distance_sampled(lifted, 1_000_000, seed=0x5EED)

@@ -188,18 +188,6 @@ def test_construct_budget_exit_3(capsys):
     assert "budget" in err.lower()
 
 
-def test_cdc_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CDC_BUDGET", "100")
-    code, _, err = run_cli(
-        capsys, "construct", "multiblock", "--q", "2", "--n", "4", "--t", "2", "--s", "1",
-    )
-    assert code == 3
-    assert "budget" in err.lower()
-    monkeypatch.setenv("CDC_BUDGET", "10000")
-    code, out, _ = run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1")
-    assert code == 0
-
-
 def test_verify_corrupted_member_exit_1(tmp_path, capsys):
     path = tmp_path / "code.jsonl"
     run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))

@@ -48,7 +48,7 @@ def test_lifted_intersection_bound_against_rank():
 
     field = field_of_order(2)
     ident = MatrixGF.identity(field, 2)
-    mats = [f.to_matrix() for f in enumerate_mrd(2, 2, 1)]
+    mats = list(enumerate_mrd(2, 2, 1))
     spaces = [subspace_from_rows(ident.hstack(m)) for m in mats]
     for (ma, ua), (mb, ub) in itertools.combinations(zip(mats, spaces), 2):
         assert intersection_dim(ua, ub) <= 2 - ma.sub(mb).rank()
@@ -99,7 +99,7 @@ def test_linkage_reduces_to_lifted():
         field=field, ambient_dim=2, dim=2, claimed_distance=4,
         members=(subspace_from_rows(MatrixGF.identity(field, 2)),),
     )
-    q_mats = [f.to_matrix() for f in enumerate_mrd(2, 2, 1)]
+    q_mats = list(enumerate_mrd(2, 2, 1))
     linked = linkage(u, q_mats, d1=4, d2=1, )
     assert len(linked) == 16
     assert linked.ambient_dim == 4
@@ -109,7 +109,7 @@ def test_linkage_reduces_to_lifted():
 
 def test_linkage_product_size_and_distance():
     u = lifted_mrd_code(2, 2, 1)  # 16 members on ambient 4, distance 2
-    q_mats = [f.to_matrix() for f in enumerate_mrd(2, 2, 1)]
+    q_mats = list(enumerate_mrd(2, 2, 1))
     linked = linkage(u, q_mats, d1=2, d2=1)
     assert len(linked) == 256
     assert linked.ambient_dim == 6
@@ -228,7 +228,7 @@ def test_multiblock_restricted_blocks_are_the_filtration_stream():
     for q, n, t in [(2, 2, 1), (2, 3, 2), (3, 2, 1)]:
         gens = multiblock_generators(q, n, t, 1)
         restricted = [g.blocks[0] for g in gens if g.position == 1]
-        assert restricted == [f.to_matrix() for f in enumerate_filtration(q, n, t, n - t)]
+        assert restricted == list(enumerate_filtration(q, n, t, n - t))
 
 
 def test_multiblock_generator_layout():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from cdcodes.linalg import (
     enumerate_subspaces,
     intersection_dim,
     is_canonical_basis,
+    span,
     subspace_distance,
     subspace_from_rows,
 )
@@ -233,3 +235,21 @@ def test_canonical_basis_check_matches_elimination(case):
     assert is_canonical_basis(rows, field.order) == (eliminated == basis)
     if in_range and rows:  # the fast path of subspace_from_rows agrees with elimination
         assert subspace_from_rows(MatrixGF(field, rows)) == Subspace(field, n, eliminated)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25])
+def test_span_matches_a_fold_through_the_field(q):
+    # sum_i c_i row_i with c_i base-q digit i of the index, against field.add/mul
+    field = field_of_order(q)
+    rng = np.random.default_rng(q)
+    for r in (0, 1, 3):
+        rows = rng.integers(0, q, size=(2, r, 5))  # a batch of two row sets
+        idx = rng.permutation(q ** r)[:7][::-1]  # non-contiguous, unsorted
+        out = span(field, rows, idx)
+        assert out.shape == (2, len(idx), 5)
+        for b, i in itertools.product(range(2), range(len(idx))):
+            acc = [0] * 5
+            for digit, row in enumerate(rows[b].tolist()):
+                c = int(idx[i]) // q ** digit % q
+                acc = [field.add(a, field.mul(c, x)) for a, x in zip(acc, row)]
+            assert out[b, i].tolist() == acc

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from cdcodes.gf import extension_field
+from cdcodes import qpoly
+from cdcodes.gf import extension_field, field_of_order
+from cdcodes.linalg import MatrixGF
 from cdcodes.qpoly import (
     BudgetError,
     QPolynomial,
@@ -51,8 +53,6 @@ def test_to_matrix_convention():
     m = frob.to_matrix()
     assert m.rank() == 2
     # coords(f(x)) = coords(x) @ M, checked exhaustively
-    from cdcodes.linalg import MatrixGF
-
     for x in ext.elements():
         row = MatrixGF(ext.base, [ext.to_vector(x)])
         assert (row @ m).rows[0] == ext.to_vector(frob.evaluate(x))
@@ -71,14 +71,33 @@ def test_matrix_additivity_random_pairs():
 
 
 def test_enumerate_mrd_counts_and_order():
-    polys = list(enumerate_mrd(2, 2, 1))
-    assert len(polys) == 16
-    assert len(set(polys)) == 16
+    ext = extension_field(2, 2)
+    mats = list(enumerate_mrd(2, 2, 1))
+    assert len(mats) == 16
+    assert len(set(mats)) == 16
     # odometer order: a_0 varies fastest
-    assert polys[0].coeffs == (0, 0)
-    assert polys[1].coeffs == (1, 0)
-    assert polys[4].coeffs == (0, 1)
+    for idx, coeffs in [(0, (0, 0)), (1, (1, 0)), (4, (0, 1))]:
+        assert mats[idx] == QPolynomial(ext, coeffs).to_matrix()
     assert len(list(enumerate_mrd(2, 4, 2))) == 4096
+
+
+@pytest.mark.parametrize("q,n,t,h", [(2, 3, 2, 0), (3, 3, 1, 0), (4, 2, 1, 0), (5, 2, 1, 0),
+                                     (8, 2, 1, 0), (9, 2, 1, 0), (2, 2, 1, 1), (3, 2, 1, 2),
+                                     (4, 2, 0, 1)])
+def test_enumerate_mrd_matches_per_map_matrices(q, n, t, h, monkeypatch):
+    # the span stream agrees with evaluating every map of the odometer
+    ext, big = extension_field(q, n), extension_field(q, n + h)
+    whole = list(enumerate_mrd(q, n, t, h=h))
+    assert len(whole) == big.order ** (t + 1)
+    for idx, m in enumerate(whole):
+        coeffs = [idx // big.order ** i % big.order for i in range(t + 1)]
+        assert m == QPolynomial(ext, coeffs, big).to_matrix()
+    # sub-ranges whose ends fall inside span chunks
+    monkeypatch.setattr(qpoly, "_CHUNK", 7)
+    cut = len(whole) // 2 + 3
+    parts = list(enumerate_mrd(q, n, t, h=h, stop=cut)) + list(
+        enumerate_mrd(q, n, t, h=h, start=cut))
+    assert parts == whole
 
 
 def test_enumerate_mrd_subranges_partition():
@@ -95,23 +114,29 @@ def test_enumerate_budget():
         enumerate_mrd(2, 6, 3, budget=1 << 20)
     # exactly at the default limit the stream starts normally
     gen = enumerate_mrd(2, 6, 3, budget=1 << 24)
-    assert next(gen).coeffs == (0, 0, 0, 0)
+    assert next(gen) == MatrixGF.zeros(field_of_order(2), 6, 6)
+
+
+def test_enumerate_refuses_codes_beyond_int64_indices():
+    # 2^64 codewords: refused at call time, before any index is formed
+    with pytest.raises(ValueError, match="2\\^62"):
+        enumerate_mrd(2, 8, 7, budget=None)
 
 
 def test_kernel_dims_exhaustive_small():
-    for f in enumerate_mrd(2, 2, 1):
-        if f.is_zero():
-            assert f.kernel_dim() == 2
-        else:
-            assert f.kernel_dim() <= 1
+    ext = extension_field(2, 2)
+    for coeffs in itertools.product(range(ext.order), repeat=2):
+        kernel_dim = 2 - QPolynomial(ext, coeffs).to_matrix().rank()
+        assert kernel_dim == 2 if not any(coeffs) else kernel_dim <= 1
 
 
 def test_root_count_matches_kernel_dim():
     for q, n, t in [(2, 2, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2)]:
         ext = extension_field(q, n)
-        for f in enumerate_mrd(q, n, t):
+        for coeffs in itertools.product(range(ext.order), repeat=t + 1):
+            f = QPolynomial(ext, coeffs)
             roots = sum(1 for x in ext.elements() if f.evaluate(x) == 0)
-            assert roots == q ** f.kernel_dim()
+            assert roots == q ** (n - f.to_matrix().rank())
 
 
 def min_rank_distance(mats):
@@ -126,7 +151,7 @@ def min_rank_distance(mats):
 def test_mrd_distance_exhaustive():
     # fully exhaustive pairwise minimum rank distance equals n - t
     for q, n, t in [(2, 2, 1), (2, 3, 1), (3, 2, 1)]:
-        mats = [f.to_matrix() for f in enumerate_mrd(q, n, t)]
+        mats = list(enumerate_mrd(q, n, t))
         assert min_rank_distance(mats) == n - t
 
 
@@ -134,7 +159,7 @@ def test_mrd_distance_exhaustive_2_4_2_packed():
     # 4096 matrices -> 8.4M pairs through the lifted-subspace scan
     from cdcodes.verify import pairwise_min_rank_distance
 
-    mats = [f.to_matrix() for f in enumerate_mrd(2, 4, 2)]
+    mats = list(enumerate_mrd(2, 4, 2))
     assert pairwise_min_rank_distance(mats) == 2
 
 
@@ -144,16 +169,16 @@ def test_pairwise_min_rank_distance_matches_brute():
 
     for q, n, t, h, expect in [(2, 2, 1, 0, 1), (3, 2, 1, 0, 1), (3, 3, 1, 0, 2),
                                (2, 2, 0, 1, 2), (2, 3, 1, 1, 2), (2, 2, 1, 2, 1)]:
-        mats = [f.to_matrix() for f in enumerate_mrd(q, n, t, h=h)]
+        mats = list(enumerate_mrd(q, n, t, h=h))
         assert pairwise_min_rank_distance(mats) == min_rank_distance(mats) == expect
-    mats = [f.to_matrix() for f in enumerate_mrd(2, 2, 1)]
+    mats = list(enumerate_mrd(2, 2, 1))
     assert pairwise_min_rank_distance(mats + mats[3:4]) == min_rank_distance(mats + mats[3:4]) == 0
     assert pairwise_min_rank_distance(mats[:1]) == pairwise_min_rank_distance([]) == math.inf
-    rect = next(enumerate_mrd(2, 2, 1, h=1)).to_matrix()
+    rect = next(enumerate_mrd(2, 2, 1, h=1))
     with pytest.raises(ValueError):
         pairwise_min_rank_distance(mats + [rect])
     with pytest.raises(ValueError):
-        pairwise_min_rank_distance(mats + [next(enumerate_mrd(3, 2, 1)).to_matrix()])
+        pairwise_min_rank_distance(mats + [next(enumerate_mrd(3, 2, 1))])
 
 
 def test_filtration_counts():
@@ -172,13 +197,11 @@ def test_filtration_matches_formula_grid():
 
 
 def test_rect_mrd_h0_matches_square():
-    rect = [f.to_matrix() for f in enumerate_rect_mrd(2, 2, 0, 1)]
-    square = [f.to_matrix() for f in enumerate_mrd(2, 2, 1)]
-    assert rect == square
+    assert list(enumerate_rect_mrd(2, 2, 0, 1)) == list(enumerate_mrd(2, 2, 1))
 
 
 def test_rect_mrd_counts_and_distance():
-    mats = [f.to_matrix() for f in enumerate_rect_mrd(2, 2, 1, 1)]
+    mats = list(enumerate_rect_mrd(2, 2, 1, 1))
     assert len(mats) == 64
     assert all(m.nrows == 2 and m.ncols == 3 for m in mats)
     assert len(set(mats)) == 64
@@ -189,14 +212,12 @@ def test_rect_mrd_distance_more_cases():
     from cdcodes.verify import pairwise_min_rank_distance
 
     for q, k, h, t, expect in [(2, 2, 1, 0, 2), (2, 3, 1, 1, 2), (3, 2, 1, 1, 1), (2, 3, 2, 1, 2)]:
-        polys = list(enumerate_rect_mrd(q, k, h, t))
-        mats = [f.to_matrix() for f in polys]
+        mats = list(enumerate_rect_mrd(q, k, h, t))
         assert len(mats) == q ** ((k + h) * (t + 1))
         assert pairwise_min_rank_distance(mats) == expect
-        for f, m in zip(polys, mats):
-            if not any(f.coeffs):
-                continue
-            assert m.nrows - m.rank() <= t  # nonzero maps: kernel dimension at most t
+        for m in mats:
+            if any(map(any, m.rows)):
+                assert m.nrows - m.rank() <= t  # nonzero maps: kernel dimension at most t
 
 
 def test_rect_embedding_is_linear_and_injective():

@@ -50,8 +50,8 @@ def rank_histogram_brute(q, n, t):
     from cdcodes.qpoly import enumerate_mrd
 
     hist = {}
-    for f in enumerate_mrd(q, n, t):
-        r = f.to_matrix().rank()
+    for m in enumerate_mrd(q, n, t):
+        r = m.rank()
         hist[r] = hist.get(r, 0) + 1
     return hist
 
