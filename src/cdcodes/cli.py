@@ -92,15 +92,22 @@ def read_codeset(fh) -> CodeSet:
     for lineno, line in enumerate(fh, start=2):
         if not line.strip():
             continue
-        rows = json.loads(line)
+        try:
+            rows = json.loads(line.rstrip("\r\n"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc.msg} (column {exc.pos + 1})") from None
         if not isinstance(rows, list) or not all(
                 isinstance(r, list) and len(r) == header["N"] for r in rows):
             raise ValueError(f"line {lineno}: member is not a list of rows of length N={header['N']}")
         if not all(map(_all_ints, rows)):
             raise ValueError(f"line {lineno}: member entries are not all integers")
         member = Subspace(field, header["N"], rows)
+        try:
+            matrix = MatrixGF(field, member.basis)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         # a canonical basis comes back unchanged, without elimination
-        if subspace_from_rows(MatrixGF(field, member.basis)) != member:
+        if subspace_from_rows(matrix) != member:
             raise ValueError(f"line {lineno}: basis is not a canonical full-rank RREF")
         members.append(member)
     if len(members) != header["count"]:

@@ -83,7 +83,7 @@ def _collect(field, ambient_dim, dim, distance, subspaces, provenance, predicted
         ambient_dim=ambient_dim,
         dim=dim,
         claimed_distance=distance,
-        members=tuple(sorted(seen)),
+        members=tuple(sorted(seen, key=Subspace.sort_key)),
         provenance=provenance,
     )
 

@@ -1,23 +1,41 @@
 """Independent verification of built subspace codes.
 
 The distance oracles here deliberately avoid the constructions' own
-reasoning: a code's minimum distance is recomputed from pairwise subspace
-intersections, where dim(U cap V) is read off the number q^dim of common
-member vectors (Koetter and Kschischang 2008).  Each member is stored once
-as a bitmask over all q^N ambient vector codes, and pairs are intersected
-with vectorized popcounts.  The masks are built in numpy, the same way for
-every q: the canonical bases of a chunk of members are stacked into one
-(members, k, N) array, and the q^k vectors of each row space are its
-combinations sum_i c_i row_i, computed by linalg.span, the kernel that
-also enumerates MRD codewords.  Each vector is encoded as its base-q code
-(linalg.encode_vector), and the bits are set in a boolean hit matrix that
-np.packbits packs into the mask words.  A chunk holds about 256 KB of
-temporaries, so the mask array itself is the build's only large
-allocation.  Codes whose mask table would be too large fall back to the
-stacked-rank formula pair by pair.
+reasoning: a code's minimum distance is recomputed from subspace
+intersections, d(U, V) = 2k - 2 dim(U cap V) (Koetter and Kschischang
+2008).  Both oracles start from each member's q^dim vector codes, built in
+numpy the same way for every q: the canonical bases of a chunk of members
+are stacked into one (members, dim, N) array, the vectors of each row space
+are its combinations sum_i c_i row_i, computed by linalg.span, the kernel
+that also enumerates MRD codewords, and each vector is encoded as its
+base-q code (linalg.encode_vector).  A chunk holds about 256 KB of
+temporaries.
 
-Rank distance between k x m matrices goes through the same oracle via the
-lifting of Silva, Kschischang and Koetter (2008): the row spaces of
+The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
+meet in dimension at least j exactly when some j-subspace lies in both, so
+the minimum distance is 2(k - j*) for the largest level j* at which two
+members share a j-subspace.  The j-subspaces of GF(q)^dim are enumerated
+once per (field, dim, j) as index sets into a member's vector codes; the
+key of one j-subspace of one member is the set of its nonzero vector
+codes, hashed to 64 bits as a wrapping sum of SplitMix64-mixed codes, so
+the hash needs no sort.  np.sort brings equal hashes together, and a run
+of equal hashes counts only after its code rows compare equal: a hash
+collision can neither pass nor fail a code.  The scan starts one level
+above the claimed distance d = 2 delta, at j = k - delta + 1, moves down
+while a level has no collision and up past every level that has one, so a
+code that meets its claim exactly costs two levels.  A level costs
+M [k, j]_q keys, against the M^2/2 pair intersections of a pair scan, and
+nothing in it grows with q^N.  Codes whose vector codes overflow int64
+(q^N > 2^63) fall back to the stacked-rank formula pair by pair.
+
+The sampled oracle stores each member once as a bitmask over all q^N
+ambient vector codes, set from the same vector codes (np.packbits packs a
+boolean hit matrix into the mask words), and intersects the drawn pairs
+with vectorized popcounts; codes whose mask table would be too large fall
+back to the stacked-rank formula pair by pair.
+
+Rank distance between k x m matrices goes through the exhaustive oracle via
+the lifting of Silva, Kschischang and Koetter (2008): the row spaces of
 (I_k | A) and (I_k | B) are at subspace distance 2 rank(A - B).
 
 Sampling uses SplitMix64, fixed here by its constants so independent
@@ -27,19 +45,21 @@ z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
 z *= 0x94D049BB133111EB; z ^= z >> 31 (all mod 2^64).  Pair draws take two
 indices via next() % size, redrawing the second until it differs.
 
-Verification never mutates its inputs, and pairwise scans reduce by min,
-so splitting pair ranges across workers cannot change any result.
+Verification never mutates its inputs, and every oracle reduces by min
+over an order-free set of candidates, so no schedule can change a result.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from .construct import CodeSet
-from .linalg import MatrixGF, Subspace, span, subspace_distance
+from .linalg import MatrixGF, Subspace, enumerate_subspaces, span, subspace_distance
 
 _chain = itertools.chain.from_iterable
 
@@ -81,12 +101,36 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def _sorted_members(code):
-    return sorted(code.members)
+    return sorted(code.members, key=Subspace.sort_key)
 
 
-# Bytes of temporaries one chunk of the mask build may hold (at least one
-# member per chunk).
+# Bytes of temporaries one chunk of the vector build, the mask build or the
+# key hashing may hold (at least one member per chunk).
 _CHUNK_BYTES = 1 << 18
+
+
+def _member_vectors(field, ambient_dim, members, extra_bytes=0):
+    """Yield (start, codes) for chunks of equal-dimension members, in order.
+
+    members are sorted; codes[i, c] is the base-q code of sum_l c_l row_l
+    over member start + i's basis rows, with c_l base-q digit l of c, so
+    column 0 is the zero vector.  extra_bytes is the caller's own
+    temporaries per member, counted against the chunk allowance.
+    """
+    q, n = field.order, ambient_dim
+    place = q ** np.arange(n, dtype=np.int64)  # linalg.encode_vector, base-q digits
+    start = 0
+    for dim, group in itertools.groupby(members, key=lambda s: s.dim):
+        group = list(group)
+        size = len(group)
+        basis = np.fromiter(_chain(_chain(s.basis for s in group)), dtype=np.int64,
+                            count=size * dim * n).reshape(size, dim, n)
+        combos = np.arange(q ** dim)
+        per_member = q ** dim * 8 * (2 * n * field.m + n + 1) + extra_bytes
+        step = max(1, _CHUNK_BYTES // per_member)
+        for lo in range(0, size, step):
+            yield start + lo, span(field, basis[lo:lo + step], combos) @ place
+        start += size
 
 
 def membership_masks(code, bit_budget: int = MASK_BIT_BUDGET):
@@ -97,30 +141,15 @@ def membership_masks(code, bit_budget: int = MASK_BIT_BUDGET):
     v is bit v % 64 of word v // 64).
     """
     members = _sorted_members(code)
-    q, n = code.q, code.ambient_dim
-    points = q ** n
+    points = code.q ** code.ambient_dim
     if not members or points * len(members) > bit_budget:
         return members, None
-    place = q ** np.arange(n, dtype=np.int64)  # linalg.encode_vector, base-q digits
     words = (points + 63) // 64
     arr = np.zeros((len(members), words), dtype=np.uint64)
-    start = 0
-    for dim, group in itertools.groupby(members, key=lambda s: s.dim):
-        group = list(group)
-        size = len(group)
-        basis = np.fromiter(_chain(_chain(s.basis for s in group)), dtype=np.int64,
-                            count=size * dim * n).reshape(size, dim, n)
-        combos = np.arange(q ** dim)
-        per_member = q ** dim * 8 * (2 * n * code.field.m + n + 1) + words * 72
-        step = max(1, _CHUNK_BYTES // per_member)
-        for lo in range(0, size, step):
-            rows = basis[lo:lo + step]
-            codes = span(code.field, rows, combos) @ place  # (chunk, q^dim)
-            hit = np.zeros((len(rows), words * 64), dtype=bool)
-            hit[np.arange(len(rows))[:, None], codes] = True
-            arr[start + lo:start + lo + len(rows)] = np.packbits(
-                hit, axis=1, bitorder="little").view("<u8")
-        start += size
+    for start, codes in _member_vectors(code.field, code.ambient_dim, members, words * 72):
+        hit = np.zeros((len(codes), words * 64), dtype=bool)
+        hit[np.arange(len(codes))[:, None], codes] = True
+        arr[start:start + len(codes)] = np.packbits(hit, axis=1, bitorder="little").view("<u8")
     return members, arr
 
 
@@ -135,33 +164,178 @@ def _dim_from_count(count: int, q: int) -> int:
     return d
 
 
+@functools.lru_cache(maxsize=None)
+def _subspace_indices(field, dim: int, j: int) -> np.ndarray:
+    """([dim, j]_q, q^j - 1) array: the nonzero vectors of each j-subspace of GF(q)^dim.
+
+    Row s holds the base-q codes of the nonzero vectors of the s-th
+    j-subspace in canonical order.  Read as coefficient indices into a
+    member's vector codes (see _member_vectors), they pick the vectors of
+    the s-th j-subspace of the member's row space.
+    """
+    q = field.order
+    bases = np.array([s.basis for s in enumerate_subspaces(field, dim, j)],
+                     dtype=np.int64).reshape(-1, j, dim)
+    out = span(field, bases, np.arange(1, q ** j)) @ q ** np.arange(dim, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
+        np.uint64(0x94D049BB133111EB))
+
+
+def _vector_hash(codes: np.ndarray) -> np.ndarray:
+    """SplitMix64's step and output mix of every vector code, as uint64."""
+    z = codes.astype(np.uint64) + _MIX[0]
+    z ^= z >> np.uint64(30)
+    z *= _MIX[1]
+    z ^= z >> np.uint64(27)
+    z *= _MIX[2]
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class _LevelKeys:
+    """The keys of every j-subspace of every member of dimension >= j.
+
+    segments are (start, dim, vector codes) of runs of equal-dimension
+    members.  Keys are numbered member-major, and within a member by the
+    rows of _subspace_indices.  A key's hash is the wrapping sum of its
+    vectors' mixed codes, so it depends on the set of codes only; words[t]
+    keeps the high bits of key t's hash above t itself in the low `bits`
+    bits, so sorting the words orders the keys by (hash, number).
+    """
+
+    def __init__(self, field, segments, j):
+        self.width = field.order ** j - 1
+        self.parts = []
+        count = 0
+        for start, dim, vecs in segments:
+            if dim >= j:
+                idx = _subspace_indices(field, dim, j)
+                self.parts.append((count, start, vecs, idx))
+                count += len(vecs) * len(idx)
+        self.first = np.array([p[0] for p in self.parts], dtype=np.int64)
+        self.bits = max(1, (count - 1).bit_length())
+        self.words = np.empty(count, dtype=np.uint64)
+        high = np.uint64(~0 << self.bits & _U64)
+        for first, _start, vecs, idx in self.parts:
+            nsub, width = idx.shape
+            step = max(1, _CHUNK_BYTES // (8 * (3 * vecs.shape[1] + nsub * (width + 4))))
+            for lo in range(0, len(vecs), step):
+                hashes = _vector_hash(vecs[lo:lo + step])[:, idx].sum(axis=2, dtype=np.uint64)
+                at = first + lo * nsub
+                self.words[at:at + hashes.size] = hashes.ravel() & high | np.arange(
+                    at, at + hashes.size, dtype=np.uint64)
+
+    def _split(self, ids):
+        part = np.searchsorted(self.first, ids, side="right") - 1
+        for p, (first, start, vecs, idx) in enumerate(self.parts):
+            sel = np.flatnonzero(part == p)
+            if sel.size:
+                member, sub = np.divmod(ids[sel] - first, len(idx))
+                yield sel, start, member, vecs[member[:, None], idx[sub]]
+
+    def owners(self, ids) -> np.ndarray:
+        """Sorted-member index of each key."""
+        out = np.empty(len(ids), dtype=np.int64)
+        for sel, start, member, _codes in self._split(ids):
+            out[sel] = start + member
+        return out
+
+    def rows(self, ids) -> np.ndarray:
+        """The exact keys: each key's nonzero vector codes, sorted."""
+        out = np.empty((len(ids), self.width), dtype=np.int64)
+        for sel, _start, _member, codes in self._split(ids):
+            out[sel] = np.sort(codes, axis=1)
+        return out
+
+
+def _group_pair(keys, ids):
+    """Smallest member pair among ids (one run of equal hashes, ascending) sharing a key.
+
+    None when no two of them hold the same key exactly.
+    """
+    rows = keys.rows(ids)
+    order = np.lexsort((ids,) + tuple(rows.T[::-1]))  # by key, then by key number
+    rows, ids = rows[order], ids[order]
+    new = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    firsts = np.flatnonzero(new[:-1] & ~new[1:])  # groups of two or more
+    if not firsts.size:
+        return None
+    return min(zip(keys.owners(ids[firsts]).tolist(), keys.owners(ids[firsts + 1]).tolist()))
+
+
+def _level_pair(field, segments, j):
+    """Smallest member pair (a, b), a < b, sharing a j-subspace, or None.
+
+    Runs of equal hash bits in the sorted key words are the candidate
+    groups, with key numbers ascending.  The first two keys of a run bound
+    every pair the run can confirm from below, so runs are confirmed in
+    that order until no unconfirmed run can hold a smaller pair.
+    """
+    if j == 0:
+        return 0, 1  # every member holds the zero subspace
+    keys = _LevelKeys(field, segments, j)
+    words = keys.words
+    words.sort()
+    low = np.uint64((1 << keys.bits) - 1)
+    joined = words[1:] ^ words[:-1] <= low  # key i + 1 is in key i's run
+    if not joined.any():
+        return None
+    edge = np.diff(np.r_[False, joined, False].view(np.int8))
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) + 1
+    words &= low
+    ids = words.view(np.int64)
+    heads_a = keys.owners(ids[starts]).tolist()
+    heads_b = keys.owners(ids[starts + 1]).tolist()
+    best = None
+    for r in np.lexsort((heads_b, heads_a)).tolist():
+        if best is not None and best <= (heads_a[r], heads_b[r]):
+            break
+        pair = _group_pair(keys, ids[starts[r]:ends[r]])
+        if pair is not None and (best is None or pair < best):
+            best = pair
+    return best
+
+
 def min_distance_exhaustive(code, cap: int = EXHAUSTIVE_CAP):
     """(exact minimum distance, lexicographically smallest witnessing pair).
 
-    Scans all unordered pairs; raises if the code is larger than cap.
-    A singleton or empty code has no pairs: distance math.inf, witness None.
+    Finds the largest dimension j* in which two members meet, through
+    shared j-subspaces (module docstring): the distance is 2k - 2 j*, and
+    the witness is the smallest pair of sorted members meeting in j*.
+    Raises if the code is larger than cap.  A singleton or empty code has
+    no pairs: distance math.inf, witness None.
     """
     m = len(code.members)
     if m > cap:
         raise ValueError(f"code has {m} members, above the exhaustive cap {cap}")
     if m < 2:
         return math.inf, None
-    members, masks = membership_masks(code)
-    if masks is None:
+    members = _sorted_members(code)
+    if code.q ** code.ambient_dim > 1 << 63:  # vector codes overflow int64
         return _min_distance_pairs_generic(members, itertools.combinations(range(m), 2))
-    k2 = 2 * code.dim
-    best_count = -1
-    witness = None
-    for i in range(m - 1):
-        inter = masks[i] & masks[i + 1:]
-        counts = _popcount_rows(inter)
-        row_max = int(counts.max())
-        if row_max > best_count:
-            best_count = row_max
-            j = i + 1 + int(np.argmax(counts))
-            witness = (members[i], members[j])
-    dist = k2 - 2 * _dim_from_count(best_count, code.q)
-    return dist, witness
+    sizes = collections.Counter(s.dim for s in members)
+    tables = {dim: np.empty((size, code.q ** dim), dtype=np.int64) for dim, size in sizes.items()}
+    firsts = {}
+    for start, codes in _member_vectors(code.field, code.ambient_dim, members):
+        dim = members[start].dim
+        at = start - firsts.setdefault(dim, start)
+        tables[dim][at:at + len(codes)] = codes
+    segments = [(firsts[dim], dim, tables[dim]) for dim in sorted(tables)]
+    top = members[-1].dim
+    j = min(max(code.dim - (code.claimed_distance + 1) // 2 + 1, 0), top)
+    pair = _level_pair(code.field, segments, j)
+    if pair is None:
+        while pair is None:  # level 0 always has a collision
+            j -= 1
+            pair = _level_pair(code.field, segments, j)
+    else:
+        while j < top and (above := _level_pair(code.field, segments, j + 1)) is not None:
+            j, pair = j + 1, above
+    return 2 * code.dim - 2 * j, (members[pair[0]], members[pair[1]])
 
 
 def _min_distance_pairs_generic(members, pairs):

@@ -267,6 +267,29 @@ def test_verify_non_integer_member_entry_exit_2(tmp_path, capsys, entry):
     assert len(err.splitlines()) == 1 and "line 2" in err and "integers" in err
 
 
+def test_verify_truncated_member_line_names_its_line(tmp_path, capsys):
+    path = tmp_path / "code.jsonl"
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5] + [lines[5][:9]]) + "\n", encoding="utf-8")  # cut short
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: line 6: Expecting ',' delimiter (column 10)"]
+
+
+def test_verify_out_of_range_member_entry_names_its_line(tmp_path, capsys):
+    path = tmp_path / "code.jsonl"
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
+    lines = path.read_text().splitlines()
+    rows = json.loads(lines[4])
+    rows[0][3] = 5
+    lines[4] = json.dumps(rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: line 5: entry 5 outside field of order 2"]
+
+
 def test_cli_multiblock_4621_end_to_end(tmp_path, capsys):
     path = tmp_path / "big.jsonl"
     code, _, _ = run_cli(

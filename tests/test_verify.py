@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdcodes.construct import (
     CodeSet,
@@ -12,7 +14,7 @@ from cdcodes.construct import (
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import MatrixGF, subspace_distance, subspace_from_rows
+from cdcodes.linalg import MatrixGF, intersection_dim, subspace_distance, subspace_from_rows
 from cdcodes.qpoly import enumerate_mrd
 from cdcodes.rankdist import delsarte_distribution
 from cdcodes.verify import (
@@ -73,15 +75,57 @@ def test_exhaustive_cap():
         min_distance_exhaustive(code, cap=10)
 
 
+def masked_pair_scan(code, masks=membership_masks):
+    """Reference oracle: popcount every packed-mask pair, one member row at a time.
+
+    dim(U cap V) is read off the q^dim common vectors of U and V; the
+    witness is the first pair, in sorted-member order, with the most.
+    """
+    members, arr = masks(code)
+    best_count, witness = -1, None
+    for i in range(len(members) - 1):
+        counts = verify._popcount_rows(arr[i] & arr[i + 1:])
+        if int(counts.max()) > best_count:
+            best_count = int(counts.max())
+            witness = (members[i], members[i + 1 + int(np.argmax(counts))])
+    return 2 * code.dim - 2 * verify._dim_from_count(best_count, code.q), witness
+
+
+def stacked_rank_scan(code):
+    """Reference oracle: the largest stacked-rank intersection over all pairs.
+
+    For a constant-dimension code this is _min_distance_pairs_generic; a
+    mixed-dimension code is scored like the other oracles, 2k - 2 max dim.
+    """
+    members = sorted(code.members)
+    pairs = itertools.combinations(range(len(members)), 2)
+    if all(s.dim == code.dim for s in members):
+        return verify._min_distance_pairs_generic(members, pairs)
+    i, j = max(pairs, key=lambda p: (intersection_dim(members[p[0]], members[p[1]]),
+                                     -p[0], -p[1]))
+    return (2 * code.dim - 2 * intersection_dim(members[i], members[j]),
+            (members[i], members[j]))
+
+
+def oracle_variants(code, monkeypatch):
+    """The new oracle as shipped, with one-member chunks, and with a constant key hash."""
+    out = [min_distance_exhaustive(code, cap=len(code.members))]
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", 1)
+    out.append(min_distance_exhaustive(code, cap=len(code.members)))
+    monkeypatch.undo()
+    # every key collides on its hash, so only the exact row comparison can decide
+    monkeypatch.setattr(verify, "_vector_hash", lambda codes: np.zeros(codes.shape, np.uint64))
+    out.append(min_distance_exhaustive(code, cap=len(code.members)))
+    monkeypatch.undo()
+    return out
+
+
 def test_generic_path_agrees_with_masked():
-    # shrink the mask budget to force the rank-formula fallback
     code = multiblock_parallel_mrd(2, 2, 1, 1)
-    masked = min_distance_exhaustive(code)
-    members, none_masks = membership_masks(code, bit_budget=1)
-    assert none_masks is None
+    members = sorted(code.members)
     generic = verify._min_distance_pairs_generic(
         members, itertools.combinations(range(len(members)), 2))
-    assert masked == generic
+    assert min_distance_exhaustive(code) == masked_pair_scan(code) == generic
 
 
 def reference_masks(code, bit_budget=verify.MASK_BIT_BUDGET):
@@ -129,10 +173,74 @@ def test_masks_match_the_vectors_reference(q, monkeypatch):
         fast = (min_distance_exhaustive(code, cap=len(members)),
                 min_distance_sampled(code, 2000, seed=q))
         monkeypatch.setattr(verify, "membership_masks", reference_masks)
-        slow = (min_distance_exhaustive(code, cap=len(members)),
+        slow = (masked_pair_scan(code, reference_masks),
                 min_distance_sampled(code, 2000, seed=q))
         monkeypatch.undo()
         assert fast == slow  # distances and witnesses
+
+
+def fixture_codes():
+    codes = [lifted_mrd_code(2, 2, 1), grassmannian_code(2, 4, 2), grassmannian_code(3, 3, 1),
+             multiblock_parallel_mrd(2, 2, 1, 1), multiblock_parallel_mrd(2, 2, 1, 2),
+             multiblock_parallel_mrd(2, 3, 2, 1), lifted_mrd_code(3, 3, 1)]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        codes += [c for c in mask_test_codes(q) if len(c.members) <= 1000]
+    return codes
+
+
+def test_oracle_agrees_with_the_pair_scans_on_every_fixture(monkeypatch):
+    for code in fixture_codes():
+        expected = masked_pair_scan(code)
+        assert oracle_variants(code, monkeypatch) == [expected] * 3, code
+        if len(code.members) <= 200:
+            assert stacked_rank_scan(code) == expected, code
+
+
+@st.composite
+def random_codes(draw):
+    """Row spaces of drawn k x n matrices over GF(q), q in {2, 3, 4}, some repeated.
+
+    Half the draws keep only the k-dimensional row spaces (a
+    constant-dimension code); the others mix every dimension up to k.
+    """
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    field = field_of_order(q)
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    matrices = draw(st.lists(st.lists(row, min_size=k, max_size=k), min_size=2, max_size=14))
+    members = [subspace_from_rows(MatrixGF(field, m)) for m in matrices]
+    if draw(st.booleans()):
+        members = [s for s in members if s.dim == k]
+    copies = draw(st.lists(st.integers(0, 13), max_size=3)) if members else []
+    members += [members[i % len(members)] for i in copies]
+    return CodeSet(field, n, k, draw(st.integers(0, 2 * k + 2)), tuple(members))
+
+
+@given(random_codes())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_oracle_agrees_with_the_pair_scans_on_random_codes(monkeypatch, code):
+    if len(code.members) < 2:
+        assert min_distance_exhaustive(code) == (math.inf, None)
+        return
+    expected = masked_pair_scan(code)
+    assert stacked_rank_scan(code) == expected
+    assert oracle_variants(code, monkeypatch) == [expected] * 3
+
+
+def test_codes_beyond_int64_vector_codes_take_the_stacked_rank_path(monkeypatch):
+    calls = []
+    vectors = verify._member_vectors
+    monkeypatch.setattr(verify, "_member_vectors", lambda *a: calls.append(a) or vectors(*a))
+    field = field_of_order(2)
+    for n, oracle in ((63, True), (64, False)):  # codes reach 2^63 - 1, then 2^64 - 1
+        rows = ([1] + [0] * (n - 1), [0] * (n - 1) + [1], [1] + [0] * (n - 2) + [1])
+        code = CodeSet(field, n, 1, 2, tuple(subspace_from_rows(MatrixGF(field, [r])) for r in rows))
+        calls.clear()
+        assert min_distance_exhaustive(code) == stacked_rank_scan(code)
+        assert stacked_rank_scan(code)[0] == 2
+        assert bool(calls) == oracle
 
 
 def test_masks_respect_the_bit_budget():
@@ -147,10 +255,10 @@ def test_popcount_fallback_without_bitwise_count(monkeypatch):
     rows = np.random.default_rng(5).integers(0, 1 << 64, size=(40, 3), dtype=np.uint64)
     expected = [sum(bin(x).count("1") for x in row) for row in rows.tolist()]
     code = multiblock_parallel_mrd(2, 3, 2, 1)
-    fast = min_distance_exhaustive(code)
+    fast = (min_distance_sampled(code, 5000, seed=5), masked_pair_scan(code))
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     assert np.array_equal(verify._popcount_rows(rows), expected)
-    assert min_distance_exhaustive(code) == fast
+    assert (min_distance_sampled(code, 5000, seed=5), masked_pair_scan(code)) == fast
 
 
 def test_dim_from_count_rejects_a_count_that_is_not_a_power_of_q():
