@@ -25,8 +25,14 @@ above the claimed distance d = 2 delta, at j = k - delta + 1, moves down
 while a level has no collision and up past every level that has one, so a
 code that meets its claim exactly costs two levels.  A level costs
 M [k, j]_q keys, against the M^2/2 pair intersections of a pair scan, and
-nothing in it grows with q^N.  Codes whose vector codes overflow int64
-(q^N > 2^63) fall back to the stacked-rank formula pair by pair.
+nothing in it grows with q^N.  Before it builds the vector tables and
+before each level, the oracle prices them: when the work so far would
+exceed the stacked-rank pair scan's M^2/2 intersections, or the tables or
+one level's keys would hold more than _ORACLE_BYTES, it stops and the
+stacked-rank formula decides pair by pair, as it does for codes whose
+vector codes overflow int64 (q^N > 2^63).  Few members with large [k, j]_q
+or q^k take that path.  Both paths score a pair 2k - 2 dim(U cap V), so
+they agree on every code.
 
 The sampled oracle stores each member once as a bitmask over all q^N
 ambient vector codes, set from the same vector codes (np.packbits packs a
@@ -52,14 +58,14 @@ over an order-free set of candidates, so no schedule can change a result.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 
 import numpy as np
 
 from .construct import CodeSet
-from .linalg import MatrixGF, Subspace, enumerate_subspaces, span, subspace_distance
+from .linalg import MatrixGF, Subspace, enumerate_subspaces, intersection_dim, span
+from .rankdist import gaussian_binomial
 
 _chain = itertools.chain.from_iterable
 
@@ -164,7 +170,12 @@ def _dim_from_count(count: int, q: int) -> int:
     return d
 
 
-@functools.lru_cache(maxsize=None)
+# Index sets kept between calls, keyed by (field, dim, j); their bytes
+# together stay within _INDEX_CACHE_BYTES.
+_INDEX_CACHE: dict = {}
+_INDEX_CACHE_BYTES = 1 << 24
+
+
 def _subspace_indices(field, dim: int, j: int) -> np.ndarray:
     """([dim, j]_q, q^j - 1) array: the nonzero vectors of each j-subspace of GF(q)^dim.
 
@@ -173,11 +184,18 @@ def _subspace_indices(field, dim: int, j: int) -> np.ndarray:
     member's vector codes (see _member_vectors), they pick the vectors of
     the s-th j-subspace of the member's row space.
     """
+    out = _INDEX_CACHE.get((field, dim, j))
+    if out is not None:
+        return out
     q = field.order
     bases = np.array([s.basis for s in enumerate_subspaces(field, dim, j)],
                      dtype=np.int64).reshape(-1, j, dim)
     out = span(field, bases, np.arange(1, q ** j)) @ q ** np.arange(dim, dtype=np.int64)
     out.flags.writeable = False
+    if out.nbytes <= _INDEX_CACHE_BYTES:
+        if out.nbytes + sum(t.nbytes for t in _INDEX_CACHE.values()) > _INDEX_CACHE_BYTES:
+            _INDEX_CACHE.clear()
+        _INDEX_CACHE[field, dim, j] = out
     return out
 
 
@@ -300,12 +318,90 @@ def _level_pair(field, segments, j):
     return best
 
 
+# What the exhaustive oracle may spend before it hands a code to the
+# stacked-rank pair scan.  Costs count vector-hash units (one vector of one
+# key gathered and summed, about 4 ns); the weights were measured on a
+# 2-vCPU host on lifted, multiblock and Grassmannian codes over q <= 4.
+_ORACLE_BYTES = 1 << 28  # the vector tables, or one level's keys and index sets
+_KEY_COST = 16  # sort, run detection and bookkeeping of one key
+_SUBSPACE_COST = 4000  # enumerating one j-subspace into an index set
+_PAIR_COST = 5000  # one stacked-rank intersection of the pair scan
+
+
+class _OverBudget(Exception):
+    """The oracle would outspend the pair scan or outgrow _ORACLE_BYTES."""
+
+
+def _level_cost(q, sizes, j):
+    """(cost, bytes) of level j's keys, for sizes[dim] members of each dimension."""
+    if j == 0:
+        return 0, 0  # decided without keys
+    width = q ** j - 1
+    cost = nbytes = 0
+    for dim, size in sizes.items():
+        if dim >= j:
+            subspaces = gaussian_binomial(dim, j, q)
+            cost += subspaces * (_SUBSPACE_COST + size * (width + _KEY_COST))
+            # index set and one member's hashing temporaries; key words and run detection
+            nbytes += subspaces * (16 * (width + 4) + 17 * size)
+    return cost, nbytes
+
+
+def _shared_level(field, ambient_dim, members, j, budget):
+    """(j*, (a, b)): the largest dimension in which two sorted members meet, and
+    the smallest pair of member indices meeting in it.
+
+    The scan starts at level j (module docstring).  Raises _OverBudget as
+    soon as the vector tables and the levels to visit would cost more than
+    budget, or one of them would hold more than _ORACLE_BYTES, before
+    building it.
+    """
+    q = field.order
+    sizes = collections.Counter(s.dim for s in members)
+    vectors = sum(size * q ** dim for dim, size in sizes.items())
+    spent = vectors * ambient_dim
+    if 8 * vectors > _ORACLE_BYTES:
+        raise _OverBudget
+
+    def charge(j):
+        nonlocal spent
+        cost, nbytes = _level_cost(q, sizes, j)
+        spent += cost
+        if spent > budget or nbytes > _ORACLE_BYTES:
+            raise _OverBudget
+
+    charge(j)
+    tables = {dim: np.empty((size, q ** dim), dtype=np.int64) for dim, size in sizes.items()}
+    firsts = {}
+    for start, codes in _member_vectors(field, ambient_dim, members):
+        dim = members[start].dim
+        at = start - firsts.setdefault(dim, start)
+        tables[dim][at:at + len(codes)] = codes
+    segments = [(firsts[dim], dim, tables[dim]) for dim in sorted(tables)]
+
+    def level(j):
+        charge(j)
+        return _level_pair(field, segments, j)
+
+    pair = _level_pair(field, segments, j)
+    if pair is None:
+        while pair is None:  # level 0 always has a collision
+            j -= 1
+            pair = level(j)
+    else:
+        while j < members[-1].dim and (above := level(j + 1)) is not None:
+            j, pair = j + 1, above
+    return j, pair
+
+
 def min_distance_exhaustive(code, cap: int = EXHAUSTIVE_CAP):
     """(exact minimum distance, lexicographically smallest witnessing pair).
 
     Finds the largest dimension j* in which two members meet, through
     shared j-subspaces (module docstring): the distance is 2k - 2 j*, and
     the witness is the smallest pair of sorted members meeting in j*.
+    Codes for which that would cost more than scanning all pairs, or need
+    too much memory, take the stacked-rank pair scan, with the same answer.
     Raises if the code is larger than cap.  A singleton or empty code has
     no pairs: distance math.inf, witness None.
     """
@@ -315,38 +411,28 @@ def min_distance_exhaustive(code, cap: int = EXHAUSTIVE_CAP):
     if m < 2:
         return math.inf, None
     members = _sorted_members(code)
-    if code.q ** code.ambient_dim > 1 << 63:  # vector codes overflow int64
-        return _min_distance_pairs_generic(members, itertools.combinations(range(m), 2))
-    sizes = collections.Counter(s.dim for s in members)
-    tables = {dim: np.empty((size, code.q ** dim), dtype=np.int64) for dim, size in sizes.items()}
-    firsts = {}
-    for start, codes in _member_vectors(code.field, code.ambient_dim, members):
-        dim = members[start].dim
-        at = start - firsts.setdefault(dim, start)
-        tables[dim][at:at + len(codes)] = codes
-    segments = [(firsts[dim], dim, tables[dim]) for dim in sorted(tables)]
-    top = members[-1].dim
-    j = min(max(code.dim - (code.claimed_distance + 1) // 2 + 1, 0), top)
-    pair = _level_pair(code.field, segments, j)
-    if pair is None:
-        while pair is None:  # level 0 always has a collision
-            j -= 1
-            pair = _level_pair(code.field, segments, j)
-    else:
-        while j < top and (above := _level_pair(code.field, segments, j + 1)) is not None:
-            j, pair = j + 1, above
-    return 2 * code.dim - 2 * j, (members[pair[0]], members[pair[1]])
+    if code.q ** code.ambient_dim <= 1 << 63:  # vector codes fit int64
+        j = min(max(code.dim - (code.claimed_distance + 1) // 2 + 1, 0), members[-1].dim)
+        try:
+            j, (a, b) = _shared_level(code.field, code.ambient_dim, members, j,
+                                      _PAIR_COST * (m * (m - 1) // 2))
+            return 2 * code.dim - 2 * j, (members[a], members[b])
+        except _OverBudget:
+            pass
+    return _min_distance_pairs_generic(members, itertools.combinations(range(m), 2), code.dim)
 
 
-def _min_distance_pairs_generic(members, pairs):
-    """(minimum stacked-rank distance, witness) over index pairs i < j.
+def _min_distance_pairs_generic(members, pairs, dim):
+    """(minimum of 2 dim - 2 dim(U cap V), witness) over index pairs i < j.
 
-    Ties go to the smallest index pair, which is the smallest subspace pair
-    because members are sorted.
+    dim(U cap V) comes from the rank of the stacked bases; for members of
+    dimension dim this is the subspace distance.  Ties go to the smallest
+    index pair, which is the smallest subspace pair because members are
+    sorted.
     """
     best = witness = None
     for i, j in pairs:
-        d = subspace_distance(members[i], members[j])
+        d = 2 * dim - 2 * intersection_dim(members[i], members[j])
         if best is None or d < best or (d == best and (i, j) < witness):
             best, witness = d, (i, j)
     return best, (members[witness[0]], members[witness[1]])
@@ -378,7 +464,8 @@ def min_distance_sampled(code, pairs: int, seed: int):
     k2 = 2 * code.dim
     if masks is None:
         return _min_distance_pairs_generic(
-            members, zip(np.minimum(left, right).tolist(), np.maximum(left, right).tolist()))
+            members, zip(np.minimum(left, right).tolist(), np.maximum(left, right).tolist()),
+            code.dim)
     counts = np.empty(pairs, dtype=np.int64)
     chunk = 1 << 16
     for lo in range(0, pairs, chunk):
@@ -423,7 +510,14 @@ def pairwise_min_rank_distance(matrices) -> int:
     lifts = tuple(  # (I | A) is already the canonical RREF basis
         Subspace(first.field, first.nrows + first.ncols, ident.hstack(m).rows)
         for m in matrices)
-    code = CodeSet(first.field, first.nrows + first.ncols, first.nrows, 0, lifts)
+    # The Singleton bound |C| <= q^(max(k, m) (min(k, m) - delta + 1)) caps
+    # delta; claiming the cap starts the scan where an MRD code costs two levels.
+    span_size = first.field.order ** max(first.nrows, first.ncols)
+    t = 0
+    while span_size ** t < len(matrices):
+        t += 1
+    claim = 2 * max(0, min(first.nrows, first.ncols) - t + 1)
+    code = CodeSet(first.field, first.nrows + first.ncols, first.nrows, claim, lifts)
     dist, _witness = min_distance_exhaustive(code, cap=len(matrices))
     return dist // 2
 

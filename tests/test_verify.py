@@ -14,7 +14,7 @@ from cdcodes.construct import (
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import MatrixGF, intersection_dim, subspace_distance, subspace_from_rows
+from cdcodes.linalg import MatrixGF, subspace_distance, subspace_from_rows
 from cdcodes.qpoly import enumerate_mrd
 from cdcodes.rankdist import delsarte_distribution
 from cdcodes.verify import (
@@ -92,39 +92,33 @@ def masked_pair_scan(code, masks=membership_masks):
 
 
 def stacked_rank_scan(code):
-    """Reference oracle: the largest stacked-rank intersection over all pairs.
-
-    For a constant-dimension code this is _min_distance_pairs_generic; a
-    mixed-dimension code is scored like the other oracles, 2k - 2 max dim.
-    """
+    """Reference oracle: _min_distance_pairs_generic over all pairs."""
     members = sorted(code.members)
-    pairs = itertools.combinations(range(len(members)), 2)
-    if all(s.dim == code.dim for s in members):
-        return verify._min_distance_pairs_generic(members, pairs)
-    i, j = max(pairs, key=lambda p: (intersection_dim(members[p[0]], members[p[1]]),
-                                     -p[0], -p[1]))
-    return (2 * code.dim - 2 * intersection_dim(members[i], members[j]),
-            (members[i], members[j]))
+    return verify._min_distance_pairs_generic(
+        members, itertools.combinations(range(len(members)), 2), code.dim)
 
 
 def oracle_variants(code, monkeypatch):
-    """The new oracle as shipped, with one-member chunks, and with a constant key hash."""
-    out = [min_distance_exhaustive(code, cap=len(code.members))]
-    monkeypatch.setattr(verify, "_CHUNK_BYTES", 1)
-    out.append(min_distance_exhaustive(code, cap=len(code.members)))
-    monkeypatch.undo()
+    """min_distance_exhaustive as shipped, and its sub-subspace scan forced:
+    plain, with one-member chunks and with a constant key hash."""
+    def run(**patches):
+        for name, value in patches.items():
+            monkeypatch.setattr(verify, name, value)
+        out = min_distance_exhaustive(code, cap=len(code.members))
+        monkeypatch.undo()
+        return out
+
     # every key collides on its hash, so only the exact row comparison can decide
-    monkeypatch.setattr(verify, "_vector_hash", lambda codes: np.zeros(codes.shape, np.uint64))
-    out.append(min_distance_exhaustive(code, cap=len(code.members)))
-    monkeypatch.undo()
-    return out
+    constant = lambda codes: np.zeros(codes.shape, np.uint64)  # noqa: E731
+    return [run(), run(_PAIR_COST=math.inf), run(_PAIR_COST=math.inf, _CHUNK_BYTES=1),
+            run(_PAIR_COST=math.inf, _vector_hash=constant)]
 
 
 def test_generic_path_agrees_with_masked():
     code = multiblock_parallel_mrd(2, 2, 1, 1)
     members = sorted(code.members)
     generic = verify._min_distance_pairs_generic(
-        members, itertools.combinations(range(len(members)), 2))
+        members, itertools.combinations(range(len(members)), 2), code.dim)
     assert min_distance_exhaustive(code) == masked_pair_scan(code) == generic
 
 
@@ -191,7 +185,7 @@ def fixture_codes():
 def test_oracle_agrees_with_the_pair_scans_on_every_fixture(monkeypatch):
     for code in fixture_codes():
         expected = masked_pair_scan(code)
-        assert oracle_variants(code, monkeypatch) == [expected] * 3, code
+        assert oracle_variants(code, monkeypatch) == [expected] * 4, code
         if len(code.members) <= 200:
             assert stacked_rank_scan(code) == expected, code
 
@@ -226,13 +220,19 @@ def test_oracle_agrees_with_the_pair_scans_on_random_codes(monkeypatch, code):
         return
     expected = masked_pair_scan(code)
     assert stacked_rank_scan(code) == expected
-    assert oracle_variants(code, monkeypatch) == [expected] * 3
+    assert oracle_variants(code, monkeypatch) == [expected] * 4
 
 
-def test_codes_beyond_int64_vector_codes_take_the_stacked_rank_path(monkeypatch):
+def record_vector_builds(monkeypatch):
     calls = []
     vectors = verify._member_vectors
     monkeypatch.setattr(verify, "_member_vectors", lambda *a: calls.append(a) or vectors(*a))
+    return calls
+
+
+def test_codes_beyond_int64_vector_codes_take_the_stacked_rank_path(monkeypatch):
+    monkeypatch.setattr(verify, "_PAIR_COST", math.inf)  # only the int64 check decides
+    calls = record_vector_builds(monkeypatch)
     field = field_of_order(2)
     for n, oracle in ((63, True), (64, False)):  # codes reach 2^63 - 1, then 2^64 - 1
         rows = ([1] + [0] * (n - 1), [0] * (n - 1) + [1], [1] + [0] * (n - 2) + [1])
@@ -241,6 +241,67 @@ def test_codes_beyond_int64_vector_codes_take_the_stacked_rank_path(monkeypatch)
         assert min_distance_exhaustive(code) == stacked_rank_scan(code)
         assert stacked_rank_scan(code)[0] == 2
         assert bool(calls) == oracle
+
+
+def lifted_pair(q, k, rank, claimed):
+    """The row spaces of (I_k | 0) and (I_k | diag(1^rank, 0)): distance 2 rank."""
+    field = field_of_order(q)
+    rows = [[int(r == c) for c in range(2 * k)] for r in range(k)]
+    other = [row[:k] + [int(r == c < rank) for c in range(k)] for r, row in enumerate(rows)]
+    members = tuple(subspace_from_rows(MatrixGF(field, m)) for m in (rows, other))
+    return CodeSet(field, 2 * k, k, claimed, members)
+
+
+def test_codes_costlier_than_their_pair_scan_take_the_stacked_rank_path(monkeypatch):
+    # level 6 of a 10-dim pair in GF(2)^20 has [10, 6]_2 ~ 5.4e7 keys per member,
+    # and the vectors of a 6-dim pair over GF(16) alone fill 2 * 16^6 int64s
+    calls = record_vector_builds(monkeypatch)
+    for code, dist in ((lifted_pair(2, 10, 5, 10), 10), (lifted_pair(16, 6, 3, 6), 6),
+                       (lifted_pair(2, 20, 10, 20), 20)):
+        assert min_distance_exhaustive(code) == stacked_rank_scan(code) == (dist, tuple(sorted(code.members)))
+    assert not calls
+
+
+def test_codes_beyond_the_byte_allowance_take_the_stacked_rank_path(monkeypatch):
+    code = lifted_mrd_code(2, 3, 1)  # 64 members; the scan starts at level 2
+    expected = masked_pair_scan(code)
+    calls = record_vector_builds(monkeypatch)
+    level_bytes = verify._level_cost(2, {3: 64}, 2)[1]
+    assert level_bytes > 64 * 2 ** 3 * 8  # more than the vector tables
+    for allowance, oracle in ((level_bytes, True), (level_bytes - 1, False)):
+        monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
+        calls.clear()
+        assert min_distance_exhaustive(code) == expected
+        assert bool(calls) == oracle
+
+
+def test_subspace_index_cache_stays_within_its_bytes(monkeypatch):
+    monkeypatch.setattr(verify, "_INDEX_CACHE", {})
+    monkeypatch.setattr(verify, "_INDEX_CACHE_BYTES", 15 * 7 * 8)  # [4, 3]_2 x 7 codes
+    field = field_of_order(2)
+    big = verify._subspace_indices(field, 4, 3)
+    assert big.shape == (15, 7) and list(verify._INDEX_CACHE) == [(field, 4, 3)]
+    assert verify._subspace_indices(field, 4, 3) is big
+    verify._subspace_indices(field, 3, 1)  # 7 x 1 more would overflow: the cache starts over
+    assert list(verify._INDEX_CACHE) == [(field, 3, 1)]
+    assert verify._subspace_indices(field, 5, 2).shape == (155, 3)  # too large to keep
+    assert list(verify._INDEX_CACHE) == [(field, 3, 1)]
+
+
+@pytest.mark.parametrize("q, n, t, levels", [(2, 4, 1, [2, 1]), (2, 4, 0, [1, 0]),
+                                              (3, 3, 0, [1, 0]), (2, 5, 1, [2, 1])])
+def test_rank_distance_scan_starts_at_the_singleton_bound(q, n, t, levels, monkeypatch):
+    # MRD codes with delta = n - t >= 3 meet the bound: two levels, none of the middle ones
+    mats = list(enumerate_mrd(q, n, t))
+    seen = []
+    level_pair = verify._level_pair
+    monkeypatch.setattr(verify, "_level_pair", lambda f, s, j: seen.append(j) or level_pair(f, s, j))
+    brute = min(a.sub(b).rank() for a, b in itertools.combinations(mats, 2))
+    assert verify.pairwise_min_rank_distance(mats) == brute == n - t
+    assert seen == levels
+    seen.clear()  # a repeated matrix moves the scan up to level n
+    assert verify.pairwise_min_rank_distance(mats + mats[:1]) == 0
+    assert seen[-1] == n
 
 
 def test_masks_respect_the_bit_budget():
