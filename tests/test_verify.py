@@ -253,11 +253,12 @@ def lifted_pair(q, k, rank, claimed):
 
 
 def test_codes_costlier_than_their_pair_scan_take_the_stacked_rank_path(monkeypatch):
-    # level 6 of a 10-dim pair in GF(2)^20 has [10, 6]_2 ~ 5.4e7 keys per member,
-    # and the vectors of a 6-dim pair over GF(16) alone fill 2 * 16^6 int64s
+    # one pair costs less than the 15 index sets of level 3 of GF(2)^4; level 6
+    # of a 10-dim pair in GF(2)^20 has [10, 6]_2 ~ 5.4e7 keys per member; the
+    # vectors of a 6-dim pair over GF(16) alone fill 2 * 16^6 int64s
     calls = record_vector_builds(monkeypatch)
-    for code, dist in ((lifted_pair(2, 10, 5, 10), 10), (lifted_pair(16, 6, 3, 6), 6),
-                       (lifted_pair(2, 20, 10, 20), 20)):
+    for code, dist in ((lifted_pair(2, 4, 2, 4), 4), (lifted_pair(2, 10, 5, 10), 10),
+                       (lifted_pair(16, 6, 3, 6), 6), (lifted_pair(2, 20, 10, 20), 20)):
         assert min_distance_exhaustive(code) == stacked_rank_scan(code) == (dist, tuple(sorted(code.members)))
     assert not calls
 
@@ -272,6 +273,14 @@ def test_codes_beyond_the_byte_allowance_take_the_stacked_rank_path(monkeypatch)
         monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
         calls.clear()
         assert min_distance_exhaustive(code) == expected
+        assert bool(calls) == oracle
+    # claiming more than 2k starts the scan at level 0, which needs no keys:
+    # only the vector tables' bytes decide whether they are built
+    low = CodeSet(code.field, code.ambient_dim, code.dim, 2 * code.dim + 2, code.members)
+    for allowance, oracle in ((64 * 2 ** 3 * 8, True), (64 * 2 ** 3 * 8 - 1, False)):
+        monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
+        calls.clear()
+        assert min_distance_exhaustive(low) == expected
         assert bool(calls) == oracle
 
 
