@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import bounds as bounds_mod
@@ -50,6 +51,11 @@ EXIT_BUDGET = 3
 # Code file round trip
 # ----------------------------------------------------------------------
 
+_WRITE_CHUNK = 4096  # member lines per write
+# str() of a list of non-negative ints is its JSON text; anything else falls back to json
+_MEMBER_TEXT = re.compile(r"[\[\]0-9, \n]*")
+
+
 def write_codeset(code: CodeSet, fh) -> None:
     header = {
         "q": code.q,
@@ -63,8 +69,13 @@ def write_codeset(code: CodeSet, fh) -> None:
         "count": len(code.members),
     }
     fh.write(json.dumps(header, sort_keys=True) + "\n")
-    for member in code.members:
-        fh.write(json.dumps([list(row) for row in member.basis]) + "\n")
+    members = code.members
+    for lo in range(0, len(members), _WRITE_CHUNK):
+        chunk = members[lo:lo + _WRITE_CHUNK]
+        text = "".join([f"{list(map(list, m.basis))}\n" for m in chunk])
+        if not _MEMBER_TEXT.fullmatch(text):  # not plain ints: json prints or rejects them
+            text = "".join([json.dumps(list(map(list, m.basis))) + "\n" for m in chunk])
+        fh.write(text)
 
 
 def _all_ints(values) -> bool:

@@ -14,21 +14,38 @@ Four constructions, all returning a CodeSet of canonical subspaces:
   position; blocks before the identity are restricted to maps of kernel
   dimension at least n-t (zero map excluded), blocks after it are free.
 
-Every build checks its predicted cardinality: members are deduplicated
-through canonical subspace hashing, so a silent collision would surface as
-a count mismatch.  Member tuples are sorted canonically, making the output
-independent of enumeration schedule.
+The lifted and multi-block codes are built as arrays.  Chunks of (members,
+k, N) generator matrices are gathered from the codeword array of
+qpoly.mrd_array beside a broadcast identity block; (I | A ...) is already
+canonical, and the multi-block members with the identity further right
+are canonicalised by linalg.rref_batch.  Each member is packed into
+64-bit words whose order is the (dim, basis) order of Subspace, so one
+sort of the words orders the whole code, Subspace values are made from
+the sorted words only, and _collect drops equal neighbours.  multiblock_generators and
+enumerate_mrd remain the per-member reference for these builds; linkage,
+parallel_linkage and the Grassmannian build Subspace values directly.
+
+Every build checks its predicted cardinality after deduplication, so a
+silent collision would surface as a count mismatch.  Members are sorted
+canonically, making the output independent of enumeration schedule.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 
+import numpy as np
+
 from .gf import GF, field_of_order
-from .linalg import MatrixGF, Subspace, enumerate_subspaces, subspace_from_rows
-from .qpoly import DEFAULT_BUDGET, BudgetError, enumerate_mrd
+from .linalg import MatrixGF, Subspace, enumerate_subspaces, rref_batch, subspace_from_rows
+from .qpoly import DEFAULT_BUDGET, BudgetError, check_degree, enumerate_mrd, mrd_array
 from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, parallel_linkage_size
+
+
+_CHUNK_BYTES = 1 << 22  # int64 element digits of one chunk of member matrices
+_WORD_BITS = 64  # bits of one sort word
 
 
 class ConstructionError(ValueError):
@@ -65,17 +82,19 @@ def _collect(field, ambient_dim, dim, distance, subspaces, provenance, predicted
         raise BudgetError(
             f"construction would produce {predicted} members, above the budget {budget}"
         )
-    seen = set()
+    members = []
     for s in subspaces:
         if s.dim != dim or s.ambient_dim != ambient_dim:
             raise ConstructionError(
                 f"member with dim {s.dim} in ambient {s.ambient_dim}, "
                 f"expected dim {dim} in ambient {ambient_dim}"
             )
-        seen.add(s)
-    if len(seen) != predicted:
+        members.append(s)
+    members.sort(key=Subspace.sort_key)  # one linear pass when the array builds sorted them
+    members[1:] = [b for a, b in zip(members, members[1:]) if a.basis != b.basis]
+    if len(members) != predicted:
         raise ConstructionError(
-            f"built {len(seen)} distinct members but the formula predicts {predicted}"
+            f"built {len(members)} distinct members but the formula predicts {predicted}"
         )
     provenance = dict(provenance, predicted_size=predicted)
     return CodeSet(
@@ -83,22 +102,61 @@ def _collect(field, ambient_dim, dim, distance, subspaces, provenance, predicted
         ambient_dim=ambient_dim,
         dim=dim,
         claimed_distance=distance,
-        members=tuple(sorted(seen, key=Subspace.sort_key)),
+        members=tuple(members),
         provenance=provenance,
     )
 
 
+def _chunk(field, nrows: int, ncols: int) -> int:
+    """Matrices per chunk: _CHUNK_BYTES of int64 digits, at least one."""
+    return max(1, _CHUNK_BYTES // (8 * field.m * nrows * ncols))
+
+
+def _array_members(field, dim: int, ambient_dim: int, blocks):
+    """The canonical bases in the (count, dim, ambient_dim) arrays of
+    blocks, as Subspace values in sorted order.
+
+    Entry i of a flattened basis takes `bits` bits of word i // per, first
+    entries highest, so the words of two bases compare as their (dim, basis)
+    sort keys and one sort of the words orders the code; duplicates end up
+    adjacent, where _collect drops them.  Only the words are kept between
+    chunks.
+    """
+    bits = (field.order - 1).bit_length()
+    per = _WORD_BITS // bits
+    i = np.arange(dim * ambient_dim)
+    word = i // per
+    shift = (bits * (np.minimum(word * per + per, len(i)) - 1 - i)).astype(np.uint64)
+    keys = [np.zeros((0, -(-len(i) // per)), dtype=np.uint64)]
+    for block in blocks:
+        flat = block.reshape(len(block), -1).astype(np.uint64) << shift
+        keys.append(np.bitwise_or.reduceat(flat, np.arange(0, len(i), per), axis=1))
+    keys = np.concatenate(keys)
+    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T[::-1])]
+    mask = np.uint64((1 << bits) - 1)
+    step = _chunk(field, dim, ambient_dim)
+    for lo in range(0, len(keys), step):
+        entries = keys[lo:lo + step, word] >> shift & mask
+        for basis in entries.reshape(-1, dim, ambient_dim).tolist():
+            yield Subspace(field, ambient_dim, basis)
+
+
 def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None) -> CodeSet:
     """Row spaces of (I_k | M), M in the k x (k+h) MRD code of q-degree <= t maps."""
+    check_degree(k, t, h)
     field = field_of_order(q)
-    ident = MatrixGF.identity(field, k)
     predicted = lifted_mrd_size(q, k, k - t) * q ** (h * (t + 1))
 
-    def members():  # (I | M) is already the canonical RREF basis
-        for m in enumerate_mrd(q, k, t, h=h, budget=budget):
-            yield Subspace(field, 2 * k + h, ident.hstack(m).rows)
+    def blocks():  # (I | M) is already the canonical RREF basis
+        mrd = mrd_array(q, k, t, h=h, budget=budget)
+        ident = np.eye(k, dtype=mrd.dtype)
+        step = _chunk(field, k, 2 * k + h)
+        for lo in range(0, len(mrd), step):
+            m = mrd[lo:lo + step]
+            yield np.concatenate([np.broadcast_to(ident, (len(m), k, k)), m], axis=2)
 
-    return _collect(field, 2 * k + h, k, 2 * (k - t), members(), provenance, predicted, budget)
+    return _collect(field, 2 * k + h, k, 2 * (k - t),
+                    _array_members(field, k, 2 * k + h, blocks()), provenance, predicted, budget)
 
 
 def lifted_mrd_code(q: int, n: int, t: int, *, budget: int | None = DEFAULT_BUDGET) -> CodeSet:
@@ -120,6 +178,8 @@ def rect_lifted_mrd_code(q: int, k: int, h: int, t: int, *,
 def grassmannian_code(q: int, ambient_dim: int, dim: int, *,
                       budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """Every dim-dimensional subspace of GF(q)^ambient_dim; distance 2 when nontrivial."""
+    if not 0 <= dim <= ambient_dim:
+        raise ValueError(f"need 0 <= k <= N, got k={dim}, N={ambient_dim}")
     field = field_of_order(q)
     predicted = gaussian_binomial(ambient_dim, dim, q)
     return _collect(
@@ -229,6 +289,15 @@ class BlockGenerator:
         return subspace_from_rows(self.matrix())
 
 
+def _multiblock_size(q: int, n: int, t: int, s: int, budget: int | None) -> int:
+    total = multiblock_size(q, n, t, s)
+    if budget is not None and total > budget:
+        raise BudgetError(
+            f"the {s + 1}-block construction has {total} members, above the budget {budget}"
+        )
+    return total
+
+
 def multiblock_generators(q: int, n: int, t: int, s: int, *,
                           budget: int | None = DEFAULT_BUDGET):
     """Generator tuples of the (s+1)-block construction, one per member.
@@ -237,11 +306,7 @@ def multiblock_generators(q: int, n: int, t: int, s: int, *,
     over the maps with kernel dimension >= n-t (zero map excluded) and the
     s-p blocks after it run over the whole MRD code.
     """
-    total = multiblock_size(q, n, t, s)
-    if budget is not None and total > budget:
-        raise BudgetError(
-            f"the {s + 1}-block construction has {total} members, above the budget {budget}"
-        )
+    _multiblock_size(q, n, t, s, budget)
     ident = MatrixGF.identity(field_of_order(q), n)
     full = list(enumerate_mrd(q, n, t, budget=budget))
     restricted = [m for m in full if 0 < m.rank() <= t]  # kernel dim >= n - t, nonzero
@@ -258,11 +323,37 @@ def multiblock_generators(q: int, n: int, t: int, s: int, *,
 
 def multiblock_parallel_mrd(q: int, n: int, t: int, s: int, *,
                             budget: int | None = DEFAULT_BUDGET) -> CodeSet:
-    """The (s+1)-block parallel code: ((s+1)n, sum_j q^((s-j)n(t+1)) F^j, 2(n-t), n)."""
-    predicted = multiblock_size(q, n, t, s)
-    members = (g.subspace() for g in multiblock_generators(q, n, t, s, budget=budget))
+    """The (s+1)-block parallel code: ((s+1)n, sum_j q^((s-j)n(t+1)) F^j, 2(n-t), n).
+
+    Built as arrays: the members of multiblock_generators, canonicalised
+    with one batched RREF per chunk where the identity is not first.
+    """
+    predicted = _multiblock_size(q, n, t, s, budget)
+    field = field_of_order(q)
+
+    def blocks():
+        full = mrd_array(q, n, t, budget=budget)
+        step = _chunk(field, n, n)
+        rank = np.concatenate([rref_batch(field, full[lo:lo + step])[1]
+                               for lo in range(0, len(full), step)])
+        restricted = full[(rank > 0) & (rank <= t)]  # kernel dim >= n - t, nonzero
+        ident = np.eye(n, dtype=full.dtype)
+        step = _chunk(field, n, (s + 1) * n)
+        for pos in range(s + 1):
+            sources = [restricted] * pos + [full] * (s - pos)
+            total = math.prod(map(len, sources))
+            for lo in range(0, total, step):
+                idx = np.arange(lo, min(lo + step, total))
+                gens = [None] * s
+                for j in reversed(range(s)):  # the last block varies fastest
+                    idx, digit = np.divmod(idx, len(sources[j]))
+                    gens[j] = sources[j][digit]
+                gens.insert(pos, np.broadcast_to(ident, (len(digit), n, n)))
+                mats = np.concatenate(gens, axis=2)
+                yield mats if pos == 0 else rref_batch(field, mats)[0]
+
     return _collect(
-        field_of_order(q), (s + 1) * n, n, 2 * (n - t), members,
+        field, (s + 1) * n, n, 2 * (n - t), _array_members(field, n, (s + 1) * n, blocks()),
         {"construction": "multiblock", "q": q, "n": n, "t": t, "s": s},
         predicted, budget,
     )

@@ -11,6 +11,7 @@ after construction and every operation here is pure.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -23,6 +24,14 @@ def encode_vector(coords, q: int) -> int:
     for c in reversed(coords):
         out = out * q + c
     return out
+
+
+def _digit_products(field: GF) -> np.ndarray:
+    """(m, m, m) table over GF(p): [i, j] holds the base-p digits of p^i * p^j."""
+    p, m = field.p, field.m
+    powers = p ** np.arange(m, dtype=np.int64)
+    times = np.array([[field.mul(int(a), int(b)) for b in powers] for a in powers], dtype=np.int64)
+    return times[..., None] // powers % p
 
 
 def span(field: GF, rows, idx) -> np.ndarray:
@@ -39,13 +48,60 @@ def span(field: GF, rows, idx) -> np.ndarray:
     powers = p ** np.arange(m, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
     *batch, r, width = rows.shape
-    times = np.array([[field.mul(int(a), int(b)) for b in powers] for a in powers])
     scaled = np.einsum("...rlj,ejk->...relk", rows[..., None] // powers % p,
-                       times[..., None] // powers % p) % p  # digits of p^e * row_r
+                       _digit_products(field)) % p  # digits of p^e * row_r
     scaled = scaled.reshape(*batch, r * m, width * m)
     digits = np.asarray(idx, dtype=np.int64)[:, None] // p ** np.arange(r * m, dtype=np.int64)
     out = digits % p @ scaled % p
     return out.reshape(*out.shape[:-1], width, m) @ powers
+
+
+def _digit_mul(x, y, table, p):
+    """Products of the elements whose base-p digits are x and y (..., m), broadcast."""
+    if len(table) == 1:
+        return x * y % p
+    return np.einsum("...i,...j,ijk->...k", x, y, table) % p
+
+
+def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
+    """(rref, rank) of every matrix of a (..., r, c) array of element codes.
+
+    Entry for entry the results of MatrixGF.rref() and rank(): elimination
+    runs column by column on all matrices at once, pivoting on the first
+    nonzero entry at or below each matrix's current rank.  Entries are
+    held as their m base-p digits, so a product is one contraction with
+    the (m, m, m) digit table of span and an inverse is x^(q-2) by
+    square-and-multiply; no table of q entries is built.  Memory is a few
+    int64 copies of the input's digits, so callers pass bounded chunks.
+    """
+    p, m, q = field.p, field.m, field.order
+    table = _digit_products(field)
+    powers = p ** np.arange(m, dtype=np.int64)
+    mats = np.asarray(mats, dtype=np.int64)
+    *batch, r, c = mats.shape
+    a = mats.reshape(math.prod(batch), r, c)[..., None] // powers % p
+    rank = np.zeros(len(a), dtype=np.int64)
+    for col in range(c):
+        free = a[:, :, col].any(-1) & (np.arange(r) >= rank[:, None])
+        b = np.flatnonzero(free.any(1))
+        if not len(b):
+            continue
+        sub, top, at = a[b], rank[b], np.arange(len(b))
+        piv = free[b].argmax(1)
+        row = sub[at, piv]
+        sub[at, piv] = sub[at, top]
+        inv, x, e = np.zeros_like(row[:, col]), row[:, col], q - 2
+        inv[:, 0] = 1
+        while e:
+            if e & 1:
+                inv = _digit_mul(inv, x, table, p)
+            x, e = _digit_mul(x, x, table, p), e >> 1
+        row = _digit_mul(inv[:, None], row, table, p)
+        sub = (sub - _digit_mul(sub[:, :, col, None], row[:, None], table, p)) % p
+        sub[at, top] = row
+        a[b] = sub
+        rank[b] += 1
+    return (a @ powers).reshape(*batch, r, c), rank.reshape(batch)
 
 
 class MatrixGF:
@@ -68,44 +124,47 @@ class MatrixGF:
         self.rows = rows
 
     @classmethod
+    def _of(cls, field: GF, rows) -> "MatrixGF":
+        """The matrix of rows that are already equal-length tuples of element codes."""
+        self = object.__new__(cls)
+        self.field, self.rows = field, rows
+        self.nrows, self.ncols = len(rows), len(rows[0]) if rows else 0
+        return self
+
+    @classmethod
     def identity(cls, field: GF, n: int) -> "MatrixGF":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, field: GF, nrows: int, ncols: int) -> "MatrixGF":
-        return cls(field, [[0] * ncols for _ in range(nrows)])
+        return cls._of(field, ((0,) * ncols,) * nrows)
 
     def hstack(self, other: "MatrixGF") -> "MatrixGF":
         if self.field != other.field or self.nrows != other.nrows:
             raise ValueError("hstack shape/field mismatch")
-        return MatrixGF(self.field, [a + b for a, b in zip(self.rows, other.rows)])
+        return MatrixGF._of(self.field, tuple(a + b for a, b in zip(self.rows, other.rows)))
 
     def sub(self, other: "MatrixGF") -> "MatrixGF":
         if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape/field mismatch")
         f = self.field
-        return MatrixGF(f, [
-            [f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
+        return MatrixGF._of(f, tuple(
+            tuple(f.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
+        ))
 
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
         if self.field != other.field or self.ncols != other.nrows:
             raise ValueError("matmul shape/field mismatch")
         f = self.field
         ot = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out.append([
-                _dot(f, row, col) for col in ot
-            ])
-        return MatrixGF(f, out)
+        return MatrixGF._of(f, tuple(tuple(_dot(f, row, col) for col in ot) for row in self.rows))
 
     def rref(self) -> "MatrixGF":
         """Reduced row-echelon form; the row space is preserved."""
         if self.field.order == 2:
             packed = _rref_bits([_pack_row(r) for r in self.rows], self.ncols)[0]
-            return MatrixGF(self.field, [_unpack_row(r, self.ncols) for r in packed])
-        return MatrixGF(self.field, _rref_generic(self.field, self.rows, self.ncols)[0])
+            return MatrixGF._of(self.field, tuple(_unpack_row(r, self.ncols) for r in packed))
+        return MatrixGF._of(self.field, tuple(_rref_generic(self.field, self.rows, self.ncols)[0]))
 
     def rank(self) -> int:
         return _rank(self.field, self.rows, self.ncols)

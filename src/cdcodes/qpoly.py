@@ -12,8 +12,9 @@ The code is GF(q)-linear (Gabidulin 1985): the matrix of a map is linear
 in the base-q digits of its coefficients, so the codeword with odometer
 index idx is sum_d digit_d(idx) B_d over the (n+h)(t+1) basis matrices
 B_d, each computed once with QPolynomial.to_matrix.  enumerate_mrd yields
-these codeword matrices from linalg.span, and enumerate_filtration keeps
-its bounded-rank subsets (kernel dimension at least j, zero map excluded).
+these codeword matrices from linalg.span, mrd_array returns them as one
+array, and enumerate_filtration keeps its bounded-rank subsets (kernel
+dimension at least j, zero map excluded).
 
 Enumeration order is an odometer over the integer codes of
 (a_0, ..., a_t) with a_0 varying fastest; streams accept start/stop
@@ -78,8 +79,8 @@ class QPolynomial:
         """
         ext = self.ext
         q = ext.q
-        rows = [self.big.to_vector(self.evaluate(q ** i)) for i in range(ext.n)]
-        return MatrixGF(ext.base, rows)
+        return MatrixGF._of(ext.base, tuple(self.big.to_vector(self.evaluate(q ** i))
+                                            for i in range(ext.n)))
 
     def __repr__(self):
         return (
@@ -100,18 +101,19 @@ def _check_budget(total: int, budget: int, what: str):
         )
 
 
-def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
-                  stop: int | None = None, budget: int | None = DEFAULT_BUDGET):
-    """The n x (n+h) matrices of the maps of q-degree <= t, in odometer order.
-
-    The q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) form an MRD code with
-    rank distance n - t; h = 0 is the square code.  Validation (including the budget check) happens at call time;
-    indices are int64, so a code of more than 2^62 codewords is refused.
-    """
+def check_degree(n: int, t: int, h: int = 0) -> None:
+    """Reject a q-degree bound t outside [0, n) or a negative widening h."""
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     if h < 0:
         raise ValueError("h must be non-negative")
+
+
+def _mrd_blocks(q: int, n: int, t: int, h: int, start: int, stop: int | None,
+                budget: int | None):
+    """Validate, then (field, count, blocks): blocks yields the codewords
+    start..stop-1 as int64 arrays of at most _CHUNK codewords each."""
+    check_degree(n, t, h)
     ext = extension_field(q, n)
     big = extension_field(q, n + h)
     total = big.order ** (t + 1)
@@ -122,18 +124,38 @@ def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError("bad enumeration sub-range")
+    # basis matrix i*(n+h) + d is the map alpha^d x^(q^i): index digit order
+    basis = [QPolynomial(ext, [0] * i + [q ** d], big).to_matrix().rows
+             for i in range(t + 1) for d in range(n + h)]
+    basis = np.reshape(basis, (len(basis), -1))
+    blocks = (span(ext.base, basis, np.arange(lo, min(lo + _CHUNK, stop))).reshape(-1, n, n + h)
+              for lo in range(start, stop, _CHUNK))
+    return ext.base, stop - start, blocks
 
-    def gen():
-        # basis matrix i*(n+h) + d is the map alpha^d x^(q^i): index digit order
-        basis = [QPolynomial(ext, [0] * i + [q ** d], big).to_matrix().rows
-                 for i in range(t + 1) for d in range(n + h)]
-        basis = np.reshape(basis, (len(basis), -1))
-        for lo in range(start, stop, _CHUNK):
-            block = span(ext.base, basis, np.arange(lo, min(lo + _CHUNK, stop)))
-            for rows in block.reshape(-1, n, n + h).tolist():
-                yield MatrixGF(ext.base, rows)
 
-    return gen()
+def mrd_array(q: int, n: int, t: int, *, h: int = 0, start: int = 0, stop: int | None = None,
+              budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
+    """The codewords of enumerate_mrd, with its checks and order, as one
+    (count, n, n+h) array of element codes in the smallest unsigned dtype."""
+    _field, count, blocks = _mrd_blocks(q, n, t, h, start, stop, budget)
+    out = np.empty((count, n, n + h), dtype=np.min_scalar_type(q - 1))
+    for lo, block in zip(range(0, count, _CHUNK), blocks):
+        out[lo:lo + len(block)] = block
+    return out
+
+
+def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
+                  stop: int | None = None, budget: int | None = DEFAULT_BUDGET):
+    """The n x (n+h) matrices of the maps of q-degree <= t, in odometer order.
+
+    The q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) form an MRD code with
+    rank distance n - t; h = 0 is the square code.  Validation (including the budget check) happens at call time;
+    indices are int64, so a code of more than 2^62 codewords is refused.
+    """
+    field, _count, blocks = _mrd_blocks(q, n, t, h, start, stop, budget)
+    # span's entries are in range by construction: no per-entry check
+    return (MatrixGF._of(field, tuple(map(tuple, rows)))
+            for block in blocks for rows in block.tolist())
 
 
 def enumerate_filtration(q: int, n: int, t: int, j: int, *,

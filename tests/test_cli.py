@@ -179,6 +179,53 @@ def test_construct_missing_args_exit_2(capsys):
     assert "--s" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("grassmannian", "--q", "2", "--n", "-1", "--k", "0"), "need 0 <= k <= N, got k=0, N=-1"),
+    (("grassmannian", "--q", "2", "--n", "3", "--k", "-1"), "need 0 <= k <= N, got k=-1, N=3"),
+    (("lifted", "--q", "2", "--n", "3", "--t", "5"), "need 0 <= t < n, got t=5, n=3"),
+])
+def test_construct_bad_parameters_are_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+def json_lines(code):
+    """The member lines as json.dumps prints them, one call per member."""
+    return "".join(json.dumps([list(row) for row in s.basis]) + "\n" for s in code.members)
+
+
+@pytest.mark.parametrize("build, args", [
+    (multiblock_parallel_mrd, (2, 3, 2, 1)), (lifted_mrd_code, (3, 3, 1)),
+    (lifted_mrd_code, (16, 2, 0)),  # entries up to 15: two digits
+])
+def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
+    code = build(*args)
+    buf = io.StringIO()
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 100)  # several chunks
+    write_codeset(code, buf)
+    header, members = buf.getvalue().split("\n", 1)
+    assert members == json_lines(code)
+    assert json.loads(header)["count"] == len(code)
+
+
+def test_writer_leaves_non_int_entries_to_json():
+    import dataclasses
+
+    import numpy as np
+    from cdcodes.linalg import Subspace
+
+    code = lifted_mrd_code(2, 2, 1)
+    member = code.members[0]
+    as_bools = Subspace(member.field, 4, [[bool(x) for x in row] for row in member.basis])
+    buf = io.StringIO()
+    write_codeset(dataclasses.replace(code, members=(as_bools,) + code.members[1:]), buf)
+    assert buf.getvalue().split("\n")[1] == json.dumps([[bool(x) for x in r] for r in member.basis])
+    as_numpy = Subspace(member.field, 4, np.array(member.basis))
+    with pytest.raises(TypeError):  # as before: json refuses numpy integers
+        write_codeset(dataclasses.replace(code, members=(as_numpy,)), io.StringIO())
+
+
 def test_construct_budget_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "construct", "multiblock", "--q", "2", "--n", "4", "--t", "2", "--s", "1",

@@ -1,7 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from cdcodes import construct, linalg, qpoly
 from cdcodes.construct import (
     BlockGenerator,
     CodeSet,
@@ -16,7 +18,7 @@ from cdcodes.construct import (
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import MatrixGF, intersection_dim, subspace_distance
+from cdcodes.linalg import MatrixGF, Subspace, intersection_dim, subspace_distance
 from cdcodes.qpoly import BudgetError, enumerate_filtration, enumerate_mrd
 from cdcodes.bounds import bound_multiblock, bound_parallel_linkage
 
@@ -292,3 +294,97 @@ def test_codeset_count_check_catches_duplicates():
     s = subspace_from_rows(MatrixGF.identity(field, 2))
     with pytest.raises(ConstructionError):
         _collect(field, 2, 2, 2, [s, s], {}, 2, None)
+
+
+# Every construction whose code files and verify reports stay byte-identical.
+LIFTED = [(2, 2, 1), (3, 3, 1), (4, 2, 1), (8, 2, 1), (9, 2, 1), (5, 2, 0), (2, 4, 2)]
+MULTIBLOCK = [(2, 3, 2, 1), (2, 2, 1, 2), (3, 2, 1, 1), (4, 2, 1, 1), (2, 4, 2, 1)]
+
+
+def lifted_reference(q, k, t, h=0):
+    """Sorted row spaces of (I | M), M over the enumerate_mrd stream."""
+    ident = MatrixGF.identity(field_of_order(q), k)
+    return sorted({Subspace(ident.field, 2 * k + h, ident.hstack(m).rows)
+                   for m in enumerate_mrd(q, k, t, h=h)}, key=Subspace.sort_key)
+
+
+def multiblock_reference(q, n, t, s):
+    """Sorted canonical row spaces of the per-member generator tuples."""
+    return sorted({g.subspace() for g in multiblock_generators(q, n, t, s)},
+                  key=Subspace.sort_key)
+
+
+@pytest.mark.parametrize("q, n, t", LIFTED)
+def test_lifted_array_build_matches_the_per_member_reference(q, n, t):
+    assert list(lifted_mrd_code(q, n, t).members) == lifted_reference(q, n, t)
+
+
+@pytest.mark.parametrize("q, k, h, t", [(2, 2, 1, 1), (3, 2, 2, 1), (4, 2, 1, 1), (2, 3, 1, 0)])
+def test_rect_lifted_array_build_matches_the_per_member_reference(q, k, h, t):
+    assert list(rect_lifted_mrd_code(q, k, h, t).members) == lifted_reference(q, k, t, h)
+
+
+@pytest.mark.parametrize("q, n, t, s", MULTIBLOCK)
+def test_multiblock_array_build_matches_the_generator_tuples(q, n, t, s):
+    assert list(multiblock_parallel_mrd(q, n, t, s).members) == multiblock_reference(q, n, t, s)
+
+
+def test_array_builds_with_one_matrix_per_chunk_and_narrow_sort_words(monkeypatch):
+    # one member per chunk, and 5-bit words: a GF(2) basis spans several words,
+    # a GF(16) entry fills a word alone
+    monkeypatch.setattr(construct, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(construct, "_WORD_BITS", 5)
+    assert list(multiblock_parallel_mrd(2, 2, 1, 2).members) == multiblock_reference(2, 2, 1, 2)
+    assert list(multiblock_parallel_mrd(3, 2, 1, 1).members) == multiblock_reference(3, 2, 1, 1)
+    assert list(lifted_mrd_code(16, 2, 0).members) == lifted_reference(16, 2, 0)
+
+
+def test_array_builds_span_several_sort_words():
+    # 6 x 12 bases over GF(2) and 3 x 6 over GF(16): 72 bits each, two words
+    assert list(lifted_mrd_code(2, 6, 0).members) == lifted_reference(2, 6, 0)
+    assert list(lifted_mrd_code(16, 3, 0).members) == lifted_reference(16, 3, 0)
+
+
+@pytest.mark.parametrize("word_bits", [64, 5])
+def test_array_members_come_out_sorted(monkeypatch, word_bits):
+    # the word sort alone orders the members, so sorting them again in _collect is one pass
+    monkeypatch.setattr(construct, "_WORD_BITS", word_bits)
+    field = field_of_order(3)
+    blocks = np.random.default_rng(7).integers(0, 3, size=(3, 40, 2, 5))
+    members = list(construct._array_members(field, 2, 5, iter(blocks)))
+    assert [s.basis for s in members] == sorted(tuple(map(tuple, b)) for b in blocks.reshape(120, 2, 5).tolist())
+    assert all(isinstance(x, int) for s in members for row in s.basis for x in row)
+
+
+def test_array_builds_drop_duplicates_before_the_count_check(monkeypatch):
+    # every chunk yielded twice: still the same members, so the count check passes
+    members = construct._array_members
+    monkeypatch.setattr(construct, "_array_members", lambda field, k, n, blocks: members(
+        field, k, n, (b for block in blocks for b in (block, block))))
+    assert list(multiblock_parallel_mrd(2, 2, 1, 1).members) == multiblock_reference(2, 2, 1, 1)
+
+
+def test_budget_errors_come_before_any_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built before the budget check")
+
+    for owner, name in [(construct, "mrd_array"), (construct, "rref_batch"), (qpoly, "span"),
+                        (linalg, "span"), (np, "empty"), (np, "concatenate")]:
+        monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(BudgetError, match="construction would produce 4096 members"):
+        lifted_mrd_code(2, 4, 2, budget=4095)
+    with pytest.raises(BudgetError, match="2-block construction has 855 members"):
+        multiblock_parallel_mrd(2, 3, 2, 1, budget=854)
+
+
+def test_construction_parameters_are_checked_by_name():
+    for args, message in [((2, -1, 0), "got k=0, N=-1"), ((2, 3, -1), "got k=-1, N=3"),
+                          ((2, 3, 5), "got k=5, N=3")]:
+        with pytest.raises(ValueError, match=message):
+            grassmannian_code(*args)
+    for args, message in [((2, 3, 5), "got t=5, n=3"), ((2, 3, -1), "got t=-1, n=3"),
+                          ((2, -1, 0), "got t=0, n=-1")]:
+        with pytest.raises(ValueError, match=message):
+            lifted_mrd_code(*args)
+    with pytest.raises(ValueError, match="h must be non-negative"):
+        rect_lifted_mrd_code(2, 2, -1, 1)

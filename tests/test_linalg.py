@@ -15,6 +15,7 @@ from cdcodes.linalg import (
     enumerate_subspaces,
     intersection_dim,
     is_canonical_basis,
+    rref_batch,
     span,
     subspace_distance,
     subspace_from_rows,
@@ -253,3 +254,47 @@ def test_span_matches_a_fold_through_the_field(q):
                 c = int(idx[i]) // q ** digit % q
                 acc = [field.add(a, field.mul(c, x)) for a, x in zip(acc, row)]
             assert out[b, i].tolist() == acc
+
+
+@st.composite
+def matrix_batches(draw):
+    """A batch of matrices over GF(q), q in {2, 3, 4, 5, 8, 9, 16}: zero rows or
+    columns, tall and wide shapes, and rows copied or scaled from other rows."""
+    field = field_of_order(draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16])))
+    q = field.order
+    r, c, count = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    entry = st.integers(0, q - 1) | st.just(0)  # zeros often, so pivots move around
+    mats = draw(st.lists(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                  min_size=r, max_size=r), min_size=count, max_size=count))
+    for rows in mats:
+        if r > 1 and draw(st.booleans()):  # rank-deficient: a multiple of another row
+            i, j = draw(st.permutations(range(r)))[:2]
+            factor = draw(st.integers(0, q - 1))
+            rows[i] = [field.mul(factor, x) for x in rows[j]]
+    return field, np.array(mats, dtype=np.int64).reshape(count, r, c)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(matrix_batches())
+def test_batched_rref_matches_the_per_matrix_kernels(case):
+    field, mats = case
+    reduced, rank = rref_batch(field, mats)
+    assert reduced.shape == mats.shape and rank.shape == mats.shape[:1]
+    for i, rows in enumerate(mats.tolist()):
+        m = MatrixGF(field, rows)
+        assert reduced[i].tolist() == [list(row) for row in m.rref().rows]
+        assert rank[i] == m.rank()
+
+
+def test_batched_rref_keeps_leading_batch_axes():
+    field = field_of_order(3)
+    mats = np.random.default_rng(3).integers(0, 3, size=(2, 3, 2, 4))
+    reduced, rank = rref_batch(field, mats)
+    flat_reduced, flat_rank = rref_batch(field, mats.reshape(6, 2, 4))
+    assert (reduced.reshape(6, 2, 4) == flat_reduced).all() and (rank.ravel() == flat_rank).all()
+
+
+def test_matrix_rejects_entries_outside_the_field():
+    for rows in ([[0, 2]], [[-1, 0]], [[1, 0], [0, 5]]):
+        with pytest.raises(ValueError, match="outside field of order 2"):
+            MatrixGF(F2, rows)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cdcodes import qpoly
@@ -13,6 +14,7 @@ from cdcodes.qpoly import (
     enumerate_filtration,
     enumerate_mrd,
     enumerate_rect_mrd,
+    mrd_array,
 )
 from cdcodes.rankdist import filtration_size
 
@@ -100,6 +102,26 @@ def test_enumerate_mrd_matches_per_map_matrices(q, n, t, h, monkeypatch):
     assert parts == whole
 
 
+@pytest.mark.parametrize("q,n,t,h", [(2, 3, 2, 0), (3, 2, 1, 1), (4, 2, 1, 0), (16, 2, 0, 1)])
+def test_mrd_array_is_the_enumerate_mrd_stream(q, n, t, h, monkeypatch):
+    whole = mrd_array(q, n, t, h=h)
+    assert whole.dtype == np.uint8 and whole.shape == (q ** ((n + h) * (t + 1)), n, n + h)
+    assert [MatrixGF(field_of_order(q), m) for m in whole.tolist()] == list(
+        enumerate_mrd(q, n, t, h=h))
+    monkeypatch.setattr(qpoly, "_CHUNK", 5)  # sub-ranges cut inside span chunks
+    cut = len(whole) // 3 + 2
+    assert (mrd_array(q, n, t, h=h, start=cut, stop=2 * cut) == whole[cut:2 * cut]).all()
+
+
+def test_enumerate_mrd_skips_the_entry_checks(monkeypatch):
+    # span's entries are in range by construction; MatrixGF(field, rows) still checks
+    def checked(self, field, rows):
+        raise AssertionError("codeword entries re-checked")
+
+    monkeypatch.setattr(MatrixGF, "__init__", checked)
+    assert len(list(enumerate_mrd(3, 2, 1))) == 81
+
+
 def test_enumerate_mrd_subranges_partition():
     whole = list(enumerate_mrd(2, 3, 1))
     parts = list(enumerate_mrd(2, 3, 1, start=0, stop=17)) + list(
@@ -112,6 +134,8 @@ def test_enumerate_budget():
     # 2^24 elements: over a tight budget the call itself refuses
     with pytest.raises(BudgetError):
         enumerate_mrd(2, 6, 3, budget=1 << 20)
+    with pytest.raises(BudgetError):
+        mrd_array(2, 6, 3, budget=1 << 20)
     # exactly at the default limit the stream starts normally
     gen = enumerate_mrd(2, 6, 3, budget=1 << 24)
     assert next(gen) == MatrixGF.zeros(field_of_order(2), 6, 6)
