@@ -52,7 +52,7 @@ EXIT_BUDGET = 3
 # ----------------------------------------------------------------------
 
 _WRITE_CHUNK = 4096  # member lines per write
-# str() of a list of non-negative ints is its JSON text; anything else falls back to json
+# str() of a list of non-negative ints is its JSON text, and only such a list prints this
 _MEMBER_TEXT = re.compile(r"[\[\]0-9, \n]*")
 
 
@@ -73,8 +73,10 @@ def write_codeset(code: CodeSet, fh) -> None:
     for lo in range(0, len(members), _WRITE_CHUNK):
         chunk = members[lo:lo + _WRITE_CHUNK]
         text = "".join([f"{list(map(list, m.basis))}\n" for m in chunk])
-        if not _MEMBER_TEXT.fullmatch(text):  # not plain ints: json prints or rejects them
-            text = "".join([json.dumps(list(map(list, m.basis))) + "\n" for m in chunk])
+        if not _MEMBER_TEXT.fullmatch(text):  # bools, numpy integers and negatives print otherwise
+            bad = next(x for m in chunk for row in m.basis for x in row
+                       if type(x) is not int or x < 0)
+            raise ValueError(f"member entry {bad!r} is not a non-negative int")
         fh.write(text)
 
 

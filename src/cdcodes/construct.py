@@ -18,10 +18,10 @@ The lifted and multi-block codes are built as arrays.  Chunks of (members,
 k, N) generator matrices are gathered from the codeword array of
 qpoly.mrd_array beside a broadcast identity block; (I | A ...) is already
 canonical, and the multi-block members with the identity further right
-are canonicalised by linalg.rref_batch.  Each member is packed into
-64-bit words whose order is the (dim, basis) order of Subspace, so one
-sort of the words orders the whole code, Subspace values are made from
-the sorted words only, and _collect drops equal neighbours.  multiblock_generators and
+are canonicalised by linalg.rref_batch.  One lexicographic sort of the
+flattened entries orders the whole code in the (dim, basis) order of
+Subspace, Subspace values are made from the sorted entries only, and
+_collect drops equal neighbours.  multiblock_generators and
 enumerate_mrd remain the per-member reference for these builds; linkage,
 parallel_linkage and the Grassmannian build Subspace values directly.
 
@@ -45,7 +45,6 @@ from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, paral
 
 
 _CHUNK_BYTES = 1 << 22  # int64 element digits of one chunk of member matrices
-_WORD_BITS = 64  # bits of one sort word
 
 
 class ConstructionError(ValueError):
@@ -116,28 +115,18 @@ def _array_members(field, dim: int, ambient_dim: int, blocks):
     """The canonical bases in the (count, dim, ambient_dim) arrays of
     blocks, as Subspace values in sorted order.
 
-    Entry i of a flattened basis takes `bits` bits of word i // per, first
-    entries highest, so the words of two bases compare as their (dim, basis)
-    sort keys and one sort of the words orders the code; duplicates end up
-    adjacent, where _collect drops them.  Only the words are kept between
-    chunks.
+    One lexicographic sort of the flattened bases orders them as their
+    (dim, basis) sort keys, so _collect's sort is one linear pass and
+    duplicates end up adjacent, where _collect drops them.  Only the
+    entries, one byte each for q <= 256, are kept between chunks.
     """
-    bits = (field.order - 1).bit_length()
-    per = _WORD_BITS // bits
-    i = np.arange(dim * ambient_dim)
-    word = i // per
-    shift = (bits * (np.minimum(word * per + per, len(i)) - 1 - i)).astype(np.uint64)
-    keys = [np.zeros((0, -(-len(i) // per)), dtype=np.uint64)]
-    for block in blocks:
-        flat = block.reshape(len(block), -1).astype(np.uint64) << shift
-        keys.append(np.bitwise_or.reduceat(flat, np.arange(0, len(i), per), axis=1))
-    keys = np.concatenate(keys)
-    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T[::-1])]
-    mask = np.uint64((1 << bits) - 1)
+    dtype = np.min_scalar_type(field.order - 1)
+    flat = np.concatenate([np.zeros((0, dim * ambient_dim), dtype=dtype)]
+                          + [b.reshape(len(b), -1).astype(dtype) for b in blocks])
+    flat = flat[np.lexsort(flat.T[::-1])]
     step = _chunk(field, dim, ambient_dim)
-    for lo in range(0, len(keys), step):
-        entries = keys[lo:lo + step, word] >> shift & mask
-        for basis in entries.reshape(-1, dim, ambient_dim).tolist():
+    for lo in range(0, len(flat), step):
+        for basis in flat[lo:lo + step].reshape(-1, dim, ambient_dim).tolist():
             yield Subspace(field, ambient_dim, basis)
 
 

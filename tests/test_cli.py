@@ -1,7 +1,9 @@
 import io
 import json
+import re
 import sys
 
+import numpy as np
 import pytest
 
 from cdcodes import bounds, cli
@@ -209,21 +211,22 @@ def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
     assert json.loads(header)["count"] == len(code)
 
 
-def test_writer_leaves_non_int_entries_to_json():
+@pytest.mark.parametrize("convert, shown", [
+    (bool, "True"), (np.int64, "np.int64(1)"), (lambda x: -x, "-1"),
+])
+def test_writer_refuses_entries_that_are_not_plain_ints(convert, shown):
+    # the reader accepts only plain non-negative ints, so the writer emits nothing else
     import dataclasses
 
-    import numpy as np
     from cdcodes.linalg import Subspace
 
     code = lifted_mrd_code(2, 2, 1)
     member = code.members[0]
-    as_bools = Subspace(member.field, 4, [[bool(x) for x in row] for row in member.basis])
+    odd = Subspace(member.field, 4, [[convert(x) if x else x for x in row] for row in member.basis])
     buf = io.StringIO()
-    write_codeset(dataclasses.replace(code, members=(as_bools,) + code.members[1:]), buf)
-    assert buf.getvalue().split("\n")[1] == json.dumps([[bool(x) for x in r] for r in member.basis])
-    as_numpy = Subspace(member.field, 4, np.array(member.basis))
-    with pytest.raises(TypeError):  # as before: json refuses numpy integers
-        write_codeset(dataclasses.replace(code, members=(as_numpy,)), io.StringIO())
+    with pytest.raises(ValueError, match=rf"member entry {re.escape(shown)} is not a non-negative int"):
+        write_codeset(dataclasses.replace(code, members=code.members[1:] + (odd,)), buf)
+    assert buf.getvalue().count("\n") == 1  # the header only: the chunk was not written
 
 
 def test_construct_budget_exit_3(capsys):

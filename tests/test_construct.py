@@ -329,26 +329,15 @@ def test_multiblock_array_build_matches_the_generator_tuples(q, n, t, s):
     assert list(multiblock_parallel_mrd(q, n, t, s).members) == multiblock_reference(q, n, t, s)
 
 
-def test_array_builds_with_one_matrix_per_chunk_and_narrow_sort_words(monkeypatch):
-    # one member per chunk, and 5-bit words: a GF(2) basis spans several words,
-    # a GF(16) entry fills a word alone
+def test_array_builds_with_one_matrix_per_chunk(monkeypatch):
     monkeypatch.setattr(construct, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(construct, "_WORD_BITS", 5)
     assert list(multiblock_parallel_mrd(2, 2, 1, 2).members) == multiblock_reference(2, 2, 1, 2)
     assert list(multiblock_parallel_mrd(3, 2, 1, 1).members) == multiblock_reference(3, 2, 1, 1)
     assert list(lifted_mrd_code(16, 2, 0).members) == lifted_reference(16, 2, 0)
 
 
-def test_array_builds_span_several_sort_words():
-    # 6 x 12 bases over GF(2) and 3 x 6 over GF(16): 72 bits each, two words
-    assert list(lifted_mrd_code(2, 6, 0).members) == lifted_reference(2, 6, 0)
-    assert list(lifted_mrd_code(16, 3, 0).members) == lifted_reference(16, 3, 0)
-
-
-@pytest.mark.parametrize("word_bits", [64, 5])
-def test_array_members_come_out_sorted(monkeypatch, word_bits):
-    # the word sort alone orders the members, so sorting them again in _collect is one pass
-    monkeypatch.setattr(construct, "_WORD_BITS", word_bits)
+def test_array_members_come_out_sorted():
+    # the entry sort alone orders the members, so sorting them again in _collect is one pass
     field = field_of_order(3)
     blocks = np.random.default_rng(7).integers(0, 3, size=(3, 40, 2, 5))
     members = list(construct._array_members(field, 2, 5, iter(blocks)))
