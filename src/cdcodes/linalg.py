@@ -337,18 +337,22 @@ def is_canonical_basis(rows, q: int) -> bool:
     That is exactly when elimination would leave them unchanged: every
     entry lies in [0, q), every row is nonzero, every leading entry is 1,
     pivot columns strictly increase and every pivot column is zero in the
-    other rows.  Checked directly, without elimination.
+    other rows.  Checked directly, without elimination, in one pass over the
+    rows; a row is zero in every later row's pivot column when the entries
+    at all pivots sum to the number of rows, since entries are non-negative
+    and each pivot is 1.
     """
-    cols = list(zip(*rows))
     last = -1
+    leads = []
     for row in rows:
-        if min(row, default=0) < 0 or max(row, default=0) >= q or 1 not in row:
+        if 1 not in row or min(row) < 0 or max(row) >= q:
             return False
         lead = row.index(1)
-        if lead <= last or any(row[:lead]) or cols[lead].count(0) != len(rows) - 1:
+        if lead <= last or any(row[:lead]):
             return False
+        leads.append(lead)
         last = lead
-    return True
+    return sum([row[c] for row in rows for c in leads]) == len(rows)
 
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:

@@ -49,7 +49,10 @@ implementations can reproduce reports bit for bit: the state advances by
 0x9E3779B97F4A7C15 per draw and the output mix is
 z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
 z *= 0x94D049BB133111EB; z ^= z >> 31 (all mod 2^64).  Pair draws take two
-indices via next() % size, redrawing the second until it differs.
+indices via next() % size, redrawing the second until it differs.  The
+state after draw i is seed + (i + 1) 0x9E3779B97F4A7C15, so the draws are
+computed all at once in numpy (the SplitMix64 class is the sequential
+definition they reproduce).
 
 Verification never mutates its inputs, and every oracle reduces by min
 over an order-free set of candidates, so no schedule can change a result.
@@ -438,6 +441,60 @@ def _min_distance_pairs_generic(members, pairs, dim):
     return best, (members[witness[0]], members[witness[1]])
 
 
+_DRAW_CHUNK = 1 << 16  # draws hashed at a time
+
+
+def _draws(seed: int, count: int, size: int) -> np.ndarray:
+    """The first count values of SplitMix64(seed).randbelow(size), as int64.
+
+    Draw i is the output mix of the state seed + (i + 1) * gamma, which
+    _vector_hash computes from seed + i * gamma; uint64 arithmetic wraps
+    mod 2^64 as the generator does.
+    """
+    out = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, _DRAW_CHUNK):
+        i = np.arange(lo, min(lo + _DRAW_CHUNK, count), dtype=np.uint64)
+        out[lo:lo + len(i)] = _vector_hash(np.uint64(seed & _U64) + i * _MIX[0]) % np.uint64(size)
+    return out
+
+
+def _sample_pairs(seed: int, size: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) that `pairs` draws of SplitMix64(seed) give, in order.
+
+    Each pair takes i = randbelow(size), then j = randbelow(size), redrawing
+    j while it equals i (size >= 2).  So pair t starts at draw start[t] and
+    takes j gap[t] draws later, where gap[t] is 1 unless draw start[t] + 1
+    repeats draw start[t], and start[t + 1] = start[t] + gap[t] + 1.  Only
+    those repeats are walked in Python; the draws needed are counted from
+    their expectation and doubled if the pairs run past them.
+    """
+    count = 2 * pairs + 2 * pairs // (size - 1) + 64
+    while True:
+        v = _draws(seed, count, size)
+        repeats = np.flatnonzero(v[:-1] == v[1:]).tolist()  # draw s + 1 equals draw s
+        repeated = set(repeats)
+        gap = np.ones(pairs, dtype=np.int64)
+        start = done = 0  # the next pair's first draw, and the pairs before it
+        for s in repeats:
+            if s < start or (s - start) & 1:  # inside a run, or the j of a pair
+                continue
+            done += (s - start) // 2
+            if done >= pairs:
+                break
+            r = s + 1
+            while r in repeated:
+                r += 1
+            gap[done] = r + 1 - s
+            done += 1
+            start = r + 2
+        left = np.zeros(pairs, dtype=np.int64)
+        np.cumsum(gap[:-1] + 1, out=left[1:])
+        right = left + gap
+        if right[-1] < count:
+            return v[left], v[right]
+        count *= 2
+
+
 def min_distance_sampled(code, pairs: int, seed: int):
     """Minimum distance over `pairs` fixed-seed uniform pair draws.
 
@@ -450,16 +507,7 @@ def min_distance_sampled(code, pairs: int, seed: int):
     m = len(code.members)
     if m < 2:
         return math.inf, None
-    rng = SplitMix64(seed)
-    left = np.empty(pairs, dtype=np.int64)
-    right = np.empty(pairs, dtype=np.int64)
-    for idx in range(pairs):
-        i = rng.randbelow(m)
-        j = rng.randbelow(m)
-        while j == i:
-            j = rng.randbelow(m)
-        left[idx] = i
-        right[idx] = j
+    left, right = _sample_pairs(seed, m, pairs)
     members, masks = membership_masks(code)
     k2 = 2 * code.dim
     if masks is None:
@@ -473,11 +521,10 @@ def min_distance_sampled(code, pairs: int, seed: int):
         inter = masks[left[lo:hi]] & masks[right[lo:hi]]
         counts[lo:hi] = _popcount_rows(inter)
     best_count = int(counts.max())
-    where = np.nonzero(counts == best_count)[0]
-    pair_ids = sorted(
-        (min(int(left[w]), int(right[w])), max(int(left[w]), int(right[w]))) for w in where
-    )
-    i, j = pair_ids[0]
+    where = counts == best_count
+    low, high = np.minimum(left[where], right[where]), np.maximum(left[where], right[where])
+    i = int(low.min())
+    j = int(high[low == i].min())
     dist = k2 - 2 * _dim_from_count(best_count, code.q)
     return dist, (members[i], members[j])
 

@@ -340,6 +340,20 @@ def test_verify_out_of_range_member_entry_names_its_line(tmp_path, capsys):
     assert err.splitlines() == ["error: line 5: entry 5 outside field of order 2"]
 
 
+def test_verify_reads_a_member_of_another_dimension_and_fails_it(tmp_path, capsys):
+    path = tmp_path / "code.jsonl"
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
+    lines = path.read_text().splitlines()
+    lines[7] = "[[0, 0, 0, 1]]"  # one canonical row among two-row members
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert not checks["member_dimensions"]["pass"]
+    assert checks["member_dimensions"]["actual"] == "1 offending members"
+    assert checks["min_distance"]["actual"] == "skipped: malformed members"
+
+
 def test_cli_multiblock_4621_end_to_end(tmp_path, capsys):
     path = tmp_path / "big.jsonl"
     code, _, _ = run_cli(
@@ -376,10 +390,10 @@ def test_verify_defaults_to_auto_mode(tmp_path, capsys):
     assert code == 0
     dist = next(c for c in json.loads(out)["checks"] if c["check"] == "min_distance")
     assert dist["actual"] == "2 (exhaustive)"
-    code, out, _ = run_cli(capsys, "verify", str(path), "--cap", "10", "--pairs", "5000")
+    code, out, _ = run_cli(capsys, "verify", str(path), "--cap", "10")  # 1e6 sampled pairs
     assert code == 0
     dist = next(c for c in json.loads(out)["checks"] if c["check"] == "min_distance")
-    assert dist["actual"] == f"2 (sampled(5000,seed={0x5EED}))"
+    assert dist["actual"] == f"2 (sampled(1000000,seed={0x5EED}))"
     code, out, err = run_cli(capsys, "verify", str(path), "--mode", "exhaustive", "--cap", "10")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "above the exhaustive cap 10" in err

@@ -226,6 +226,8 @@ def bases_with_defects(draw):
 @example((F3, 3, [[1, 0, 2], [0, 0, 0]]))  # zero row
 @example((F3, 3, [[1, 0, 3], [0, 1, 1]]))  # entry outside [0, q)
 @example((F3, 3, [[1, 0, -1], [0, 1, 1]]))  # negative entry
+@example((F3, 3, [[1, 2, 0], [0, 0, 1]]))  # canonical, a free column before the last pivot
+@example((F3, 3, [[1, 0, 1], [0, 0, 1]]))  # an earlier row nonzero in a later pivot column
 def test_canonical_basis_check_matches_elimination(case):
     field, n, rows = case
     in_range = all(0 <= x < field.order for r in rows for x in r)

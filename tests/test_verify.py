@@ -349,6 +349,21 @@ def test_splitmix_reference_sequence():
     ]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**64 - 1, 2**64 + 5])
+@pytest.mark.parametrize("size", [2, 3, 16, 855])
+def test_sampled_pairs_are_the_generator_sequence(seed, size):
+    # i = randbelow(size), then j = randbelow(size) redrawn while it equals i
+    rng, expected = SplitMix64(seed), []
+    for _ in range(3000):
+        i, j = rng.randbelow(size), rng.randbelow(size)
+        while j == i:
+            j = rng.randbelow(size)
+        expected.append((i, j))
+    for pairs in (1, 2, 7, 3000):
+        left, right = verify._sample_pairs(seed, size, pairs)
+        assert list(zip(left.tolist(), right.tolist())) == expected[:pairs]
+
+
 def test_sampled_deterministic_and_bounded_below_by_exhaustive():
     code = multiblock_parallel_mrd(2, 2, 1, 2)
     d1, w1 = min_distance_sampled(code, 100_000, seed=42)
