@@ -338,9 +338,9 @@ def is_canonical_basis(rows, q: int) -> bool:
     entry lies in [0, q), every row is nonzero, every leading entry is 1,
     pivot columns strictly increase and every pivot column is zero in the
     other rows.  Checked directly, without elimination, in one pass over the
-    rows; a row is zero in every later row's pivot column when the entries
-    at all pivots sum to the number of rows, since entries are non-negative
-    and each pivot is 1.
+    rows; then the pivot columns are zero in the other rows exactly when
+    the entries of all rows at all pivot columns sum to the number of rows,
+    as entries are non-negative and each row holds 1 at its own pivot.
     """
     last = -1
     leads = []

@@ -14,7 +14,7 @@ from cdcodes.construct import (
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import MatrixGF, subspace_distance, subspace_from_rows
+from cdcodes.linalg import MatrixGF, Subspace, subspace_distance, subspace_from_rows
 from cdcodes.qpoly import enumerate_mrd
 from cdcodes.rankdist import delsarte_distribution
 from cdcodes.verify import (
@@ -349,19 +349,34 @@ def test_splitmix_reference_sequence():
     ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**64 - 1, 2**64 + 5])
-@pytest.mark.parametrize("size", [2, 3, 16, 855])
-def test_sampled_pairs_are_the_generator_sequence(seed, size):
-    # i = randbelow(size), then j = randbelow(size) redrawn while it equals i
-    rng, expected = SplitMix64(seed), []
-    for _ in range(3000):
+def generator_pairs(seed, size, pairs):
+    """i = randbelow(size), then j = randbelow(size) redrawn while it equals i."""
+    rng, out = SplitMix64(seed), []
+    for _ in range(pairs):
         i, j = rng.randbelow(size), rng.randbelow(size)
         while j == i:
             j = rng.randbelow(size)
-        expected.append((i, j))
+        out.append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**64 - 1, 2**64 + 5])
+@pytest.mark.parametrize("size", [2, 3, 16, 855])
+def test_sampled_pairs_are_the_generator_sequence(seed, size):
+    expected = generator_pairs(seed, size, 3000)
     for pairs in (1, 2, 7, 3000):
         left, right = verify._sample_pairs(seed, size, pairs)
         assert list(zip(left.tolist(), right.tolist())) == expected[:pairs]
+
+
+@pytest.mark.parametrize("build, args", [(multiblock_parallel_mrd, (2, 2, 1, 2)),
+                                         (lifted_mrd_code, (3, 2, 1))])
+def test_sampled_witness_is_the_smallest_sampled_minimiser(build, args):
+    code = build(*args)
+    members = sorted(code.members, key=Subspace.sort_key)
+    d, i, j = min((subspace_distance(members[i], members[j]), min(i, j), max(i, j))
+                  for i, j in generator_pairs(7, len(members), 2000))
+    assert min_distance_sampled(code, 2000, seed=7) == (d, (members[i], members[j]))
 
 
 def test_sampled_deterministic_and_bounded_below_by_exhaustive():
