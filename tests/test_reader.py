@@ -4,6 +4,7 @@ first bad line with the same message."""
 
 import io
 import json
+import signal
 from unittest import mock
 
 import pytest
@@ -95,7 +96,7 @@ CODES = {  # small files: N = 4 over GF(2) and GF(3), N = 6 over GF(2)
     "multiblock(2,2,1,1)": code_text(multiblock_parallel_mrd(2, 2, 1, 1)),
 }
 MUTATIONS = ["truncate", "split", "two_then_split", "entry", "blank", "delete", "swap_rows",
-             "drop_row", "widen_row", "empty_member", "crlf"]
+             "drop_row", "widen_row", "empty_member", "not_a_list", "crlf"]
 
 
 @st.composite
@@ -144,6 +145,10 @@ def mutated_files(draw):
             lines[i] += "\n"
         elif kind == "empty_member":
             lines[i] = draw(st.sampled_from(["[]\n", "[[]]\n", "[ ]\n"]))
+        elif kind == "not_a_list":
+            lines[i] = draw(st.sampled_from(["5\n", '"[[1, 0]]"\n', "{}\n", "[5, 6]\n",
+                                             "[[1, 0, 0, 0], 5]\n", '["1000", [0, 1, 0, 0]]\n',
+                                             "[{}]\n"]))
         elif kind == "crlf":
             lines[i] = line.rstrip("\n") + draw(st.sampled_from(["\r\n", " \t\n", "\r"]))
     if lines and draw(st.booleans()):
@@ -172,6 +177,13 @@ def two_members_then_a_split_member(lines):
     ("lifted(3,2,1)", lambda lines: [lines[0], "[[1, 0, 0, -0], [0, 1, 0, 0]]\r\n"] + lines[2:],
      "read"),
     ("multiblock(2,2,1,1)", two_members_then_a_split_member, "line 2: Extra data (column 29)"),
+    ("lifted(2,2,1)", lambda lines: lines[:2] + ["5\n"] + lines[3:],
+     "line 3: member is not a list of rows of length N=4"),
+    ("lifted(2,2,1)", lambda lines: lines[:2] + ["[[1, 0, 0, 0], 5]\n"] + lines[3:],
+     "line 3: member is not a list of rows of length N=4"),
+    ("lifted(3,2,1)", lambda lines: [lines[0], "[[1.0, 0, 0, 0], [0, 1, 0, 0]]\n",
+                                     f"[[{'1' * 5000}, 0, 0, 0], [0, 1, 0, 0]]\n"] + lines[3:],
+     "line 2: member entries are not all integers"),  # line 3 is past the int digit limit
 ])
 def test_reader_agrees_on_chosen_files(name, edit, result):
     text = "".join(edit(CODES[name].splitlines(keepends=True)))
@@ -187,3 +199,25 @@ def test_valid_file_never_takes_the_per_line_checks(monkeypatch):
     monkeypatch.setattr(cli, "_READ_CHUNK", 7)
     code = read_codeset(io.StringIO(CODES["multiblock(2,2,1,1)"]))
     assert len(code) == 25 and calls == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
+def test_reader_names_a_bad_line_at_once_after_many_padded_empty_members():
+    # 63 empty members with blanks inside the brackets, then a float: a check
+    # whose work grows exponentially with the lines before the bad one would
+    # not finish; the reference names line 2 at once
+    header = CODES["lifted(2,2,1)"].splitlines(keepends=True)[0]
+    text = header + "[ \t ]\n" * 63 + "[[1.0, 0, 0, 0], [0, 1, 0, 0]]\n"
+
+    def too_slow(signum, frame):
+        raise TimeoutError("reading took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        result = outcome(read_codeset, text)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result == outcome(reference_read_codeset, text)
+    assert result[2] == "line 2: basis is not a canonical full-rank RREF"
