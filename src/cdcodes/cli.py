@@ -68,6 +68,14 @@ _WRITE_CHUNK = 4096  # member lines per write
 _READ_CHUNK = 64
 # str() of a list of non-negative ints is its JSON text, and only such a list prints this
 _MEMBER_TEXT = re.compile(r"[\[\]0-9, \n]*")
+# Non-blank lines that each hold one JSON list of lists of integer tokens.  Every
+# member line the per-line checks accept has this form, and a line of this form
+# that parses as JSON within its chunk parses alone to the same value.  Each
+# whitespace run sits between two fixed tokens, so a line matches in one way
+# only and a failed match backtracks through each earlier line once.
+_ROW = r"\[[-0-9, \t\r]*\]"
+_LINE = rf"[ \t\r]*\[[ \t\r]*(?:{_ROW}(?:[ \t\r]*,[ \t\r]*{_ROW})*[ \t\r]*)?\][ \t\r]*"
+_MEMBER_LINES = re.compile(rf"(?:{_LINE}\n)*(?:{_LINE})?")
 
 
 def write_codeset(code: CodeSet, fh) -> None:
@@ -123,28 +131,22 @@ def _line_error(field: GF, n: int, line: str) -> str | None:
 def _chunk_members(field: GF, n: int, texts: list[str]) -> list[Subspace] | None:
     """The member of each non-blank line in texts, or None if any line fails a check.
 
-    Each line is parsed alone, as the per-line checks parse it; the rest is
-    checked for all lines together: one pass over the members and rows for
-    list type and row length n, one over all entries for int type (floats and
-    booleans are not integers) and one over their distinct values for the
-    range [0, q).  subspace_from_rows then gives each member and keeps
-    canonical rows as they are, so a basis that comes back changed is not
-    canonical.
+    The lines are checked together: one pattern match for their form, one
+    json.loads of them joined, one pass over all rows for length n and one
+    over their distinct entries for the range [0, q).  subspace_from_rows
+    then gives each member and keeps canonical rows as they are, so a basis
+    that comes back changed is not canonical.
     """
+    if not _MEMBER_LINES.fullmatch("".join(texts)):
+        return None
     try:
-        parsed = list(map(json.loads, texts))
+        parsed = json.loads("[" + ",".join(texts) + "]")
     except ValueError:  # JSONDecodeError, or an int of more digits than str() allows
         return None
-    if not {list}.issuperset(map(type, parsed)):
-        return None
     rows = list(_chain(parsed))
-    if not ({list}.issuperset(map(type, rows)) and {n}.issuperset(map(len, rows))):
-        return None
-    entries = list(_chain(rows))
-    if not {int}.issuperset(map(type, entries)):
-        return None
-    values = set(entries)
-    if not (0 <= min(values, default=0) and max(values, default=0) < field.order):
+    entries = set(_chain(rows))
+    if not ({n}.issuperset(map(len, rows))
+            and 0 <= min(entries, default=0) and max(entries, default=0) < field.order):
         return None
     members = []
     for member in parsed:

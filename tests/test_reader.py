@@ -177,13 +177,17 @@ def two_members_then_a_split_member(lines):
     ("lifted(3,2,1)", lambda lines: [lines[0], "[[1, 0, 0, -0], [0, 1, 0, 0]]\r\n"] + lines[2:],
      "read"),
     ("multiblock(2,2,1,1)", two_members_then_a_split_member, "line 2: Extra data (column 29)"),
+    ("lifted(2,2,1)", lambda lines: [lines[0], lines[1].replace("1", "1.0", 1)] + lines[2:],
+     "line 2: member entries are not all integers"),  # 1.0 == 1 keeps the basis canonical
+    ("lifted(2,2,1)", lambda lines: [lines[0], lines[1].replace("1", "true", 1)] + lines[2:],
+     "line 2: member entries are not all integers"),
     ("lifted(2,2,1)", lambda lines: lines[:2] + ["5\n"] + lines[3:],
      "line 3: member is not a list of rows of length N=4"),
     ("lifted(2,2,1)", lambda lines: lines[:2] + ["[[1, 0, 0, 0], 5]\n"] + lines[3:],
      "line 3: member is not a list of rows of length N=4"),
-    ("lifted(3,2,1)", lambda lines: [lines[0], "[[1.0, 0, 0, 0], [0, 1, 0, 0]]\n",
+    ("lifted(3,2,1)", lambda lines: [lines[0], "[[1, 0, 0, 5], [0, 1, 0, 0]]\n",
                                      f"[[{'1' * 5000}, 0, 0, 0], [0, 1, 0, 0]]\n"] + lines[3:],
-     "line 2: member entries are not all integers"),  # line 3 is past the int digit limit
+     "line 2: entry 5 outside field of order 3"),  # line 3 is past the int digit limit
 ])
 def test_reader_agrees_on_chosen_files(name, edit, result):
     text = "".join(edit(CODES[name].splitlines(keepends=True)))
