@@ -8,14 +8,15 @@ Code files are JSON lines (UTF-8).  The first line is a header::
      "claimed_distance": ..., "provenance": {...}, "count": ...}
 
 followed by one line per member: the RREF basis as an array of rows, each
-row an array of integer element codes.  Members appear in canonical sorted
-order, so identical codes produce identical files.  The reader skips blank
-lines and checks, for each member line in this order, that it is JSON, a
-list of rows of length N, made of integers (not floats or booleans) in
-[0, q), and the canonical full-rank RREF basis of its row space; then that
-the header count matches.  The first failing line is reported as
-"line L: <check>".  Lines are checked a chunk at a time, and one at a time
-only to find which line of a chunk failed.
+row an array of integer element codes.  The writer prints the code's
+bases array, which builds keep in canonical sorted order, one %-template
+per chunk of lines, so identical codes produce identical files.  The reader
+skips blank lines and checks, for each member line in this order, that it
+is JSON, a list of rows of length N, made of integers (not floats or
+booleans) in [0, q), and the canonical full-rank RREF basis of its row
+space; then that the header count matches.  The first failing line is
+reported as "line L: <check>".  Lines are checked a chunk at a time, and
+one at a time only to find which line of a chunk failed.
 
 Numeric tables are CSV with columns ``A_q(n,d,k), new, old, formula``; the
 best-known registry is CSV with header ``q,n,d,k,value,source``.
@@ -34,17 +35,21 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from .construct import (
     CodeSet,
     ConstructionError,
+    bases_dtype,
     grassmannian_code,
     lifted_mrd_code,
     multiblock_parallel_mrd,
+    padded_bases,
     parallel_linkage,
 )
 from .gf import GF
-from .linalg import MatrixGF, Subspace, subspace_from_rows
+from .linalg import MatrixGF, subspace_from_rows
 from .qpoly import DEFAULT_BUDGET, BudgetError
 from .verify import EXHAUSTIVE_CAP, SAMPLED_PAIRS, SAMPLED_SEED, validate_codeset
 
@@ -61,13 +66,7 @@ _chain = itertools.chain.from_iterable
 # ----------------------------------------------------------------------
 
 _WRITE_CHUNK = 4096  # member lines per write
-# Member lines per parse when reading.  A chunk's JSON lists (1 + k per line)
-# stay under the collector's 700-allocation threshold, so few of them are alive
-# to be promoted when it runs: with 4096-line chunks, reading 555,409 members
-# ran 38 full collections instead of 14.
-_READ_CHUNK = 64
-# str() of a list of non-negative ints is its JSON text, and only such a list prints this
-_MEMBER_TEXT = re.compile(r"[\[\]0-9, \n]*")
+_READ_CHUNK = 64  # member lines per parse when reading; larger chunks read no faster
 # Non-blank lines that each hold one JSON list of lists of integer tokens.  Every
 # member line the per-line checks accept has this form, and a line of this form
 # that parses as JSON within its chunk parses alone to the same value.  Each
@@ -76,6 +75,12 @@ _MEMBER_TEXT = re.compile(r"[\[\]0-9, \n]*")
 _ROW = r"\[[-0-9, \t\r]*\]"
 _LINE = rf"[ \t\r]*\[[ \t\r]*(?:{_ROW}(?:[ \t\r]*,[ \t\r]*{_ROW})*[ \t\r]*)?\][ \t\r]*"
 _MEMBER_LINES = re.compile(rf"(?:{_LINE}\n)*(?:{_LINE})?")
+
+
+@functools.cache
+def _line_format(dim: int, n: int) -> str:
+    """One member line's JSON text with %d for each entry."""
+    return "[" + ", ".join(["[" + ", ".join(["%d"] * n) + "]"] * dim) + "]\n"
 
 
 def write_codeset(code: CodeSet, fh) -> None:
@@ -88,18 +93,18 @@ def write_codeset(code: CodeSet, fh) -> None:
         "k": code.dim,
         "claimed_distance": code.claimed_distance,
         "provenance": code.provenance,
-        "count": len(code.members),
+        "count": len(code),
     }
     fh.write(json.dumps(header, sort_keys=True) + "\n")
-    members = code.members
-    for lo in range(0, len(members), _WRITE_CHUNK):
-        chunk = members[lo:lo + _WRITE_CHUNK]
-        text = "".join([f"{list(map(list, m.basis))}\n" for m in chunk])
-        if not _MEMBER_TEXT.fullmatch(text):  # bools, numpy integers and negatives print otherwise
-            bad = next(x for m in chunk for row in m.basis for x in row
-                       if type(x) is not int or x < 0)
-            raise ValueError(f"member entry {bad!r} is not a non-negative int")
-        fh.write(text)
+    bases, n = code.bases, code.ambient_dim
+    for lo in range(0, len(bases), _WRITE_CHUNK):
+        chunk = bases[lo:lo + _WRITE_CHUNK]
+        full = chunk.any(axis=2)  # the rows that are not padding
+        if full.all():
+            template = _line_format(chunk.shape[1], n) * len(chunk)
+        else:
+            template = "".join([_line_format(d, n) for d in full.sum(axis=1).tolist()])
+        fh.write(template % tuple(chunk[full].ravel().tolist()))
 
 
 def _all_ints(values) -> bool:
@@ -128,14 +133,15 @@ def _line_error(field: GF, n: int, line: str) -> str | None:
     return None
 
 
-def _chunk_members(field: GF, n: int, texts: list[str]) -> list[Subspace] | None:
-    """The member of each non-blank line in texts, or None if any line fails a check.
+def _chunk_members(field: GF, n: int, texts: list[str]) -> tuple[list, list[int]] | None:
+    """(rows, dims) of the members on the non-blank lines in texts, or None if any
+    line fails a check: their rows in order, and the number of rows of each.
 
     The lines are checked together: one pattern match for their form, one
     json.loads of them joined, one pass over all rows for length n and one
     over their distinct entries for the range [0, q).  subspace_from_rows
-    then gives each member and keeps canonical rows as they are, so a basis
-    that comes back changed is not canonical.
+    then keeps each canonical basis as it is, so a basis that comes back
+    changed is not canonical.
     """
     if not _MEMBER_LINES.fullmatch("".join(texts)):
         return None
@@ -148,18 +154,16 @@ def _chunk_members(field: GF, n: int, texts: list[str]) -> list[Subspace] | None
     if not ({n}.issuperset(map(len, rows))
             and 0 <= min(entries, default=0) and max(entries, default=0) < field.order):
         return None
-    members = []
     for member in parsed:
         basis = tuple(map(tuple, member))
         s = subspace_from_rows(MatrixGF._of(field, basis))
         if s.ambient_dim != n or s.basis != basis:
             return None
-        members.append(s)
-    return members
+    return rows, list(map(len, parsed))
 
 
-def _read_members(field: GF, n: int, lines: list[str], lineno: int) -> list[Subspace]:
-    """The members on a chunk of lines, the first numbered lineno; blank lines are skipped.
+def _read_members(field: GF, n: int, lines: list[str], lineno: int) -> tuple[list, list[int]]:
+    """_chunk_members of a chunk of lines, the first numbered lineno; blank lines are skipped.
 
     The chunk is checked as a whole, and line by line only to name the
     first line that fails.
@@ -190,23 +194,21 @@ def read_codeset(fh) -> CodeSet:
     field = GF(header["p"], header["m"], tuple(header["moduli"]))
     if field.order != header["q"]:
         raise ValueError("header q does not match p^m")
-    members = []
+    n, dtype = header["N"], bases_dtype(field)
+    parts, dims = [], []
     lineno = 2
     while lines := list(itertools.islice(fh, _READ_CHUNK)):
-        members += _read_members(field, header["N"], lines, lineno)
+        rows, chunk_dims = _read_members(field, n, lines, lineno)
+        parts.append(np.fromiter(_chain(rows), dtype, count=len(rows) * n))
+        dims += chunk_dims
         lineno += len(lines)
-    if len(members) != header["count"]:
+    if len(dims) != header["count"]:
         raise ValueError(
-            f"header count {header['count']} does not match {len(members)} member lines"
+            f"header count {header['count']} does not match {len(dims)} member lines"
         )
-    return CodeSet(
-        field=field,
-        ambient_dim=header["N"],
-        dim=header["k"],
-        claimed_distance=header["claimed_distance"],
-        members=tuple(members),
-        provenance=header.get("provenance", {}),
-    )
+    rows = np.concatenate([np.zeros(0, dtype)] + parts).reshape(sum(dims), n)
+    return CodeSet(field, n, header["k"], header["claimed_distance"],
+                   padded_bases(rows, dims, header["k"]), header.get("provenance", {}))
 
 
 # ----------------------------------------------------------------------

@@ -14,16 +14,14 @@ Four constructions, all returning a CodeSet of canonical subspaces:
   position; blocks before the identity are restricted to maps of kernel
   dimension at least n-t (zero map excluded), blocks after it are free.
 
-The lifted and multi-block codes are built as arrays.  Chunks of (members,
-k, N) generator matrices are gathered from the codeword array of
-qpoly.mrd_array beside a broadcast identity block; (I | A ...) is already
-canonical, and the multi-block members with the identity further right
-are canonicalised by linalg.rref_batch.  One lexicographic sort of the
-flattened entries orders the whole code in the (dim, basis) order of
-Subspace, Subspace values are made from the sorted entries only, and
-_collect drops equal neighbours.  multiblock_generators and
-enumerate_mrd remain the per-member reference for these builds; linkage,
-parallel_linkage and the Grassmannian build Subspace values directly.
+A CodeSet holds its members as one (M, k, N) array of canonical bases.
+The lifted code is the codeword array of qpoly.mrd_array beside a
+broadcast identity, (I | A) being canonical; the multi-block code gathers
+block tuples from the same array and canonicalises those with the identity
+further right by linalg.rref_batch.  The other builds stack one basis at a
+time into the array; multiblock_generators and enumerate_mrd remain the
+per-member reference.  _collect sorts every code by its flattened entries,
+the (dim, basis) order of Subspace, and drops equal neighbours.
 
 Every build checks its predicted cardinality after deduplication, so a
 silent collision would surface as a count mismatch.  Members are sorted
@@ -34,12 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gf import GF, field_of_order
-from .linalg import MatrixGF, Subspace, enumerate_subspaces, rref_batch, subspace_from_rows
+from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, subspace_from_rows
 from .qpoly import DEFAULT_BUDGET, BudgetError, check_degree, enumerate_mrd, mrd_array
 from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, parallel_linkage_size
 
@@ -51,59 +49,97 @@ class ConstructionError(ValueError):
     """A build violated one of its own invariants (count, rank, shape)."""
 
 
-@dataclass(frozen=True)
-class CodeSet:
-    """A finite set of equal-dimension subspaces of GF(q)^N with provenance."""
+def bases_dtype(field) -> np.dtype:
+    """Entry type of CodeSet.bases: the smallest unsigned type holding q - 1."""
+    return np.min_scalar_type(field.order - 1)
 
-    field: GF
-    ambient_dim: int
-    dim: int
-    claimed_distance: int
-    members: tuple[Subspace, ...]
-    provenance: dict = dataclass_field(default_factory=dict, compare=False)
+
+def padded_bases(rows: np.ndarray, dims, dim: int) -> np.ndarray:
+    """CodeSet.bases of members whose rows, dims[i] for member i, are the (R, N) rows in order."""
+    dims = np.asarray(dims, dtype=np.int64)
+    height = int(dims.max()) if len(dims) else dim
+    out = np.zeros((len(dims), height, rows.shape[1]), dtype=rows.dtype)
+    out[np.arange(height) < dims[:, None]] = rows
+    return out
+
+
+class CodeSet:
+    """A finite set of subspaces of GF(q)^N, claimed dim-dimensional, with provenance.
+
+    `bases` is one (M, r, N) array of the members' canonical bases, of
+    bases_dtype (one byte per entry for q <= 256), r the largest member
+    dimension (dim for no members).  Smaller members are padded with zero
+    rows, which no canonical basis has.  Builds sort it as Subspace.sort_key;
+    duplicates stay.  `members` makes Subspace values anew on each access.
+    """
+
+    __slots__ = ("field", "ambient_dim", "dim", "claimed_distance", "bases", "provenance")
+
+    def __init__(self, field: GF, ambient_dim: int, dim: int, claimed_distance: int,
+                 members, provenance: dict | None = None):
+        self.field, self.ambient_dim, self.dim = field, ambient_dim, dim
+        self.claimed_distance = claimed_distance
+        if not isinstance(members, np.ndarray):  # Subspace values, not the bases array
+            members = list(members)
+            entries = [x for s in members for row in s.basis for x in row]
+            if not {int}.issuperset(map(type, entries)) or min(entries, default=0) < 0:
+                bad = next(x for x in entries if type(x) is not int or x < 0)
+                raise ValueError(f"member entry {bad!r} is not a non-negative int")
+            if max(entries, default=0) >= field.order:
+                raise ValueError(f"member entry {max(entries)} is not below q={field.order}")
+            dims = [s.dim for s in members]
+            rows = np.array(entries, dtype=bases_dtype(field)).reshape(sum(dims), ambient_dim)
+            members = padded_bases(rows, dims, dim)
+        self.bases = members
+        self.provenance = {} if provenance is None else provenance
+
+    @property
+    def members(self) -> tuple[Subspace, ...]:
+        return tuple(Subspace(self.field, self.ambient_dim, [r for r in b if any(r)])
+                     for b in self.bases.tolist())
 
     @property
     def q(self) -> int:
         return self.field.order
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.bases)
 
     def __repr__(self):
-        return (
-            f"CodeSet(q={self.q}, ambient={self.ambient_dim}, dim={self.dim}, "
-            f"d>={self.claimed_distance}, size={len(self.members)})"
-        )
+        return (f"CodeSet(q={self.q}, ambient={self.ambient_dim}, dim={self.dim}, "
+                f"d>={self.claimed_distance}, size={len(self)})")
 
 
-def _collect(field, ambient_dim, dim, distance, subspaces, provenance, predicted, budget):
+def _check_budget(predicted: int, budget: int | None) -> None:
     if budget is not None and predicted > budget:
         raise BudgetError(
             f"construction would produce {predicted} members, above the budget {budget}"
         )
-    members = []
-    for s in subspaces:
-        if s.dim != dim or s.ambient_dim != ambient_dim:
-            raise ConstructionError(
-                f"member with dim {s.dim} in ambient {s.ambient_dim}, "
-                f"expected dim {dim} in ambient {ambient_dim}"
-            )
-        members.append(s)
-    members.sort(key=Subspace.sort_key)  # one linear pass when the array builds sorted them
-    members[1:] = [b for a, b in zip(members, members[1:]) if a.basis != b.basis]
-    if len(members) != predicted:
+
+
+def _collect(field, ambient_dim, dim, distance, bases, provenance, predicted, budget):
+    """The CodeSet of the distinct bases, sorted, once their count is the predicted one;
+    bases is a (count, dim, ambient_dim) array, or an iterable of bases."""
+    _check_budget(predicted, budget)
+    if not isinstance(bases, np.ndarray):
+        bases = list(bases)
+        short = next((b for b in bases if len(b) != dim), None)
+        if short is not None:
+            raise ConstructionError(f"member with dim {len(short)} in ambient {ambient_dim}, "
+                                    f"expected dim {dim} in ambient {ambient_dim}")
+        bases = np.array(bases, dtype=bases_dtype(field)).reshape(len(bases), dim, ambient_dim)
+    flat = bases.reshape(len(bases), dim * ambient_dim)
+    if flat.shape[1]:
+        flat = flat[np.lexsort(flat.T[::-1])]
+    keep = np.ones(len(flat), dtype=bool)
+    keep[1:] = (flat[1:] != flat[:-1]).any(axis=1)
+    flat = flat[keep]
+    if len(flat) != predicted:
         raise ConstructionError(
-            f"built {len(members)} distinct members but the formula predicts {predicted}"
+            f"built {len(flat)} distinct members but the formula predicts {predicted}"
         )
-    provenance = dict(provenance, predicted_size=predicted)
-    return CodeSet(
-        field=field,
-        ambient_dim=ambient_dim,
-        dim=dim,
-        claimed_distance=distance,
-        members=tuple(members),
-        provenance=provenance,
-    )
+    return CodeSet(field, ambient_dim, dim, distance, flat.reshape(len(flat), dim, ambient_dim),
+                   dict(provenance, predicted_size=predicted))
 
 
 def _chunk(field, nrows: int, ncols: int) -> int:
@@ -111,23 +147,11 @@ def _chunk(field, nrows: int, ncols: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * field.m * nrows * ncols))
 
 
-def _array_members(field, dim: int, ambient_dim: int, blocks):
-    """The canonical bases in the (count, dim, ambient_dim) arrays of
-    blocks, as Subspace values in sorted order.
-
-    One lexicographic sort of the flattened bases orders them as their
-    (dim, basis) sort keys, so _collect's sort is one linear pass and
-    duplicates end up adjacent, where _collect drops them.  Only the
-    entries, one byte each for q <= 256, are kept between chunks.
-    """
-    dtype = np.min_scalar_type(field.order - 1)
-    flat = np.concatenate([np.zeros((0, dim * ambient_dim), dtype=dtype)]
-                          + [b.reshape(len(b), -1).astype(dtype) for b in blocks])
-    flat = flat[np.lexsort(flat.T[::-1])]
-    step = _chunk(field, dim, ambient_dim)
-    for lo in range(0, len(flat), step):
-        for basis in flat[lo:lo + step].reshape(-1, dim, ambient_dim).tolist():
-            yield Subspace(field, ambient_dim, basis)
+def _array_members(field, dim: int, ambient_dim: int, blocks) -> np.ndarray:
+    """The (count, dim, ambient_dim) arrays of blocks as one array of bases_dtype entries."""
+    dtype = bases_dtype(field)
+    return np.concatenate([np.zeros((0, dim, ambient_dim), dtype=dtype)]
+                          + [b.astype(dtype) for b in blocks])
 
 
 def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None) -> CodeSet:
@@ -135,17 +159,12 @@ def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None
     check_degree(k, t, h)
     field = field_of_order(q)
     predicted = lifted_mrd_size(q, k, k - t) * q ** (h * (t + 1))
-
-    def blocks():  # (I | M) is already the canonical RREF basis
-        mrd = mrd_array(q, k, t, h=h, budget=budget)
-        ident = np.eye(k, dtype=mrd.dtype)
-        step = _chunk(field, k, 2 * k + h)
-        for lo in range(0, len(mrd), step):
-            m = mrd[lo:lo + step]
-            yield np.concatenate([np.broadcast_to(ident, (len(m), k, k)), m], axis=2)
-
-    return _collect(field, 2 * k + h, k, 2 * (k - t),
-                    _array_members(field, k, 2 * k + h, blocks()), provenance, predicted, budget)
+    _check_budget(predicted, budget)
+    mrd = mrd_array(q, k, t, h=h, budget=budget)
+    # (I | M) is already the canonical RREF basis
+    bases = np.concatenate([np.broadcast_to(np.eye(k, dtype=mrd.dtype), (len(mrd), k, k)), mrd],
+                           axis=2)
+    return _collect(field, 2 * k + h, k, 2 * (k - t), bases, provenance, predicted, budget)
 
 
 def lifted_mrd_code(q: int, n: int, t: int, *, budget: int | None = DEFAULT_BUDGET) -> CodeSet:
@@ -172,7 +191,7 @@ def grassmannian_code(q: int, ambient_dim: int, dim: int, *,
     field = field_of_order(q)
     predicted = gaussian_binomial(ambient_dim, dim, q)
     return _collect(
-        field, ambient_dim, dim, 2, enumerate_subspaces(field, ambient_dim, dim),
+        field, ambient_dim, dim, 2, enumerate_bases(field, ambient_dim, dim),
         {"construction": "grassmannian", "q": q, "N": ambient_dim, "k": dim},
         predicted, budget,
     )
@@ -193,7 +212,7 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
     for m in q_matrices:
         if m.nrows != k or m.ncols != n2 or m.field != u_code.field:
             raise ValueError("rank-metric codewords must be k x n2 over the same field")
-    gens = [s.basis_matrix() for s in u_code.members]
+    gens = [MatrixGF(s.field, s.basis) for s in u_code.members]
     for g in gens:
         if g.rank() != k:
             raise ConstructionError("SC-representation matrix with deficient row rank")
@@ -203,7 +222,7 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
     def members():
         for g in gens:
             for m in q_matrices:
-                yield subspace_from_rows(g.hstack(m))
+                yield subspace_from_rows(g.hstack(m)).basis
 
     return _collect(
         u_code.field, ambient, k, min(d1, 2 * d2), members(),
@@ -245,12 +264,12 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
         for rect in enumerate_mrd(q, k, t, h=h, budget=budget):
             left = ident.hstack(rect)
             for m in square:  # (I | Q | R) is already the canonical RREF basis
-                yield Subspace(field, 3 * k + h, left.hstack(m).rows)
-        v_gens = [s.basis_matrix() for s in v_code.members]
+                yield left.hstack(m).rows
+        v_gens = [MatrixGF(s.field, s.basis) for s in v_code.members]
         for m in square:
             if 0 < m.rank() <= t:  # nonzero maps have rank >= k - t = d/2
                 for g in v_gens:
-                    yield subspace_from_rows(m.hstack(g))
+                    yield subspace_from_rows(m.hstack(g)).basis
 
     return _collect(
         field, 3 * k + h, k, d, members(),

@@ -18,14 +18,6 @@ import numpy as np
 from .gf import GF
 
 
-def encode_vector(coords, q: int) -> int:
-    """Ambient vector -> integer code: base-q digits, coordinate 0 least significant."""
-    out = 0
-    for c in reversed(coords):
-        out = out * q + c
-    return out
-
-
 def _digit_products(field: GF) -> np.ndarray:
     """(m, m, m) table over GF(p): [i, j] holds the base-p digits of p^i * p^j."""
     p, m = field.p, field.m
@@ -274,29 +266,6 @@ class Subspace:
         self.basis = tuple(map(tuple, basis_rows))
         self.dim = len(self.basis)
 
-    def basis_matrix(self) -> MatrixGF:
-        return MatrixGF(self.field, self.basis)
-
-    def vectors(self):
-        """All q^dim vector codes of the subspace (base-q integer encoding)."""
-        q = self.field.order
-        if q == 2:
-            vecs = [0]
-            for row in self.basis:
-                packed = _pack_row(row)
-                vecs += [v ^ packed for v in vecs]
-            return vecs
-        f = self.field
-        vecs = [(0,) * self.ambient_dim]
-        for row in self.basis:
-            scaled = [
-                tuple(f.mul(c, x) for x in row) for c in range(q)
-            ]
-            vecs = [
-                tuple(f.add(a, b) for a, b in zip(v, s)) for v in vecs for s in scaled
-            ]
-        return [encode_vector(v, q) for v in vecs]
-
     def sort_key(self):
         return (self.dim, self.basis)
 
@@ -368,7 +337,12 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
 
 
 def enumerate_subspaces(field: GF, ambient_dim: int, dim: int):
-    """All dim-dimensional subspaces of GF(q)^ambient_dim, in canonical order.
+    """All dim-dimensional subspaces of GF(q)^ambient_dim, in canonical order."""
+    return (Subspace(field, ambient_dim, rows) for rows in enumerate_bases(field, ambient_dim, dim))
+
+
+def enumerate_bases(field: GF, ambient_dim: int, dim: int):
+    """The canonical bases of enumerate_subspaces, as lists of rows, in the same order.
 
     Walks RREF bases directly: one basis per subspace, grouped by pivot
     columns, free entries filled in odometer order.
@@ -376,7 +350,7 @@ def enumerate_subspaces(field: GF, ambient_dim: int, dim: int):
     q = field.order
     n, k = ambient_dim, dim
     if k == 0:
-        yield Subspace(field, n, [])
+        yield []
         return
     if k > n:
         return
@@ -392,4 +366,4 @@ def enumerate_subspaces(field: GF, ambient_dim: int, dim: int):
                 rows[r][p] = 1
             for (r, c), val in zip(free, assignment):
                 rows[r][c] = val
-            yield Subspace(field, n, rows)
+            yield rows

@@ -3,13 +3,14 @@
 The distance oracles here deliberately avoid the constructions' own
 reasoning: a code's minimum distance is recomputed from subspace
 intersections, d(U, V) = 2k - 2 dim(U cap V) (Koetter and Kschischang
-2008).  Both oracles start from each member's q^dim vector codes, built in
-numpy the same way for every q: the canonical bases of a chunk of members
-are stacked into one (members, dim, N) array, the vectors of each row space
-are its combinations sum_i c_i row_i, computed by linalg.span, the kernel
-that also enumerates MRD codewords, and each vector is encoded as its
-base-q code (linalg.encode_vector).  A chunk holds about 256 KB of
-temporaries.
+2008).  They read the code's array of canonical bases (CodeSet.bases),
+sorting it only if it is out of Subspace.sort_key order, and make Subspace
+values only for a witness.  Both start from each member's q^dim vector
+codes, built in numpy the same way for every q: for a chunk of
+equal-dimension members, the vectors of each row space are its
+combinations sum_i c_i row_i, computed by linalg.span, the kernel that also
+enumerates MRD codewords, each encoded as its base-q code (coordinate c is
+digit c).  A chunk holds about 256 KB of temporaries.
 
 The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
 meet in dimension at least j exactly when some j-subspace lies in both, so
@@ -37,8 +38,9 @@ they agree on every code.
 The sampled oracle stores each member once as a bitmask over all q^N
 ambient vector codes, set from the same vector codes (np.packbits packs a
 boolean hit matrix into the mask words), and intersects the drawn pairs
-with vectorized popcounts; codes whose mask table would be too large fall
-back to the stacked-rank formula pair by pair.
+with vectorized popcounts; above MASK_BIT_BUDGET bits for the whole code,
+each chunk of drawn pairs gets masks of its own rows, and only pairs whose
+two masks exceed the budget are left to the stacked-rank formula.
 
 Rank distance between k x m matrices goes through the exhaustive oracle via
 the lifting of Silva, Kschischang and Koetter (2008): the row spaces of
@@ -66,11 +68,9 @@ import math
 
 import numpy as np
 
-from .construct import CodeSet
-from .linalg import MatrixGF, Subspace, enumerate_subspaces, intersection_dim, span
+from .construct import CodeSet, bases_dtype
+from .linalg import MatrixGF, Subspace, enumerate_bases, span
 from .rankdist import gaussian_binomial
-
-_chain = itertools.chain.from_iterable
 
 MASK_BIT_BUDGET = 1 << 28
 EXHAUSTIVE_CAP = 5000  # members; larger codes are sampled in mode "auto"
@@ -109,8 +109,26 @@ def _popcount_rows(arr: np.ndarray) -> np.ndarray:
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _sorted_members(code):
-    return sorted(code.members, key=Subspace.sort_key)
+def _sorted_bases(code):
+    """(bases, dims): the code's bases in Subspace.sort_key order, sorted only
+    if they are out of it, and each member's dimension (its nonzero rows)."""
+    bases = code.bases
+    dims = bases.any(axis=2).sum(axis=1)
+    flat = bases.reshape(len(bases), -1)
+    if flat.shape[1]:  # else every member is 0-dimensional
+        before, after = flat[:-1], flat[1:]
+        at = (before != after).argmax(axis=1)[:, None]  # first differing entry, 0 if none
+        rises = np.take_along_axis(before, at, 1)[:, 0] <= np.take_along_axis(after, at, 1)[:, 0]
+        if not ((dims[:-1] < dims[1:]) | (dims[:-1] == dims[1:]) & rises).all():
+            order = np.lexsort((*flat.T[::-1], dims))
+            bases, dims = bases[order], dims[order]
+    return bases, dims
+
+
+def _witness(field, bases, pair):
+    """The Subspace values of the two members of bases that pair indexes."""
+    return tuple(Subspace(field, bases.shape[2], [r for r in bases[i].tolist() if any(r)])
+                 for i in pair)
 
 
 # Bytes of temporaries one chunk of the vector build, the mask build or the
@@ -118,48 +136,43 @@ def _sorted_members(code):
 _CHUNK_BYTES = 1 << 18
 
 
-def _member_vectors(field, ambient_dim, members, extra_bytes=0):
-    """Yield (start, codes) for chunks of equal-dimension members, in order.
+def _member_vectors(field, ambient_dim, bases, dims, extra_bytes=0):
+    """Yield (rows, codes) for chunks of equal-dimension members of bases.
 
-    members are sorted; codes[i, c] is the base-q code of sum_l c_l row_l
-    over member start + i's basis rows, with c_l base-q digit l of c, so
-    column 0 is the zero vector.  extra_bytes is the caller's own
-    temporaries per member, counted against the chunk allowance.
+    codes[i, c] is the base-q code of sum_l c_l row_l over the basis of
+    member rows[i], c_l being base-q digit l of c (column 0 is the zero
+    vector).  extra_bytes: the caller's temporaries per member, in the chunk.
     """
     q, n = field.order, ambient_dim
-    place = q ** np.arange(n, dtype=np.int64)  # linalg.encode_vector, base-q digits
-    start = 0
-    for dim, group in itertools.groupby(members, key=lambda s: s.dim):
-        group = list(group)
-        size = len(group)
-        basis = np.fromiter(_chain(_chain(s.basis for s in group)), dtype=np.int64,
-                            count=size * dim * n).reshape(size, dim, n)
+    place = q ** np.arange(n, dtype=np.int64)  # coordinate c is base-q digit c
+    for dim in np.flatnonzero(np.bincount(dims)).tolist():
+        rows = np.flatnonzero(dims == dim)
+        group = bases[rows, :dim]
         combos = np.arange(q ** dim)
         per_member = q ** dim * 8 * (2 * n * field.m + n + 1) + extra_bytes
         step = max(1, _CHUNK_BYTES // per_member)
-        for lo in range(0, size, step):
-            yield start + lo, span(field, basis[lo:lo + step], combos) @ place
-        start += size
+        for lo in range(0, len(rows), step):
+            yield rows[lo:lo + step], span(field, group[lo:lo + step], combos) @ place
+
+
+def _masks(field, ambient_dim, bases, dims):
+    """Row i: the bitmask of member i's vector codes among all q^N, in uint64
+    words (code v is bit v % 64 of word v // 64)."""
+    words = (field.order ** ambient_dim + 63) // 64
+    arr = np.zeros((len(bases), words), dtype=np.uint64)
+    for rows, codes in _member_vectors(field, ambient_dim, bases, dims, words * 72):
+        hit = np.zeros((len(codes), words * 64), dtype=bool)
+        hit[np.arange(len(codes))[:, None], codes] = True
+        arr[rows] = np.packbits(hit, axis=1, bitorder="little").view("<u8")
+    return arr
 
 
 def membership_masks(code, bit_budget: int = MASK_BIT_BUDGET):
-    """(members_sorted, mask array) or (members_sorted, None) if too large.
-
-    Row i of the array is the characteristic bitmask of member i's vector
-    set over the q^N ambient vector codes, packed into uint64 words (code
-    v is bit v % 64 of word v // 64).
-    """
-    members = _sorted_members(code)
-    points = code.q ** code.ambient_dim
-    if not members or points * len(members) > bit_budget:
-        return members, None
-    words = (points + 63) // 64
-    arr = np.zeros((len(members), words), dtype=np.uint64)
-    for start, codes in _member_vectors(code.field, code.ambient_dim, members, words * 72):
-        hit = np.zeros((len(codes), words * 64), dtype=bool)
-        hit[np.arange(len(codes))[:, None], codes] = True
-        arr[start:start + len(codes)] = np.packbits(hit, axis=1, bitorder="little").view("<u8")
-    return members, arr
+    """(bases, their _masks) for the bases of _sorted_bases; masks None above bit_budget bits."""
+    bases, dims = _sorted_bases(code)
+    if not len(bases) or code.q ** code.ambient_dim * len(bases) > bit_budget:
+        return bases, None
+    return bases, _masks(code.field, code.ambient_dim, bases, dims)
 
 
 def _dim_from_count(count: int, q: int) -> int:
@@ -191,8 +204,7 @@ def _subspace_indices(field, dim: int, j: int) -> np.ndarray:
     if out is not None:
         return out
     q = field.order
-    bases = np.array([s.basis for s in enumerate_subspaces(field, dim, j)],
-                     dtype=np.int64).reshape(-1, j, dim)
+    bases = np.array(list(enumerate_bases(field, dim, j)), dtype=np.int64).reshape(-1, j, dim)
     out = span(field, bases, np.arange(1, q ** j)) @ q ** np.arange(dim, dtype=np.int64)
     out.flags.writeable = False
     if out.nbytes <= _INDEX_CACHE_BYTES:
@@ -350,9 +362,9 @@ def _level_cost(q, sizes, j):
     return cost, nbytes
 
 
-def _shared_level(field, ambient_dim, members, j, budget):
-    """(j*, (a, b)): the largest dimension in which two sorted members meet, and
-    the smallest pair of member indices meeting in it.
+def _shared_level(field, ambient_dim, bases, dims, j, budget):
+    """(j*, (a, b)): the largest dimension in which two members of the sorted
+    bases meet, and the smallest pair of member indices meeting in it.
 
     The scan starts at level j (module docstring).  Raises _OverBudget as
     soon as the vector tables and the levels to visit would cost more than
@@ -360,7 +372,7 @@ def _shared_level(field, ambient_dim, members, j, budget):
     building it.
     """
     q = field.order
-    sizes = collections.Counter(s.dim for s in members)
+    sizes = collections.Counter(dims.tolist())
     vectors = sum(size * q ** dim for dim, size in sizes.items())
     spent = vectors * ambient_dim
     if 8 * vectors > _ORACLE_BYTES:
@@ -376,10 +388,9 @@ def _shared_level(field, ambient_dim, members, j, budget):
     charge(j)
     tables = {dim: np.empty((size, q ** dim), dtype=np.int64) for dim, size in sizes.items()}
     firsts = {}
-    for start, codes in _member_vectors(field, ambient_dim, members):
-        dim = members[start].dim
-        at = start - firsts.setdefault(dim, start)
-        tables[dim][at:at + len(codes)] = codes
+    for rows, codes in _member_vectors(field, ambient_dim, bases, dims):
+        dim = int(dims[rows[0]])  # the members of one dimension are contiguous
+        tables[dim][rows - firsts.setdefault(dim, int(rows[0]))] = codes
     segments = [(firsts[dim], dim, tables[dim]) for dim in sorted(tables)]
 
     def level(j):
@@ -392,7 +403,7 @@ def _shared_level(field, ambient_dim, members, j, budget):
             j -= 1
             pair = level(j)
     else:
-        while j < members[-1].dim and (above := level(j + 1)) is not None:
+        while j < dims[-1] and (above := level(j + 1)) is not None:
             j, pair = j + 1, above
     return j, pair
 
@@ -408,37 +419,38 @@ def min_distance_exhaustive(code, cap: int = EXHAUSTIVE_CAP):
     Raises if the code is larger than cap.  A singleton or empty code has
     no pairs: distance math.inf, witness None.
     """
-    m = len(code.members)
+    m = len(code)
     if m > cap:
         raise ValueError(f"code has {m} members, above the exhaustive cap {cap}")
     if m < 2:
         return math.inf, None
-    members = _sorted_members(code)
+    bases, dims = _sorted_bases(code)
     if code.q ** code.ambient_dim <= 1 << 63:  # vector codes fit int64
-        j = min(max(code.dim - (code.claimed_distance + 1) // 2 + 1, 0), members[-1].dim)
+        j = min(max(code.dim - (code.claimed_distance + 1) // 2 + 1, 0), int(dims[-1]))
         try:
-            j, (a, b) = _shared_level(code.field, code.ambient_dim, members, j,
-                                      _PAIR_COST * (m * (m - 1) // 2))
-            return 2 * code.dim - 2 * j, (members[a], members[b])
+            j, pair = _shared_level(code.field, code.ambient_dim, bases, dims, j,
+                                    _PAIR_COST * (m * (m - 1) // 2))
+            return 2 * code.dim - 2 * j, _witness(code.field, bases, pair)
         except _OverBudget:
             pass
-    return _min_distance_pairs_generic(members, itertools.combinations(range(m), 2), code.dim)
+    dist, pair = _min_distance_pairs_generic(code.field, bases,
+                                             itertools.combinations(range(m), 2), code.dim)
+    return dist, _witness(code.field, bases, pair)
 
 
-def _min_distance_pairs_generic(members, pairs, dim):
-    """(minimum of 2 dim - 2 dim(U cap V), witness) over index pairs i < j.
+def _min_distance_pairs_generic(field, bases, pairs, dim):
+    """(minimum of 2 dim - 2 dim(U cap V), (i, j)) over index pairs i < j of bases.
 
-    dim(U cap V) comes from the rank of the stacked bases; for members of
-    dimension dim this is the subspace distance.  Ties go to the smallest
-    index pair, which is the smallest subspace pair because members are
-    sorted.
+    dim(U cap V) is dim U + dim V less the rank of the stacked bases.  Ties
+    go to the smallest index pair, the smallest subspace pair of sorted bases.
     """
     best = witness = None
     for i, j in pairs:
-        d = 2 * dim - 2 * intersection_dim(members[i], members[j])
+        u, v = (tuple(r for r in bases[x].tolist() if any(r)) for x in (i, j))
+        d = 2 * dim - 2 * (len(u) + len(v) - MatrixGF._of(field, u + v).rank())
         if best is None or d < best or (d == best and (i, j) < witness):
             best, witness = d, (i, j)
-    return best, (members[witness[0]], members[witness[1]])
+    return best, witness
 
 
 _DRAW_CHUNK = 1 << 16  # draws hashed at a time
@@ -504,29 +516,31 @@ def min_distance_sampled(code, pairs: int, seed: int):
     """
     if pairs < 1:
         raise ValueError("need at least one sampled pair")
-    m = len(code.members)
+    m = len(code)
     if m < 2:
         return math.inf, None
     left, right = _sample_pairs(seed, m, pairs)
-    members, masks = membership_masks(code)
-    k2 = 2 * code.dim
-    if masks is None:
-        return _min_distance_pairs_generic(
-            members, zip(np.minimum(left, right).tolist(), np.maximum(left, right).tolist()),
-            code.dim)
+    low, high = np.minimum(left, right), np.maximum(left, right)
+    bases, masks = membership_masks(code, MASK_BIT_BUDGET)
+    # without the whole code's masks, each chunk of pairs gets its own, within the budget
+    chunk = 1 << 16 if masks is not None else min(
+        1 << 16, MASK_BIT_BUDGET // (2 * code.q ** code.ambient_dim))
+    if not chunk:  # one pair's masks exceed the budget: stacked ranks, pair by pair
+        dist, pair = _min_distance_pairs_generic(
+            code.field, bases, zip(low.tolist(), high.tolist()), code.dim)
+        return dist, _witness(code.field, bases, pair)
+    dims = bases.any(axis=2).sum(axis=1)
     counts = np.empty(pairs, dtype=np.int64)
-    chunk = 1 << 16
     for lo in range(0, pairs, chunk):
-        hi = min(lo + chunk, pairs)
-        inter = masks[left[lo:hi]] & masks[right[lo:hi]]
-        counts[lo:hi] = _popcount_rows(inter)
-    best_count = int(counts.max())
-    where = counts == best_count
-    low, high = np.minimum(left[where], right[where]), np.maximum(left[where], right[where])
-    i = int(low.min())
-    j = int(high[low == i].min())
-    dist = k2 - 2 * _dim_from_count(best_count, code.q)
-    return dist, (members[i], members[j])
+        rows = np.concatenate([left[lo:lo + chunk], right[lo:lo + chunk]])
+        both = (masks[rows] if masks is not None
+                else _masks(code.field, code.ambient_dim, bases[rows], dims[rows]))
+        half = len(rows) // 2
+        counts[lo:lo + half] = _popcount_rows(both[:half] & both[half:])
+    best = int(counts.max())
+    low, high = low[counts == best], high[counts == best]
+    pair = int(low.min()), int(high[low == low.min()].min())
+    return 2 * code.dim - 2 * _dim_from_count(best, code.q), _witness(code.field, bases, pair)
 
 
 def empirical_rank_distribution(matrices) -> dict[int, int]:
@@ -554,9 +568,8 @@ def pairwise_min_rank_distance(matrices) -> int:
            for m in matrices):
         raise ValueError("matrices differ in shape or field")
     ident = MatrixGF.identity(first.field, first.nrows)
-    lifts = tuple(  # (I | A) is already the canonical RREF basis
-        Subspace(first.field, first.nrows + first.ncols, ident.hstack(m).rows)
-        for m in matrices)
+    lifts = np.array(  # (I | A) is already the canonical RREF basis
+        [ident.hstack(m).rows for m in matrices], dtype=bases_dtype(first.field))
     # The Singleton bound |C| <= q^(max(k, m) (min(k, m) - delta + 1)) caps
     # delta; claiming the cap starts the scan where an MRD code costs two levels.
     span_size = first.field.order ** max(first.nrows, first.ncols)
@@ -565,12 +578,7 @@ def pairwise_min_rank_distance(matrices) -> int:
         t += 1
     claim = 2 * max(0, min(first.nrows, first.ncols) - t + 1)
     code = CodeSet(first.field, first.nrows + first.ncols, first.nrows, claim, lifts)
-    dist, _witness = min_distance_exhaustive(code, cap=len(matrices))
-    return dist // 2
-
-
-def _subspace_payload(s) -> list[list[int]]:
-    return [list(row) for row in s.basis]
+    return min_distance_exhaustive(code, cap=len(matrices))[0] // 2
 
 
 def validate_codeset(code, exhaustive_cap: int = EXHAUSTIVE_CAP,
@@ -593,28 +601,25 @@ def validate_codeset(code, exhaustive_cap: int = EXHAUSTIVE_CAP,
             entry["witness"] = witness
         checks.append(entry)
 
-    bad_members = sum(
-        1 for s in code.members
-        if s.dim != code.dim or s.ambient_dim != code.ambient_dim
-    )
+    bases, dims = _sorted_bases(code)
+    m = len(bases)
+    bad_members = int((dims != code.dim).sum())  # every basis has the ambient dimension
     add("member_dimensions", bad_members == 0,
         f"all members {code.dim}-dim in ambient {code.ambient_dim}",
         f"{bad_members} offending members")
 
-    distinct = len(set(code.members))
-    add("distinct_members", distinct == len(code.members), len(code.members), distinct)
+    flat = bases.reshape(m, -1)
+    distinct = m and 1 + int((flat[1:] != flat[:-1]).any(axis=1).sum())
+    add("distinct_members", distinct == m, m, distinct)
 
     predicted = code.provenance.get("predicted_size")
     if predicted is not None:
-        add("cardinality", len(code.members) == predicted, predicted, len(code.members))
+        add("cardinality", m == predicted, predicted, m)
 
-    if len(code.members) < 2:
+    if m < 2:
         add("min_distance", True, f">= {code.claimed_distance}", "no pairs")
     elif bad_members == 0:
-        exhaustively = mode == "exhaustive" or (
-            mode == "auto" and len(code.members) <= exhaustive_cap
-        )
-        if exhaustively:
+        if mode == "exhaustive" or (mode == "auto" and m <= exhaustive_cap):
             dist, witness = min_distance_exhaustive(code, cap=exhaustive_cap)
             how = "exhaustive"
         else:
@@ -622,7 +627,7 @@ def validate_codeset(code, exhaustive_cap: int = EXHAUSTIVE_CAP,
             how = f"sampled({sampled_pairs},seed={seed})"
         add("min_distance", dist >= code.claimed_distance,
             f">= {code.claimed_distance}", f"{dist} ({how})",
-            witness=[_subspace_payload(w) for w in witness] if witness else None)
+            witness=[[list(row) for row in w.basis] for w in witness] if witness else None)
     else:
         add("min_distance", False, f">= {code.claimed_distance}",
             "skipped: malformed members")

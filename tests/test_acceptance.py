@@ -41,6 +41,7 @@ from cdcodes.verify import (
     min_distance_sampled,
     pairwise_min_rank_distance,
 )
+from vector_oracle import subspace_vectors
 
 
 def report(criterion, started, summary):
@@ -249,7 +250,7 @@ def test_acceptance_10d_intersection_oracle():
             v = subspace_from_rows(
                 MatrixGF(field, [[rng.randrange(q) for _ in range(5)] for _ in range(2)])
             )
-            counted = len(set(u.vectors()) & set(v.vectors()))
+            counted = len(set(subspace_vectors(u)) & set(subspace_vectors(v)))
             assert counted == q ** intersection_dim(u, v)
     report("10d", started, "rank-formula intersections equal the vector-count oracle")
 

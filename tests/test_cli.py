@@ -8,7 +8,9 @@ import pytest
 
 from cdcodes import bounds, cli
 from cdcodes.cli import main, read_codeset, write_codeset
-from cdcodes.construct import lifted_mrd_code, multiblock_parallel_mrd
+from cdcodes.construct import CodeSet, grassmannian_code, lifted_mrd_code, multiblock_parallel_mrd
+from cdcodes.gf import field_of_order
+from cdcodes.linalg import MatrixGF, Subspace, subspace_from_rows
 
 
 def run_cli(capsys, *argv):
@@ -197,14 +199,28 @@ def json_lines(code):
     return "".join(json.dumps([list(row) for row in s.basis]) + "\n" for s in code.members)
 
 
+def mixed_code(q, order=1):
+    """A hand-built code of one 0-dim, every 1-dim and every 2-dim subspace of
+    GF(q)^3, in sorted order (order=1) or reversed (order=-1)."""
+    field = field_of_order(q)
+    zero = subspace_from_rows(MatrixGF.zeros(field, 1, 3))
+    members = (zero,) + grassmannian_code(q, 3, 1).members + grassmannian_code(q, 3, 2).members
+    return CodeSet(field, 3, 1, 2, members[::order])
+
+
 @pytest.mark.parametrize("build, args", [
     (multiblock_parallel_mrd, (2, 3, 2, 1)), (lifted_mrd_code, (3, 3, 1)),
     (lifted_mrd_code, (16, 2, 0)),  # entries up to 15: two digits
+    (lifted_mrd_code, (251, 1, 0)),  # entries up to 250: three digits, one byte each
+    (lifted_mrd_code, (257, 1, 0)),  # entries up to 256: two bytes each
+    (grassmannian_code, (2, 3, 0)),  # one 0-dimensional member
+    (lambda: CodeSet(field_of_order(2), 4, 2, 2, ()), ()),  # no members
+    (mixed_code, (3,)), (mixed_code, (2, -1)),  # dimensions 0, 1 and 2, sorted and not
 ])
 def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
     code = build(*args)
     buf = io.StringIO()
-    monkeypatch.setattr(cli, "_WRITE_CHUNK", 100)  # several chunks
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 10)  # several chunks
     write_codeset(code, buf)
     header, members = buf.getvalue().split("\n", 1)
     assert members == json_lines(code)
@@ -215,18 +231,14 @@ def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
     (bool, "True"), (np.int64, "np.int64(1)"), (lambda x: -x, "-1"),
 ])
 def test_writer_refuses_entries_that_are_not_plain_ints(convert, shown):
-    # the reader accepts only plain non-negative ints, so the writer emits nothing else
-    import dataclasses
-
-    from cdcodes.linalg import Subspace
-
+    # the reader accepts only plain non-negative ints, so a code holds nothing else to write
     code = lifted_mrd_code(2, 2, 1)
     member = code.members[0]
     odd = Subspace(member.field, 4, [[convert(x) if x else x for x in row] for row in member.basis])
     buf = io.StringIO()
     with pytest.raises(ValueError, match=rf"member entry {re.escape(shown)} is not a non-negative int"):
-        write_codeset(dataclasses.replace(code, members=code.members[1:] + (odd,)), buf)
-    assert buf.getvalue().count("\n") == 1  # the header only: the chunk was not written
+        write_codeset(CodeSet(code.field, 4, 2, 2, code.members[1:] + (odd,)), buf)
+    assert buf.getvalue() == ""  # nothing written: the code is refused where its array is made
 
 
 def test_construct_budget_exit_3(capsys):
@@ -397,6 +409,22 @@ def test_verify_defaults_to_auto_mode(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(path), "--mode", "exhaustive", "--cap", "10")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "above the exhaustive cap 10" in err
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_only_the_reader_and_the_witness_make_subspaces(tmp_path, capsys, monkeypatch, mode):
+    # the build and the oracles work on the bases array; the reader checks each
+    # member with one subspace_from_rows call, and the report's witness is two members
+    made = []
+    init = Subspace.__init__
+    monkeypatch.setattr(Subspace, "__init__", lambda self, *args: made.append(1) or init(self, *args))
+    path = str(tmp_path / "code.jsonl")
+    code, _, _ = run_cli(capsys, "construct", "multiblock", "--q", "2", "--n", "3", "--t", "2",
+                         "--s", "1", "-o", path)
+    assert code == 0 and made == []
+    code, out, _ = run_cli(capsys, "verify", path, "--mode", mode, "--pairs", "1000")
+    assert code == 0 and len(json.loads(out)["checks"][-1]["witness"]) == 2
+    assert len(made) == 855 + 2
 
 
 def test_codeset_roundtrip_identity():

@@ -293,7 +293,7 @@ def test_codeset_count_check_catches_duplicates():
     field = field_of_order(2)
     s = subspace_from_rows(MatrixGF.identity(field, 2))
     with pytest.raises(ConstructionError):
-        _collect(field, 2, 2, 2, [s, s], {}, 2, None)
+        _collect(field, 2, 2, 2, [s.basis, s.basis], {}, 2, None)
 
 
 # Every construction whose code files and verify reports stay byte-identical.
@@ -337,12 +337,15 @@ def test_array_builds_with_one_matrix_per_chunk(monkeypatch):
 
 
 def test_array_members_come_out_sorted():
-    # the entry sort alone orders the members, so sorting them again in _collect is one pass
+    # one entry sort orders the stacked blocks as Subspace.sort_key, and equal neighbours go
     field = field_of_order(3)
     blocks = np.random.default_rng(7).integers(0, 3, size=(3, 40, 2, 5))
-    members = list(construct._array_members(field, 2, 5, iter(blocks)))
-    assert [s.basis for s in members] == sorted(tuple(map(tuple, b)) for b in blocks.reshape(120, 2, 5).tolist())
-    assert all(isinstance(x, int) for s in members for row in s.basis for x in row)
+    blocks[2, :5] = blocks[0, :5]  # five duplicates
+    bases = construct._array_members(field, 2, 5, iter(blocks))
+    assert bases.dtype == np.uint8 and bases.shape == (120, 2, 5)
+    expected = sorted({tuple(map(tuple, b)) for b in blocks.reshape(120, 2, 5).tolist()})
+    code = construct._collect(field, 5, 2, 0, bases, {}, len(expected), None)
+    assert [tuple(map(tuple, b)) for b in code.bases.tolist()] == expected
 
 
 def test_array_builds_drop_duplicates_before_the_count_check(monkeypatch):

@@ -26,6 +26,7 @@ from cdcodes.verify import (
     validate_codeset,
 )
 import cdcodes.verify as verify
+from vector_oracle import subspace_vectors
 
 
 def brute_min_distance(code):
@@ -81,7 +82,8 @@ def masked_pair_scan(code, masks=membership_masks):
     dim(U cap V) is read off the q^dim common vectors of U and V; the
     witness is the first pair, in sorted-member order, with the most.
     """
-    members, arr = masks(code)
+    members, arr = sorted(code.members), masks(code)[1]
+    assert len(members) == len(arr)
     best_count, witness = -1, None
     for i in range(len(members) - 1):
         counts = verify._popcount_rows(arr[i] & arr[i + 1:])
@@ -91,11 +93,18 @@ def masked_pair_scan(code, masks=membership_masks):
     return 2 * code.dim - 2 * verify._dim_from_count(best_count, code.q), witness
 
 
+def sorted_bases(code):
+    """The code's members sorted as Subspace values, and their CodeSet bases array."""
+    members = sorted(code.members)
+    return members, CodeSet(code.field, code.ambient_dim, code.dim, 0, members).bases
+
+
 def stacked_rank_scan(code):
     """Reference oracle: _min_distance_pairs_generic over all pairs."""
-    members = sorted(code.members)
-    return verify._min_distance_pairs_generic(
-        members, itertools.combinations(range(len(members)), 2), code.dim)
+    members, bases = sorted_bases(code)
+    dist, (i, j) = verify._min_distance_pairs_generic(
+        code.field, bases, itertools.combinations(range(len(members)), 2), code.dim)
+    return dist, (members[i], members[j])
 
 
 def oracle_variants(code, monkeypatch):
@@ -116,38 +125,36 @@ def oracle_variants(code, monkeypatch):
 
 def test_generic_path_agrees_with_masked():
     code = multiblock_parallel_mrd(2, 2, 1, 1)
-    members = sorted(code.members)
-    generic = verify._min_distance_pairs_generic(
-        members, itertools.combinations(range(len(members)), 2), code.dim)
-    assert min_distance_exhaustive(code) == masked_pair_scan(code) == generic
+    assert min_distance_exhaustive(code) == masked_pair_scan(code) == stacked_rank_scan(code)
 
 
 def reference_masks(code, bit_budget=verify.MASK_BIT_BUDGET):
-    """The per-member mask builder: expand each member with Subspace.vectors()."""
-    members = sorted(code.members)
+    """The per-member mask builder: expand each member with subspace_vectors."""
+    members, bases = sorted_bases(code)
     points = code.q ** code.ambient_dim
     if not members or points * len(members) > bit_budget:
-        return members, None
+        return bases, None
     words = (points + 63) // 64
     arr = np.zeros((len(members), words), dtype=np.uint64)
     for idx, s in enumerate(members):
         mask = 0
-        for v in s.vectors():
+        for v in subspace_vectors(s):
             mask |= 1 << v
         arr[idx] = np.frombuffer(mask.to_bytes(8 * words, "little"), dtype="<u8")
-    return members, arr
+    return bases, arr
 
 
 def mask_test_codes(q):
     """Lifted, rect-lifted, multiblock and Grassmannian codes over GF(q), and a
-    code mixing members of dimension 0, 1 and 2."""
+    code mixing members of dimension 0, 1 and 2, sorted and in reverse order."""
     field = field_of_order(q)
     lines = grassmannian_code(q, 3, 1)
     planes = grassmannian_code(q, 3, 2)
     zero = subspace_from_rows(MatrixGF.zeros(field, 1, 3))
     mixed = CodeSet(field, 3, 1, 2, (zero,) + lines.members + planes.members)
     return [lifted_mrd_code(q, 2, 0), rect_lifted_mrd_code(q, 2, 1, 0),
-            multiblock_parallel_mrd(q, 2, 1, 1), lines, mixed]
+            multiblock_parallel_mrd(q, 2, 1, 1), lines, mixed,
+            CodeSet(field, 3, 1, 2, mixed.members[::-1])]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -155,7 +162,7 @@ def test_masks_match_the_vectors_reference(q, monkeypatch):
     for code in mask_test_codes(q):
         members, masks = membership_masks(code)
         ref_members, ref_masks = reference_masks(code)
-        assert members == ref_members
+        assert np.array_equal(members, ref_members)
         assert masks.dtype == np.uint64 and np.array_equal(masks, ref_masks)
         if len(members) > 400:  # the default chunks already split these codes
             continue
@@ -221,6 +228,10 @@ def test_oracle_agrees_with_the_pair_scans_on_random_codes(monkeypatch, code):
     expected = masked_pair_scan(code)
     assert stacked_rank_scan(code) == expected
     assert oracle_variants(code, monkeypatch) == [expected] * 4
+    checks = {c["check"]: c for c in validate_codeset(code, mode="exhaustive")["checks"]}
+    assert checks["distinct_members"]["actual"] == len(set(code.members))
+    assert checks["member_dimensions"]["actual"] == (
+        f"{sum(s.dim != code.dim for s in code.members)} offending members")
 
 
 def record_vector_builds(monkeypatch):
@@ -396,23 +407,32 @@ def test_sampled_covers_all_pairs_eventually():
     assert sampled == exact
 
 
-def test_sampled_generic_path():
+def test_sampled_generic_path(monkeypatch):
     code = lifted_mrd_code(2, 2, 1)
     masked = min_distance_sampled(code, 500, seed=3)
-    orig = verify.MASK_BIT_BUDGET
-    try:
-        verify.MASK_BIT_BUDGET = 1
+    monkeypatch.setattr(verify, "MASK_BIT_BUDGET", 2 * 2 ** 4 - 1)  # below one pair's two masks
+    monkeypatch.setattr(verify, "_masks", None)  # no mask is built
+    assert min_distance_sampled(code, 500, seed=3) == masked  # distance and witness
 
-        def patched_masks(c, bit_budget=1):
-            return verify._sorted_members(c), None
 
-        saved = verify.membership_masks
-        verify.membership_masks = patched_masks
-        generic = min_distance_sampled(code, 500, seed=3)
-        verify.membership_masks = saved
-    finally:
-        verify.MASK_BIT_BUDGET = orig
-    assert masked == generic  # distance and witness
+@pytest.mark.parametrize("build, args", [(multiblock_parallel_mrd, (2, 2, 1, 2)),
+                                         (lifted_mrd_code, (3, 2, 1)), (lifted_mrd_code, (2, 2, 1))])
+def test_sampled_masks_per_chunk_of_pairs_agree_with_stacked_ranks(build, args, monkeypatch):
+    # over the budget for the whole code, masks are built per chunk of drawn pairs
+    code = build(*args)
+    points = code.q ** code.ambient_dim
+    whole = min_distance_sampled(code, 3000, seed=11)
+    monkeypatch.setattr(verify, "MASK_BIT_BUDGET", 2 * points - 1)
+    generic = min_distance_sampled(code, 3000, seed=11)
+    built = []
+    masks = verify._masks
+    monkeypatch.setattr(verify, "_masks", lambda *a: built.append(len(a[2])) or masks(*a))
+    for pairs_per_chunk in (1, 5, 7):  # fewer than half the members: the whole code's masks do not fit
+        built.clear()
+        monkeypatch.setattr(verify, "MASK_BIT_BUDGET", 2 * points * pairs_per_chunk)
+        assert min_distance_sampled(code, 3000, seed=11) == generic == whole
+        assert built == [2 * pairs_per_chunk] * (3000 // pairs_per_chunk) + (
+            [2 * (3000 % pairs_per_chunk)] if 3000 % pairs_per_chunk else [])
 
 
 def test_empirical_rank_distribution():
