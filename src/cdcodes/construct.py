@@ -15,12 +15,12 @@ Four constructions, all returning a CodeSet of canonical subspaces:
   dimension at least n-t (zero map excluded), blocks after it are free.
 
 A CodeSet holds its members as one (M, k, N) array of canonical bases.
-The lifted code is the codeword array of qpoly.mrd_array beside a
-broadcast identity, (I | A) being canonical; the multi-block code gathers
-block tuples from the same array and canonicalises those with the identity
-further right by linalg.rref_batch.  The other builds stack one basis at a
-time into the array; multiblock_generators and enumerate_mrd remain the
-per-member reference.  _collect sorts every code by its flattened entries,
+Every build but the Grassmannian is a block product: the bases of all
+concatenations (S_0[i_0] | S_1[i_1] | ...) of blocks drawn from
+(count, k, n_j) arrays: MRD codewords from qpoly.mrd_array, an identity,
+or the bases of a smaller code.  (A | B) is canonical when A is, so only
+products whose first block is not canonical go through linalg.rref_batch.
+multiblock_generators and enumerate_mrd remain the per-member reference.  _collect sorts every code by its flattened entries,
 the (dim, basis) order of Subspace, and drops equal neighbours.
 
 Every build checks its predicted cardinality after deduplication, so a
@@ -37,8 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF, field_of_order
-from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, subspace_from_rows
-from .qpoly import DEFAULT_BUDGET, BudgetError, check_degree, enumerate_mrd, mrd_array
+from .linalg import (MatrixGF, Subspace, enumerate_bases, is_canonical_basis, rref_batch,
+                     subspace_from_rows)
+from .qpoly import (DEFAULT_BUDGET, BudgetError, _bounded_rank, _ranks, check_degree,
+                    enumerate_filtration, enumerate_mrd, mrd_array)
 from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, parallel_linkage_size
 
 
@@ -142,16 +144,27 @@ def _collect(field, ambient_dim, dim, distance, bases, provenance, predicted, bu
                    dict(provenance, predicted_size=predicted))
 
 
-def _chunk(field, nrows: int, ncols: int) -> int:
-    """Matrices per chunk: _CHUNK_BYTES of int64 digits, at least one."""
-    return max(1, _CHUNK_BYTES // (8 * field.m * nrows * ncols))
+def _block_product(field, sources) -> np.ndarray:
+    """The canonical bases of every (S_0[i_0] | S_1[i_1] | ...), sources the (count, k, n_j)
+    arrays S_j, as one array of bases_dtype entries in odometer order, the last block fastest.
 
-
-def _array_members(field, dim: int, ambient_dim: int, blocks) -> np.ndarray:
-    """The (count, dim, ambient_dim) arrays of blocks as one array of bases_dtype entries."""
-    dtype = bases_dtype(field)
-    return np.concatenate([np.zeros((0, dim, ambient_dim), dtype=dtype)]
-                          + [b.astype(dtype) for b in blocks])
+    (A | B) is canonical when A is, so chunks of _CHUNK_BYTES of int64 digits
+    go through rref_batch only when a member of S_0 is not a canonical basis.
+    """
+    k, width = sources[0].shape[1], sum(s.shape[2] for s in sources)
+    total = math.prod(map(len, sources))
+    canonical = all(is_canonical_basis(b, field.order) for b in sources[0].tolist())
+    out = np.empty((total, k, width), dtype=bases_dtype(field))
+    step = max(1, _CHUNK_BYTES // (8 * field.m * k * width))
+    for lo in range(0, total, step):
+        idx = np.arange(lo, min(lo + step, total))
+        blocks = [None] * len(sources)
+        for j in reversed(range(len(sources))):
+            idx, digit = np.divmod(idx, len(sources[j]))
+            blocks[j] = sources[j][digit]
+        mats = np.concatenate(blocks, axis=2)
+        out[lo:lo + len(mats)] = mats if canonical else rref_batch(field, mats)[0]
+    return out
 
 
 def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None) -> CodeSet:
@@ -161,9 +174,7 @@ def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None
     predicted = lifted_mrd_size(q, k, k - t) * q ** (h * (t + 1))
     _check_budget(predicted, budget)
     mrd = mrd_array(q, k, t, h=h, budget=budget)
-    # (I | M) is already the canonical RREF basis
-    bases = np.concatenate([np.broadcast_to(np.eye(k, dtype=mrd.dtype), (len(mrd), k, k)), mrd],
-                           axis=2)
+    bases = _block_product(field, [np.eye(k, dtype=mrd.dtype)[None], mrd])
     return _collect(field, 2 * k + h, k, 2 * (k - t), bases, provenance, predicted, budget)
 
 
@@ -207,25 +218,19 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
     q_matrices = list(q_matrices)
     if not q_matrices:
         raise ValueError("the rank-metric code must be nonempty")
-    k = u_code.dim
+    k, field = u_code.dim, u_code.field
     n2 = q_matrices[0].ncols
     for m in q_matrices:
-        if m.nrows != k or m.ncols != n2 or m.field != u_code.field:
+        if m.nrows != k or m.ncols != n2 or m.field != field:
             raise ValueError("rank-metric codewords must be k x n2 over the same field")
-    gens = [MatrixGF(s.field, s.basis) for s in u_code.members]
-    for g in gens:
-        if g.rank() != k:
-            raise ConstructionError("SC-representation matrix with deficient row rank")
-    predicted = len(gens) * len(q_matrices)
-    ambient = u_code.ambient_dim + n2
-
-    def members():
-        for g in gens:
-            for m in q_matrices:
-                yield subspace_from_rows(g.hstack(m)).basis
-
+    predicted = len(u_code) * len(q_matrices)
+    _check_budget(predicted, budget)
+    if u_code.bases.shape[1] != k or (_ranks(field, u_code.bases) != k).any():
+        raise ConstructionError("SC-representation matrix with deficient row rank")
+    q_array = np.array([m.rows for m in q_matrices], dtype=bases_dtype(field))
     return _collect(
-        u_code.field, ambient, k, min(d1, 2 * d2), members(),
+        field, u_code.ambient_dim + n2, k, min(d1, 2 * d2),
+        _block_product(field, [u_code.bases, q_array]),
         {"construction": "linkage", "q": u_code.q, "n1": u_code.ambient_dim,
          "n2": n2, "d1": d1, "d2": d2},
         predicted, budget,
@@ -251,28 +256,23 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
             v_code = grassmannian_code(q, 2 * k + h, k, budget=budget)
         else:
             v_code = rect_lifted_mrd_code(q, k, h, t, budget=budget)
-    if v_code.dim != k or v_code.ambient_dim != 2 * k + h or v_code.field != field:
+    predicted = parallel_linkage_size(q, k, h, d, len(v_code))
+    _check_budget(predicted, budget)
+    if (v_code.dim != k or v_code.ambient_dim != 2 * k + h or v_code.field != field
+            or v_code.bases.shape[1] != k or (_ranks(field, v_code.bases) != k).any()):
         raise ValueError("v_code must consist of k-dim subspaces of GF(q)^(2k+h)")
     if v_code.claimed_distance < d:
         raise ValueError(f"v_code distance {v_code.claimed_distance} is below {d}")
 
-    ident = MatrixGF.identity(field, k)
-    predicted = parallel_linkage_size(q, k, h, d, len(v_code))
-
-    def members():
-        square = list(enumerate_mrd(q, k, t, budget=budget))
-        for rect in enumerate_mrd(q, k, t, h=h, budget=budget):
-            left = ident.hstack(rect)
-            for m in square:  # (I | Q | R) is already the canonical RREF basis
-                yield left.hstack(m).rows
-        v_gens = [MatrixGF(s.field, s.basis) for s in v_code.members]
-        for m in square:
-            if 0 < m.rank() <= t:  # nonzero maps have rank >= k - t = d/2
-                for g in v_gens:
-                    yield subspace_from_rows(m.hstack(g)).basis
-
+    square = mrd_array(q, k, t, budget=budget)
+    bases = np.concatenate([
+        _block_product(field, [np.eye(k, dtype=square.dtype)[None],
+                               mrd_array(q, k, t, h=h, budget=budget), square]),
+        # nonzero maps have rank >= k - t = d/2
+        _block_product(field, [_bounded_rank(field, square, t), v_code.bases]),
+    ])
     return _collect(
-        field, 3 * k + h, k, d, members(),
+        field, 3 * k + h, k, d, bases,
         {"construction": "parallel-linkage", "q": q, "k": k, "h": h, "d": d,
          "v_code": v_code.provenance.get("construction", "custom"),
          "v_size": len(v_code)},
@@ -317,7 +317,7 @@ def multiblock_generators(q: int, n: int, t: int, s: int, *,
     _multiblock_size(q, n, t, s, budget)
     ident = MatrixGF.identity(field_of_order(q), n)
     full = list(enumerate_mrd(q, n, t, budget=budget))
-    restricted = [m for m in full if 0 < m.rank() <= t]  # kernel dim >= n - t, nonzero
+    restricted = list(enumerate_filtration(q, n, t, n - t, budget=budget))
 
     def gen():
         for pos in range(s + 1):
@@ -333,35 +333,17 @@ def multiblock_parallel_mrd(q: int, n: int, t: int, s: int, *,
                             budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """The (s+1)-block parallel code: ((s+1)n, sum_j q^((s-j)n(t+1)) F^j, 2(n-t), n).
 
-    Built as arrays: the members of multiblock_generators, canonicalised
-    with one batched RREF per chunk where the identity is not first.
+    Built as one block product per identity position, of multiblock_generators' members.
     """
     predicted = _multiblock_size(q, n, t, s, budget)
     field = field_of_order(q)
-
-    def blocks():
-        full = mrd_array(q, n, t, budget=budget)
-        step = _chunk(field, n, n)
-        rank = np.concatenate([rref_batch(field, full[lo:lo + step])[1]
-                               for lo in range(0, len(full), step)])
-        restricted = full[(rank > 0) & (rank <= t)]  # kernel dim >= n - t, nonzero
-        ident = np.eye(n, dtype=full.dtype)
-        step = _chunk(field, n, (s + 1) * n)
-        for pos in range(s + 1):
-            sources = [restricted] * pos + [full] * (s - pos)
-            total = math.prod(map(len, sources))
-            for lo in range(0, total, step):
-                idx = np.arange(lo, min(lo + step, total))
-                gens = [None] * s
-                for j in reversed(range(s)):  # the last block varies fastest
-                    idx, digit = np.divmod(idx, len(sources[j]))
-                    gens[j] = sources[j][digit]
-                gens.insert(pos, np.broadcast_to(ident, (len(digit), n, n)))
-                mats = np.concatenate(gens, axis=2)
-                yield mats if pos == 0 else rref_batch(field, mats)[0]
-
+    full = mrd_array(q, n, t, budget=budget)
+    restricted = _bounded_rank(field, full, t)  # kernel dim >= n - t, nonzero
+    bases = np.concatenate([
+        _block_product(field, [restricted] * pos + [np.eye(n, dtype=full.dtype)[None]]
+                       + [full] * (s - pos)) for pos in range(s + 1)])
     return _collect(
-        field, (s + 1) * n, n, 2 * (n - t), _array_members(field, n, (s + 1) * n, blocks()),
+        field, (s + 1) * n, n, 2 * (n - t), bases,
         {"construction": "multiblock", "q": q, "n": n, "t": t, "s": s},
         predicted, budget,
     )

@@ -13,8 +13,8 @@ in the base-q digits of its coefficients, so the codeword with odometer
 index idx is sum_d digit_d(idx) B_d over the (n+h)(t+1) basis matrices
 B_d, each computed once with QPolynomial.to_matrix.  enumerate_mrd yields
 these codeword matrices from linalg.span, mrd_array returns them as one
-array, and enumerate_filtration keeps its bounded-rank subsets (kernel
-dimension at least j, zero map excluded).
+array, and _bounded_rank keeps its nonzero codewords of rank at most r,
+which enumerate_filtration yields as matrices.
 
 Enumeration order is an odometer over the integer codes of
 (a_0, ..., a_t) with a_0 varying fastest; streams accept start/stop
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import GF, extension_field
-from .linalg import MatrixGF, span
+from .gf import GF, extension_field, field_of_order
+from .linalg import MatrixGF, rref_batch, span
 
 DEFAULT_BUDGET = 1 << 24  # elements an enumeration or a construction may produce
-_CHUNK = 1 << 9  # codewords per span call
+_CHUNK = 1 << 9  # codewords per span or rref_batch call
 
 
 class BudgetError(Exception):
@@ -158,18 +158,31 @@ def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
             for block in blocks for rows in block.tolist())
 
 
+def _ranks(field: GF, mats: np.ndarray) -> np.ndarray:
+    """The ranks of a (count, r, c) array of matrices, by rref_batch on _CHUNK at a time."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        rref_batch(field, mats[lo:lo + _CHUNK])[1] for lo in range(0, len(mats), _CHUNK)])
+
+
+def _bounded_rank(field: GF, words: np.ndarray, r: int) -> np.ndarray:
+    """The nonzero matrices of words, a (count, n, n) array, of rank at most r, in order."""
+    rank = _ranks(field, words)
+    return words[(rank > 0) & (rank <= r)]
+
+
 def enumerate_filtration(q: int, n: int, t: int, j: int, *,
                          budget: int | None = DEFAULT_BUDGET):
     """Matrices of the nonzero maps of q-degree <= t whose kernel dimension is at least j.
 
     The zero map (kernel dimension n) is excluded, which makes the stream
-    length equal filtration_size(q, n, t, j).
+    length equal filtration_size(q, n, t, j).  They are the _bounded_rank
+    codewords of mrd_array, all computed at call time.
     """
     if not 0 <= j <= t:
         raise ValueError(f"need 0 <= j <= t, got j={j}, t={t}")
-    for m in enumerate_mrd(q, n, t, budget=budget):
-        if 0 < m.rank() <= n - j:  # nonzero, kernel dimension n - rank >= j
-            yield m
+    field = field_of_order(q)
+    words = _bounded_rank(field, mrd_array(q, n, t, budget=budget), n - j)
+    return (MatrixGF._of(field, tuple(map(tuple, rows))) for rows in words.tolist())
 
 
 def enumerate_rect_mrd(q: int, k: int, h: int, t: int, *,

@@ -466,3 +466,16 @@ def test_construct_parallel_linkage_with_v_code_file(tmp_path, capsys):
     assert code == 0
     header = json.loads(out_path.read_text().splitlines()[0])
     assert header["count"] == 571
+
+
+def test_construct_parallel_linkage_names_a_v_code_member_of_another_dimension(tmp_path, capsys):
+    v_path = tmp_path / "v.jsonl"
+    assert run_cli(capsys, "construct", "grassmannian", "--q", "2", "--n", "4", "--k", "2",
+                   "-o", str(v_path))[0] == 0
+    lines = v_path.read_text().splitlines(keepends=True)
+    lines[1] = "[[0, 0, 0, 1]]\n"  # a 1-dim member in a code of k = 2
+    v_path.write_text("".join(lines))
+    code, out, err = run_cli(capsys, "construct", "parallel-linkage", "--q", "2", "--k", "2",
+                             "--d", "2", "--v-code", str(v_path))
+    assert code == 2 and not out
+    assert err == "error: v_code must consist of k-dim subspaces of GF(q)^(2k+h)\n"

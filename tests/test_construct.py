@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -18,7 +19,7 @@ from cdcodes.construct import (
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import MatrixGF, Subspace, intersection_dim, subspace_distance
+from cdcodes.linalg import MatrixGF, Subspace, intersection_dim, subspace_distance, subspace_from_rows
 from cdcodes.qpoly import BudgetError, enumerate_filtration, enumerate_mrd
 from cdcodes.bounds import bound_multiblock, bound_parallel_linkage
 
@@ -126,6 +127,12 @@ def test_linkage_rejects_bad_inputs():
     wrong_shape = [MatrixGF.zeros(field_of_order(2), 3, 2)]
     with pytest.raises(ValueError):
         linkage(u, wrong_shape, d1=2, d2=1)
+    q_mats = list(enumerate_mrd(2, 2, 1))
+    line = grassmannian_code(2, 4, 1).members[0]
+    for short in (line, Subspace(u.field, 4, [(1, 0, 1, 1), (1, 0, 1, 1)])):
+        u_short = CodeSet(u.field, 4, 2, 2, u.members[1:] + (short,))
+        with pytest.raises(ConstructionError, match="deficient row rank"):
+            linkage(u_short, q_mats, d1=2, d2=1)
 
 
 def test_parallel_linkage_acceptance_shape():
@@ -164,6 +171,12 @@ def test_parallel_linkage_validates_v_code():
     v_bad_dim = grassmannian_code(2, 4, 1)
     with pytest.raises(ValueError):
         parallel_linkage(2, 2, 0, 2, v_bad_dim)
+    # a member of another dimension in a code that claims k = 2
+    planes = grassmannian_code(2, 4, 2).members
+    for odd in (grassmannian_code(2, 4, 1).members[0], grassmannian_code(2, 4, 3).members[0]):
+        v_mixed = CodeSet(field_of_order(2), 4, 2, 2, planes[1:] + (odd,))
+        with pytest.raises(ValueError, match="v_code must consist of k-dim subspaces"):
+            parallel_linkage(2, 2, 0, 2, v_mixed)
     v_bad_ambient = grassmannian_code(2, 5, 2)
     with pytest.raises(ValueError):
         parallel_linkage(2, 2, 0, 2, v_bad_ambient)
@@ -230,7 +243,8 @@ def test_multiblock_restricted_blocks_are_the_filtration_stream():
     for q, n, t in [(2, 2, 1), (2, 3, 2), (3, 2, 1)]:
         gens = multiblock_generators(q, n, t, 1)
         restricted = [g.blocks[0] for g in gens if g.position == 1]
-        assert restricted == list(enumerate_filtration(q, n, t, n - t))
+        per_map = [m for m in enumerate_mrd(q, n, t) if 0 < m.rank() <= t]
+        assert restricted == list(enumerate_filtration(q, n, t, n - t)) == per_map
 
 
 def test_multiblock_generator_layout():
@@ -314,6 +328,67 @@ def multiblock_reference(q, n, t, s):
                   key=Subspace.sort_key)
 
 
+def linkage_reference(u_code, q_matrices):
+    """Sorted row spaces of (U | Q), one subspace_from_rows per member."""
+    gens = [MatrixGF(s.field, s.basis) for s in u_code.members]
+    return sorted({subspace_from_rows(g.hstack(m)) for g in gens for m in q_matrices},
+                  key=Subspace.sort_key)
+
+
+def parallel_linkage_reference(q, k, h, d, v_code=None):
+    """Sorted row spaces of the two families, one matrix and one basis per member."""
+    t = k - d // 2
+    if v_code is None:
+        v_code = grassmannian_code(q, 2 * k + h, k) if d == 2 else rect_lifted_mrd_code(q, k, h, t)
+    ident = MatrixGF.identity(field_of_order(q), k)
+    square = list(enumerate_mrd(q, k, t))
+    one = [Subspace(ident.field, 3 * k + h, ident.hstack(rect).hstack(m).rows)
+           for rect in enumerate_mrd(q, k, t, h=h) for m in square]
+    v_gens = [MatrixGF(s.field, s.basis) for s in v_code.members]
+    two = [subspace_from_rows(m.hstack(g)) for m in square if 0 < m.rank() <= t for g in v_gens]
+    return sorted(set(one + two), key=Subspace.sort_key)
+
+
+def shuffled_rows(code):
+    """The members of code with their basis rows reversed: bases that are not in RREF."""
+    return CodeSet(code.field, code.ambient_dim, code.dim, code.claimed_distance,
+                   [Subspace(s.field, s.ambient_dim, s.basis[::-1]) for s in code.members])
+
+
+LINKAGE = {
+    "q2-n2": lambda: (lifted_mrd_code(2, 2, 1), list(enumerate_mrd(2, 2, 1))),
+    "q2-n3": lambda: (lifted_mrd_code(2, 3, 1), list(enumerate_mrd(2, 3, 1))),
+    "q3-rect": lambda: (lifted_mrd_code(3, 2, 1), list(enumerate_mrd(3, 2, 0, h=1))),
+    "non-rref": lambda: (shuffled_rows(lifted_mrd_code(3, 2, 1)), list(enumerate_mrd(3, 2, 0))),
+}
+PARALLEL_LINKAGE = {
+    "2-2-0-2": (2, 2, 0, 2), "2-2-1-2": (2, 2, 1, 2), "3-2-0-2": (3, 2, 0, 2),
+    "4-2-0-2": (4, 2, 0, 2), "lifted-v": (2, 2, 0, 2, lifted_mrd_code(2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
+@pytest.mark.parametrize("case", LINKAGE)
+def test_linkage_array_build_matches_the_per_member_reference(case, chunk_bytes, monkeypatch):
+    u_code, q_matrices = LINKAGE[case]()
+    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    assert list(linkage(u_code, q_matrices, 2, 1).members) == linkage_reference(u_code, q_matrices)
+
+
+@functools.cache
+def cached_parallel_linkage_reference(case):
+    return parallel_linkage_reference(*PARALLEL_LINKAGE[case])
+
+
+@pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
+@pytest.mark.parametrize("case", PARALLEL_LINKAGE)
+def test_parallel_linkage_array_build_matches_the_per_member_reference(case, chunk_bytes,
+                                                                      monkeypatch):
+    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    built = parallel_linkage(*PARALLEL_LINKAGE[case])
+    assert list(built.members) == cached_parallel_linkage_reference(case)
+
+
 @pytest.mark.parametrize("q, n, t", LIFTED)
 def test_lifted_array_build_matches_the_per_member_reference(q, n, t):
     assert list(lifted_mrd_code(q, n, t).members) == lifted_reference(q, n, t)
@@ -336,37 +411,62 @@ def test_array_builds_with_one_matrix_per_chunk(monkeypatch):
     assert list(lifted_mrd_code(16, 2, 0).members) == lifted_reference(16, 2, 0)
 
 
-def test_array_members_come_out_sorted():
-    # one entry sort orders the stacked blocks as Subspace.sort_key, and equal neighbours go
+def test_block_products_come_out_sorted():
+    # one entry sort orders the block products as Subspace.sort_key, and equal neighbours go
     field = field_of_order(3)
-    blocks = np.random.default_rng(7).integers(0, 3, size=(3, 40, 2, 5))
-    blocks[2, :5] = blocks[0, :5]  # five duplicates
-    bases = construct._array_members(field, 2, 5, iter(blocks))
+    right = np.random.default_rng(7).integers(0, 3, size=(120, 2, 3))
+    right[80:85] = right[:5]  # five duplicates
+    bases = construct._block_product(field, [np.eye(2, dtype=np.uint8)[None], right])
     assert bases.dtype == np.uint8 and bases.shape == (120, 2, 5)
-    expected = sorted({tuple(map(tuple, b)) for b in blocks.reshape(120, 2, 5).tolist()})
+    products = [((1, 0, *r0), (0, 1, *r1)) for r0, r1 in right.tolist()]
+    assert [tuple(map(tuple, b)) for b in bases.tolist()] == products
+    expected = sorted(set(products))
     code = construct._collect(field, 5, 2, 0, bases, {}, len(expected), None)
     assert [tuple(map(tuple, b)) for b in code.bases.tolist()] == expected
 
 
 def test_array_builds_drop_duplicates_before_the_count_check(monkeypatch):
-    # every chunk yielded twice: still the same members, so the count check passes
-    members = construct._array_members
-    monkeypatch.setattr(construct, "_array_members", lambda field, k, n, blocks: members(
-        field, k, n, (b for block in blocks for b in (block, block))))
+    # every block product built twice: still the same members, so the count check passes
+    product = construct._block_product
+    monkeypatch.setattr(construct, "_block_product",
+                        lambda field, sources: np.concatenate([product(field, sources)] * 2))
     assert list(multiblock_parallel_mrd(2, 2, 1, 1).members) == multiblock_reference(2, 2, 1, 1)
+    assert list(parallel_linkage(2, 2, 0, 2).members) == cached_parallel_linkage_reference("2-2-0-2")
+
+
+def test_linkage_builds_make_no_per_member_matrix(monkeypatch):
+    u_code, q_matrices = LINKAGE["non-rref"]()
+    v_code = grassmannian_code(2, 4, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-member matrix or stream in an array build")
+
+    for owner, name in [(construct, "subspace_from_rows"), (construct, "enumerate_mrd"),
+                        (construct, "enumerate_filtration"), (qpoly, "enumerate_mrd"),
+                        (MatrixGF, "rank"), (MatrixGF, "hstack")]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert len(linkage(u_code, q_matrices, 2, 1)) == 81 * 9
+    assert len(parallel_linkage(2, 2, 0, 2, v_code)) == 571
 
 
 def test_budget_errors_come_before_any_array(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("array built before the budget check")
 
+    u_code, q_matrices = LINKAGE["q2-n2"]()
+    v_code = grassmannian_code(2, 4, 2)
     for owner, name in [(construct, "mrd_array"), (construct, "rref_batch"), (qpoly, "span"),
-                        (linalg, "span"), (np, "empty"), (np, "concatenate")]:
+                        (qpoly, "rref_batch"), (linalg, "span"), (np, "empty"),
+                        (np, "concatenate"), (np, "array")]:
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(BudgetError, match="construction would produce 4096 members"):
         lifted_mrd_code(2, 4, 2, budget=4095)
     with pytest.raises(BudgetError, match="2-block construction has 855 members"):
         multiblock_parallel_mrd(2, 3, 2, 1, budget=854)
+    with pytest.raises(BudgetError, match="construction would produce 256 members"):
+        linkage(u_code, q_matrices, 2, 1, budget=255)
+    with pytest.raises(BudgetError, match="construction would produce 571 members"):
+        parallel_linkage(2, 2, 0, 2, v_code, budget=570)
 
 
 def test_construction_parameters_are_checked_by_name():

@@ -213,11 +213,14 @@ def test_filtration_counts():
     assert sum(1 for _ in enumerate_filtration(2, 2, 1, 0)) == 15
 
 
-def test_filtration_matches_formula_grid():
+def test_filtration_matches_formula_grid(monkeypatch):
+    monkeypatch.setattr(qpoly, "_CHUNK", 7)  # ranks taken across chunk boundaries
     for q, n, t in [(2, 2, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2)]:
+        mats = list(enumerate_mrd(q, n, t))
         for j in range(t + 1):
-            got = sum(1 for _ in enumerate_filtration(q, n, t, j))
-            assert got == filtration_size(q, n, t, j)
+            got = list(enumerate_filtration(q, n, t, j))
+            assert len(got) == filtration_size(q, n, t, j)
+            assert got == [m for m in mats if 0 < m.rank() <= n - j]  # nonzero, kernel dim >= j
 
 
 def test_rect_mrd_h0_matches_square():
