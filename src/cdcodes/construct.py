@@ -20,8 +20,9 @@ concatenations (S_0[i_0] | S_1[i_1] | ...) of blocks drawn from
 (count, k, n_j) arrays: MRD codewords from qpoly.mrd_array, an identity,
 or the bases of a smaller code.  (A | B) is canonical when A is, so only
 products whose first block is not canonical go through linalg.rref_batch.
-multiblock_generators and enumerate_mrd remain the per-member reference.  _collect sorts every code by its flattened entries,
-the (dim, basis) order of Subspace, and drops equal neighbours.
+multiblock_generators and enumerate_mrd remain the per-member reference.
+_collect sorts every code by its flattened entries, the (dim, basis)
+order of Subspace, and drops equal neighbours.
 
 Every build checks its predicted cardinality after deduplication, so a
 silent collision would surface as a count mismatch.  Members are sorted

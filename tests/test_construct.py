@@ -19,7 +19,8 @@ from cdcodes.construct import (
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import MatrixGF, Subspace, intersection_dim, subspace_distance, subspace_from_rows
+from cdcodes.linalg import (MatrixGF, Subspace, intersection_dim, subspace_distance,
+                            subspace_from_rows)
 from cdcodes.qpoly import BudgetError, enumerate_filtration, enumerate_mrd
 from cdcodes.bounds import bound_multiblock, bound_parallel_linkage
 
@@ -411,7 +412,7 @@ def test_array_builds_with_one_matrix_per_chunk(monkeypatch):
     assert list(lifted_mrd_code(16, 2, 0).members) == lifted_reference(16, 2, 0)
 
 
-def test_block_products_come_out_sorted():
+def test_array_members_come_out_sorted():
     # one entry sort orders the block products as Subspace.sort_key, and equal neighbours go
     field = field_of_order(3)
     right = np.random.default_rng(7).integers(0, 3, size=(120, 2, 3))
@@ -431,7 +432,8 @@ def test_array_builds_drop_duplicates_before_the_count_check(monkeypatch):
     monkeypatch.setattr(construct, "_block_product",
                         lambda field, sources: np.concatenate([product(field, sources)] * 2))
     assert list(multiblock_parallel_mrd(2, 2, 1, 1).members) == multiblock_reference(2, 2, 1, 1)
-    assert list(parallel_linkage(2, 2, 0, 2).members) == cached_parallel_linkage_reference("2-2-0-2")
+    built = parallel_linkage(2, 2, 0, 2)
+    assert list(built.members) == cached_parallel_linkage_reference("2-2-0-2")
 
 
 def test_linkage_builds_make_no_per_member_matrix(monkeypatch):
