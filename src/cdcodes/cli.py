@@ -1,5 +1,8 @@
 """Command-line front end: bounds, tables, constructions, verification.
 
+`bound` and `table` run without loading numpy, which is imported on first
+array use (see `cdcodes._numpy`).
+
 File formats
 ------------
 Code files are JSON lines (UTF-8).  The first line is a header::
@@ -35,9 +38,8 @@ import json
 import re
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
+from ._numpy import np
 from .construct import (
     CodeSet,
     ConstructionError,

@@ -35,8 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .gf import GF, field_of_order
 from .linalg import (MatrixGF, Subspace, enumerate_bases, is_canonical_basis, rref_batch,
                      subspace_from_rows)
@@ -73,7 +72,8 @@ class CodeSet:
     bases_dtype (one byte per entry for q <= 256), r the largest member
     dimension (dim for no members).  Smaller members are padded with zero
     rows, which no canonical basis has.  Builds sort it as Subspace.sort_key;
-    duplicates stay.  `members` makes Subspace values anew on each access.
+    duplicates stay.  Subspace values given in its place must have canonical
+    bases.  `members` makes Subspace values anew on each access.
     """
 
     __slots__ = ("field", "ambient_dim", "dim", "claimed_distance", "bases", "provenance")
@@ -90,6 +90,9 @@ class CodeSet:
                 raise ValueError(f"member entry {bad!r} is not a non-negative int")
             if max(entries, default=0) >= field.order:
                 raise ValueError(f"member entry {max(entries)} is not below q={field.order}")
+            bad = [i for i, s in enumerate(members) if not is_canonical_basis(s.basis, field.order)]
+            if bad:  # else one subspace could be held under two bases
+                raise ValueError(f"member {bad[0]}: basis is not a canonical full-rank RREF")
             dims = [s.dim for s in members]
             rows = np.array(entries, dtype=bases_dtype(field)).reshape(sum(dims), ambient_dim)
             members = padded_bases(rows, dims, dim)

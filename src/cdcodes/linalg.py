@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .gf import GF
 
 

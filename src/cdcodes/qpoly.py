@@ -24,8 +24,7 @@ deterministically.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .gf import GF, extension_field, field_of_order
 from .linalg import MatrixGF, rref_batch, span
 

@@ -66,8 +66,7 @@ import collections
 import itertools
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .construct import CodeSet, bases_dtype
 from .linalg import MatrixGF, Subspace, enumerate_bases, span
 from .rankdist import gaussian_binomial
@@ -101,12 +100,8 @@ def _popcount_rows(arr: np.ndarray) -> np.ndarray:
     """Per-row popcount of a 2-D uint64 array."""
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)
-    bytes_view = arr.view(np.uint8)
-    table = _POPCOUNT8
-    return table[bytes_view].sum(axis=1, dtype=np.int64)
-
-
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+    return table[arr.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
 def _sorted_bases(code):
@@ -214,17 +209,16 @@ def _subspace_indices(field, dim: int, j: int) -> np.ndarray:
     return out
 
 
-_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
-        np.uint64(0x94D049BB133111EB))
+_MIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
 def _vector_hash(codes: np.ndarray) -> np.ndarray:
     """SplitMix64's step and output mix of every vector code, as uint64."""
-    z = codes.astype(np.uint64) + _MIX[0]
+    z = codes.astype(np.uint64) + np.uint64(_MIX[0])
     z ^= z >> np.uint64(30)
-    z *= _MIX[1]
+    z *= np.uint64(_MIX[1])
     z ^= z >> np.uint64(27)
-    z *= _MIX[2]
+    z *= np.uint64(_MIX[2])
     z ^= z >> np.uint64(31)
     return z
 
@@ -466,7 +460,8 @@ def _draws(seed: int, count: int, size: int) -> np.ndarray:
     out = np.empty(count, dtype=np.int64)
     for lo in range(0, count, _DRAW_CHUNK):
         i = np.arange(lo, min(lo + _DRAW_CHUNK, count), dtype=np.uint64)
-        out[lo:lo + len(i)] = _vector_hash(np.uint64(seed & _U64) + i * _MIX[0]) % np.uint64(size)
+        states = np.uint64(seed & _U64) + i * np.uint64(_MIX[0])
+        out[lo:lo + len(i)] = _vector_hash(states) % np.uint64(size)
     return out
 
 

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdcodes import bounds, cli
 from cdcodes.cli import main, read_codeset, write_codeset
@@ -101,6 +103,38 @@ def test_bound_above_the_int_str_digit_limit(capsys):
         assert out.split()[0] == str(value)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+BOUND_OPTIONS = {
+    "multiblock": ("q", "n", "t", "s"), "johnson": ("q", "n", "t"),
+    "anticode": ("q", "n", "delta", "k"), "parallel-linkage": ("q", "k", "h", "d", "input"),
+}
+
+
+@st.composite
+def bound_argvs(draw):
+    """Well-formed `cdc bound` argument lists with small, possibly invalid, integers."""
+    formula = draw(st.sampled_from(sorted(BOUND_OPTIONS)))
+    argv = ["bound", formula]
+    for name in BOUND_OPTIONS[formula]:
+        if name == "h" and draw(st.booleans()):
+            continue  # --h defaults to 0
+        value = draw(st.integers(-3, 10 ** 6) if name == "input" else st.integers(-3, 12))
+        argv += [f"--{name}", str(value)]
+    return argv
+
+
+@given(bound_argvs())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bound_answers_any_integers_with_a_value_or_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    if code == 0:
+        assert int(out.split()[0]) > 0
+    else:
+        assert out == "" and err.startswith("error: ")
 
 
 def test_table_check_passes(capsys):

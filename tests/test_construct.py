@@ -121,6 +121,19 @@ def test_linkage_product_size_and_distance():
     assert exhaustive_min_distance(linked) >= 2
 
 
+def test_codeset_refuses_subspace_values_whose_bases_are_not_canonical():
+    # one subspace under two bases would pass validate_codeset's distinct_members twice
+    code = lifted_mrd_code(2, 2, 1)
+    first = code.members[0]
+    swapped = Subspace(first.field, 4, first.basis[::-1])
+    assert subspace_from_rows(MatrixGF(first.field, swapped.basis)) == first
+    with pytest.raises(ValueError, match="member 16: basis is not a canonical full-rank RREF"):
+        CodeSet(code.field, 4, 2, 2, code.members + (swapped,))
+    deficient = Subspace(first.field, 4, [(1, 0, 1, 1), (1, 0, 1, 1)])
+    with pytest.raises(ValueError, match="member 0: basis is not a canonical full-rank RREF"):
+        CodeSet(code.field, 4, 2, 2, (deficient,) + code.members)
+
+
 def test_linkage_rejects_bad_inputs():
     u = lifted_mrd_code(2, 2, 1)
     with pytest.raises(ValueError):
@@ -130,8 +143,10 @@ def test_linkage_rejects_bad_inputs():
         linkage(u, wrong_shape, d1=2, d2=1)
     q_mats = list(enumerate_mrd(2, 2, 1))
     line = grassmannian_code(2, 4, 1).members[0]
-    for short in (line, Subspace(u.field, 4, [(1, 0, 1, 1), (1, 0, 1, 1)])):
-        u_short = CodeSet(u.field, 4, 2, 2, u.members[1:] + (short,))
+    # an array member: CodeSet refuses a Subspace value whose basis is not canonical
+    deficient = np.array([[[1, 0, 1, 1], [1, 0, 1, 1]]], dtype=u.bases.dtype)
+    for u_short in (CodeSet(u.field, 4, 2, 2, u.members[1:] + (line,)),
+                    CodeSet(u.field, 4, 2, 2, np.concatenate([u.bases[1:], deficient]))):
         with pytest.raises(ConstructionError, match="deficient row rank"):
             linkage(u_short, q_mats, d1=2, d2=1)
 
@@ -353,7 +368,7 @@ def parallel_linkage_reference(q, k, h, d, v_code=None):
 def shuffled_rows(code):
     """The members of code with their basis rows reversed: bases that are not in RREF."""
     return CodeSet(code.field, code.ambient_dim, code.dim, code.claimed_distance,
-                   [Subspace(s.field, s.ambient_dim, s.basis[::-1]) for s in code.members])
+                   code.bases[:, ::-1])
 
 
 LINKAGE = {

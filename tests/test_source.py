@@ -29,3 +29,20 @@ def test_all_matches_public_names():
     namespace = {}
     exec("from cdcodes import *", namespace)
     assert set(namespace) - {"__builtins__"} == public
+
+
+def test_only_the_lazy_module_imports_numpy():
+    # `cdc bound` and `cdc table` touch no array; an eager numpy import would
+    # charge them its ~0.1 s anyway (cdcodes._numpy defers it to first use)
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level else []
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "_numpy.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if any(name.split(".")[0] == "numpy" for name in imported(node))
+    ]
+    assert (SRC / "_numpy.py").exists() and not offenders, offenders
