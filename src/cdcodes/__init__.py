@@ -49,7 +49,6 @@ from .construct import (
     rect_lifted_mrd_code,
 )
 from .verify import (
-    SplitMix64,
     empirical_rank_distribution,
     min_distance_exhaustive,
     min_distance_sampled,
@@ -84,8 +83,8 @@ __all__ = [
     "intersection_bound_pairwise", "lifted_mrd_code", "linkage",
     "multiblock_generators", "multiblock_parallel_mrd", "parallel_linkage",
     "rect_lifted_mrd_code",
-    "SplitMix64", "empirical_rank_distribution", "min_distance_exhaustive",
-    "min_distance_sampled", "pairwise_min_rank_distance", "validate_codeset",
+    "empirical_rank_distribution", "min_distance_exhaustive", "min_distance_sampled",
+    "pairwise_min_rank_distance", "validate_codeset",
     "BoundRecord", "anticode_upper", "bound_johnson_halving",
     "bound_multiblock", "bound_parallel_linkage", "compare",
     "default_best_known", "generate_table", "generate_table1", "load_best_known",

@@ -121,6 +121,8 @@ def _line_error(field: GF, n: int, line: str) -> str | None:
         rows = json.loads(line.rstrip("\r\n"))
     except json.JSONDecodeError as exc:
         return f"{exc.msg} (column {exc.pos + 1})"
+    except RecursionError:
+        return "member is nested too deeply"
     if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == n for r in rows):
         return f"member is not a list of rows of length N={n}"
     if not all(map(_all_ints, rows)):
@@ -184,7 +186,10 @@ def read_codeset(fh) -> CodeSet:
     header_line = fh.readline()
     if not header_line.strip():
         raise ValueError("empty code file")
-    header = json.loads(header_line)
+    try:
+        header = json.loads(header_line)
+    except RecursionError:
+        raise ValueError("code file header is nested too deeply") from None
     if not isinstance(header, dict):
         raise ValueError("code file header is not a JSON object")
     for key in ("q", "p", "m", "moduli", "N", "k", "claimed_distance", "count"):
@@ -193,6 +198,12 @@ def read_codeset(fh) -> CodeSet:
         if not _all_ints(header[key] if key == "moduli" else [header[key]]):
             kind = "a list of integers" if key == "moduli" else "an integer"
             raise ValueError(f"code file header '{key}' is not {kind}")
+    for key in ("N", "k"):
+        if header[key] < 0:
+            raise ValueError(f"code file header '{key}' is negative")
+    provenance = header.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValueError("code file header 'provenance' is not a JSON object")
     field = GF(header["p"], header["m"], tuple(header["moduli"]))
     if field.order != header["q"]:
         raise ValueError("header q does not match p^m")
@@ -210,7 +221,7 @@ def read_codeset(fh) -> CodeSet:
         )
     rows = np.concatenate([np.zeros(0, dtype)] + parts).reshape(sum(dims), n)
     return CodeSet(field, n, header["k"], header["claimed_distance"],
-                   padded_bases(rows, dims, header["k"]), header.get("provenance", {}))
+                   padded_bases(rows, dims, header["k"]), provenance)
 
 
 # ----------------------------------------------------------------------
@@ -386,8 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="validate a code file and print a JSON report")
     p_ver.add_argument("path")
     p_ver.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto",
-                       help="auto scans all pairs up to --cap members and samples --pairs above")
-    p_ver.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP, help="exhaustive pair-scan cap")
+                       help="auto finds the exact distance up to --cap members and samples "
+                            "--pairs above")
+    p_ver.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP,
+                       help="most members for the exact distance")
     p_ver.add_argument("--pairs", type=int, default=SAMPLED_PAIRS)
     p_ver.add_argument("--seed", type=int, default=SAMPLED_SEED)
     p_ver.set_defaults(func=cmd_verify)

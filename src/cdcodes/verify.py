@@ -5,12 +5,14 @@ reasoning: a code's minimum distance is recomputed from subspace
 intersections, d(U, V) = 2k - 2 dim(U cap V) (Koetter and Kschischang
 2008).  They read the code's array of canonical bases (CodeSet.bases),
 sorting it only if it is out of Subspace.sort_key order, and make Subspace
-values only for a witness.  Both start from each member's q^dim vector
-codes, built in numpy the same way for every q: for a chunk of
+values only for a witness.  Both read one table of each member's q^dim
+vector codes, built in numpy the same way for every q: for a chunk of
 equal-dimension members, the vectors of each row space are its
 combinations sum_i c_i row_i, computed by linalg.span, the kernel that also
 enumerates MRD codewords, each encoded as its base-q code (coordinate c is
-digit c).  A chunk holds about 256 KB of temporaries.
+digit c).  A chunk holds about 256 KB of temporaries.  The table's entries
+take the smallest unsigned dtype that holds q^N, and a member of lower
+dimension than the widest is padded with q^N, which no vector code takes.
 
 The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
 meet in dimension at least j exactly when some j-subspace lies in both, so
@@ -26,21 +28,21 @@ above the claimed distance d = 2 delta, at j = k - delta + 1, moves down
 while a level has no collision and up past every level that has one, so a
 code that meets its claim exactly costs two levels.  A level costs
 M [k, j]_q keys, against the M^2/2 pair intersections of a pair scan, and
-nothing in it grows with q^N.  Before it builds the vector tables and
+nothing in it grows with q^N.  Before it builds the vector table and
 before each level, the oracle prices them: when the work so far would
-exceed the stacked-rank pair scan's M^2/2 intersections, or the tables or
+exceed the stacked-rank pair scan's M^2/2 intersections, or the table or
 one level's keys would hold more than _ORACLE_BYTES, it stops and the
 stacked-rank formula decides pair by pair, as it does for codes whose
 vector codes overflow int64 (q^N > 2^63).  Few members with large [k, j]_q
 or q^k take that path.  Both paths score a pair 2k - 2 dim(U cap V), so
 they agree on every code.
 
-The sampled oracle stores each member once as a bitmask over all q^N
-ambient vector codes, set from the same vector codes (np.packbits packs a
-boolean hit matrix into the mask words), and intersects the drawn pairs
-with vectorized popcounts; above MASK_BIT_BUDGET bits for the whole code,
-each chunk of drawn pairs gets masks of its own rows, and only pairs whose
-two masks exceed the budget are left to the stacked-rank formula.
+The sampled oracle sorts each drawn pair's two table rows side by side and
+counts the vector codes that appear twice: a pair sharing q^j codes meets
+in dimension j.  When the whole code's table would hold more than
+_ORACLE_BYTES, each chunk of drawn pairs builds the rows of its own
+members.  Only codes whose vector codes overflow int64 take the
+stacked-rank formula, pair by pair.
 
 Rank distance between k x m matrices goes through the exhaustive oracle via
 the lifting of Silva, Kschischang and Koetter (2008): the row spaces of
@@ -53,8 +55,7 @@ z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
 z *= 0x94D049BB133111EB; z ^= z >> 31 (all mod 2^64).  Pair draws take two
 indices via next() % size, redrawing the second until it differs.  The
 state after draw i is seed + (i + 1) 0x9E3779B97F4A7C15, so the draws are
-computed all at once in numpy (the SplitMix64 class is the sequential
-definition they reproduce).
+computed all at once in numpy.
 
 Verification never mutates its inputs, and every oracle reduces by min
 over an order-free set of candidates, so no schedule can change a result.
@@ -71,37 +72,11 @@ from .construct import CodeSet, bases_dtype
 from .linalg import MatrixGF, Subspace, enumerate_bases, span
 from .rankdist import gaussian_binomial
 
-MASK_BIT_BUDGET = 1 << 28
 EXHAUSTIVE_CAP = 5000  # members; larger codes are sampled in mode "auto"
 SAMPLED_PAIRS = 1_000_000
 SAMPLED_SEED = 0x5EED
 
 _U64 = (1 << 64) - 1
-
-
-class SplitMix64:
-    """The SplitMix64 generator (see module docstring for the constants)."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _U64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _U64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        return z ^ (z >> 31)
-
-    def randbelow(self, n: int) -> int:
-        return self.next_u64() % n
-
-
-def _popcount_rows(arr: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a 2-D uint64 array."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)
-    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-    return table[arr.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
 def _sorted_bases(code):
@@ -126,17 +101,17 @@ def _witness(field, bases, pair):
                  for i in pair)
 
 
-# Bytes of temporaries one chunk of the vector build, the mask build or the
-# key hashing may hold (at least one member per chunk).
+# Bytes of temporaries one chunk of the vector build, the key hashing or the
+# sampled pair sort may hold (at least one member or pair per chunk).
 _CHUNK_BYTES = 1 << 18
 
 
-def _member_vectors(field, ambient_dim, bases, dims, extra_bytes=0):
+def _member_vectors(field, ambient_dim, bases, dims):
     """Yield (rows, codes) for chunks of equal-dimension members of bases.
 
     codes[i, c] is the base-q code of sum_l c_l row_l over the basis of
     member rows[i], c_l being base-q digit l of c (column 0 is the zero
-    vector).  extra_bytes: the caller's temporaries per member, in the chunk.
+    vector).
     """
     q, n = field.order, ambient_dim
     place = q ** np.arange(n, dtype=np.int64)  # coordinate c is base-q digit c
@@ -144,30 +119,37 @@ def _member_vectors(field, ambient_dim, bases, dims, extra_bytes=0):
         rows = np.flatnonzero(dims == dim)
         group = bases[rows, :dim]
         combos = np.arange(q ** dim)
-        per_member = q ** dim * 8 * (2 * n * field.m + n + 1) + extra_bytes
+        per_member = q ** dim * 8 * (2 * n * field.m + n + 1)
         step = max(1, _CHUNK_BYTES // per_member)
         for lo in range(0, len(rows), step):
             yield rows[lo:lo + step], span(field, group[lo:lo + step], combos) @ place
 
 
-def _masks(field, ambient_dim, bases, dims):
-    """Row i: the bitmask of member i's vector codes among all q^N, in uint64
-    words (code v is bit v % 64 of word v // 64)."""
-    words = (field.order ** ambient_dim + 63) // 64
-    arr = np.zeros((len(bases), words), dtype=np.uint64)
-    for rows, codes in _member_vectors(field, ambient_dim, bases, dims, words * 72):
-        hit = np.zeros((len(codes), words * 64), dtype=bool)
-        hit[np.arange(len(codes))[:, None], codes] = True
-        arr[rows] = np.packbits(hit, axis=1, bitorder="little").view("<u8")
-    return arr
+def _table_bytes(q, ambient_dim, dims):
+    """Bytes of the _vector_table of members of dimensions dims (q^N <= 2^63)."""
+    return len(dims) * q ** int(dims.max()) * np.min_scalar_type(q ** ambient_dim).itemsize
 
 
-def membership_masks(code, bit_budget: int = MASK_BIT_BUDGET):
-    """(bases, their _masks) for the bases of _sorted_bases; masks None above bit_budget bits."""
+def _vector_table(field, ambient_dim, bases, dims):
+    """Row i: the vector codes of member i of bases (see _member_vectors), then
+    q^N in every column past q^dims[i], in the smallest unsigned dtype holding q^N."""
+    points = field.order ** ambient_dim
+    table = np.full((len(bases), field.order ** int(dims.max())), points,
+                    dtype=np.min_scalar_type(points))
+    for rows, codes in _member_vectors(field, ambient_dim, bases, dims):
+        table[rows, :codes.shape[1]] = codes
+    return table
+
+
+def membership_masks(code):
+    """(bases, table): the bases of _sorted_bases and their _vector_table, or
+    None for the table when it would hold more than _ORACLE_BYTES or vector
+    codes overflow int64 (q^N > 2^63)."""
     bases, dims = _sorted_bases(code)
-    if not len(bases) or code.q ** code.ambient_dim * len(bases) > bit_budget:
+    if (not len(bases) or code.q ** code.ambient_dim > 1 << 63
+            or _table_bytes(code.q, code.ambient_dim, dims) > _ORACLE_BYTES):
         return bases, None
-    return bases, _masks(code.field, code.ambient_dim, bases, dims)
+    return bases, _vector_table(code.field, code.ambient_dim, bases, dims)
 
 
 def _dim_from_count(count: int, q: int) -> int:
@@ -331,7 +313,7 @@ def _level_pair(field, segments, j):
 # stacked-rank pair scan.  Costs count vector-hash units (one vector of one
 # key gathered and summed, about 4 ns); the weights were measured on a
 # 2-vCPU host on lifted, multiblock and Grassmannian codes over q <= 4.
-_ORACLE_BYTES = 1 << 28  # the vector tables, or one level's keys and index sets
+_ORACLE_BYTES = 1 << 28  # the vector table, or one level's keys and index sets
 _KEY_COST = 16  # sort, run detection and bookkeeping of one key
 _SUBSPACE_COST = 4000  # enumerating one j-subspace into an index set
 _PAIR_COST = 5000  # one stacked-rank intersection of the pair scan
@@ -361,15 +343,14 @@ def _shared_level(field, ambient_dim, bases, dims, j, budget):
     bases meet, and the smallest pair of member indices meeting in it.
 
     The scan starts at level j (module docstring).  Raises _OverBudget as
-    soon as the vector tables and the levels to visit would cost more than
+    soon as the vector table and the levels to visit would cost more than
     budget, or one of them would hold more than _ORACLE_BYTES, before
     building it.
     """
     q = field.order
     sizes = collections.Counter(dims.tolist())
-    vectors = sum(size * q ** dim for dim, size in sizes.items())
-    spent = vectors * ambient_dim
-    if 8 * vectors > _ORACLE_BYTES:
+    spent = ambient_dim * sum(size * q ** dim for dim, size in sizes.items())
+    if _table_bytes(q, ambient_dim, dims) > _ORACLE_BYTES:
         raise _OverBudget
 
     def charge(j):
@@ -380,12 +361,11 @@ def _shared_level(field, ambient_dim, bases, dims, j, budget):
             raise _OverBudget
 
     charge(j)
-    tables = {dim: np.empty((size, q ** dim), dtype=np.int64) for dim, size in sizes.items()}
-    firsts = {}
-    for rows, codes in _member_vectors(field, ambient_dim, bases, dims):
-        dim = int(dims[rows[0]])  # the members of one dimension are contiguous
-        tables[dim][rows - firsts.setdefault(dim, int(rows[0]))] = codes
-    segments = [(firsts[dim], dim, tables[dim]) for dim in sorted(tables)]
+    table = _vector_table(field, ambient_dim, bases, dims)
+    segments, start = [], 0
+    for dim, size in sorted(sizes.items()):  # the members of one dimension are contiguous
+        segments.append((start, dim, table[start:start + size, :q ** dim]))
+        start += size
 
     def level(j):
         charge(j)
@@ -516,22 +496,25 @@ def min_distance_sampled(code, pairs: int, seed: int):
         return math.inf, None
     left, right = _sample_pairs(seed, m, pairs)
     low, high = np.minimum(left, right), np.maximum(left, right)
-    bases, masks = membership_masks(code, MASK_BIT_BUDGET)
-    # without the whole code's masks, each chunk of pairs gets its own, within the budget
-    chunk = 1 << 16 if masks is not None else min(
-        1 << 16, MASK_BIT_BUDGET // (2 * code.q ** code.ambient_dim))
-    if not chunk:  # one pair's masks exceed the budget: stacked ranks, pair by pair
+    bases, table = membership_masks(code)
+    points = code.q ** code.ambient_dim
+    if points > 1 << 63:  # vector codes overflow int64: stacked ranks, pair by pair
         dist, pair = _min_distance_pairs_generic(
             code.field, bases, zip(low.tolist(), high.tolist()), code.dim)
         return dist, _witness(code.field, bases, pair)
     dims = bases.any(axis=2).sum(axis=1)
+    # a pair's two rows, sorted in place, and two boolean temporaries of their length
+    pair_bytes = 2 * code.q ** int(dims.max()) * (np.min_scalar_type(points).itemsize + 2)
+    chunk = max(1, _CHUNK_BYTES // pair_bytes)
     counts = np.empty(pairs, dtype=np.int64)
     for lo in range(0, pairs, chunk):
-        rows = np.concatenate([left[lo:lo + chunk], right[lo:lo + chunk]])
-        both = (masks[rows] if masks is not None
-                else _masks(code.field, code.ambient_dim, bases[rows], dims[rows]))
-        half = len(rows) // 2
-        counts[lo:lo + half] = _popcount_rows(both[:half] & both[half:])
+        rows = np.stack([left[lo:lo + chunk], right[lo:lo + chunk]], axis=1).ravel()
+        both = (table[rows] if table is not None  # else this chunk's members only
+                else _vector_table(code.field, code.ambient_dim, bases[rows], dims[rows]))
+        both = both.reshape(len(rows) // 2, -1)
+        both.sort(axis=1)
+        counts[lo:lo + len(both)] = (
+            (both[:, 1:] == both[:, :-1]) & (both[:, 1:] < points)).sum(axis=1)
     best = int(counts.max())
     low, high = low[counts == best], high[counts == best]
     pair = int(low.min()), int(high[low == low.min()].min())

@@ -225,3 +225,44 @@ def test_reader_names_a_bad_line_at_once_after_many_padded_empty_members():
         signal.signal(signal.SIGALRM, previous)
     assert result == outcome(reference_read_codeset, text)
     assert result[2] == "line 2: basis is not a canonical full-rank RREF"
+
+
+def run_main(capsys, *argv):
+    """(exit code, stdout, stderr) of one `cdc` call."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def readers_of(path):
+    """The `cdc` calls that read a code file: verify, and a parallel-linkage v-code."""
+    return [("verify", str(path)),
+            ("construct", "parallel-linkage", "--q", "2", "--k", "2", "--d", "2", "--v-code", str(path))]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("provenance", 5, "'provenance' is not a JSON object"),
+    ("provenance", None, "'provenance' is not a JSON object"),
+    ("provenance", ["construction"], "'provenance' is not a JSON object"),
+    ("N", -1, "'N' is negative"),
+    ("k", -2, "'k' is negative"),
+])
+def test_malformed_header_fields_end_with_one_error_line(tmp_path, capsys, field, value, message):
+    header, *lines = CODES["lifted(2,2,1)"].splitlines(keepends=True)
+    fields = json.loads(header)
+    fields[field] = value
+    path = tmp_path / "code.jsonl"
+    path.write_text(json.dumps(fields) + "\n" + "".join(lines), encoding="utf-8")
+    for argv in readers_of(path):
+        assert run_main(capsys, *argv) == (2, "", f"error: code file header {message}\n")
+
+
+@pytest.mark.parametrize("at, message", [(0, "code file header is nested too deeply"),
+                                         (2, "line 3: member is nested too deeply")])
+def test_deeply_nested_lines_end_with_one_error_line(tmp_path, capsys, at, message):
+    lines = CODES["lifted(2,2,1)"].splitlines(keepends=True)
+    lines[at] = "[" * 100_000 + "]" * 100_000 + "\n"
+    path = tmp_path / "code.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    for argv in readers_of(path):
+        assert run_main(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -18,7 +18,6 @@ from cdcodes.linalg import MatrixGF, Subspace, rref_batch, subspace_distance, su
 from cdcodes.qpoly import enumerate_mrd
 from cdcodes.rankdist import delsarte_distribution
 from cdcodes.verify import (
-    SplitMix64,
     empirical_rank_distribution,
     membership_masks,
     min_distance_exhaustive,
@@ -76,17 +75,24 @@ def test_exhaustive_cap():
         min_distance_exhaustive(code, cap=10)
 
 
-def masked_pair_scan(code, masks=membership_masks):
-    """Reference oracle: popcount every packed-mask pair, one member row at a time.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def popcount_rows(arr):
+    """Per-row popcount of a 2-D uint64 array, a byte at a time."""
+    return _BYTE_BITS[arr.view(np.uint8)].sum(axis=1)
+
+
+def masked_pair_scan(code):
+    """Reference oracle: popcount every reference-mask pair, one member row at a time.
 
     dim(U cap V) is read off the q^dim common vectors of U and V; the
     witness is the first pair, in sorted-member order, with the most.
     """
-    members, arr = sorted(code.members), masks(code)[1]
-    assert len(members) == len(arr)
+    members, arr = sorted(code.members), reference_masks(code)
     best_count, witness = -1, None
     for i in range(len(members) - 1):
-        counts = verify._popcount_rows(arr[i] & arr[i + 1:])
+        counts = popcount_rows(arr[i] & arr[i + 1:])
         if int(counts.max()) > best_count:
             best_count = int(counts.max())
             witness = (members[i], members[i + 1 + int(np.argmax(counts))])
@@ -128,20 +134,33 @@ def test_generic_path_agrees_with_masked():
     assert min_distance_exhaustive(code) == masked_pair_scan(code) == stacked_rank_scan(code)
 
 
-def reference_masks(code, bit_budget=verify.MASK_BIT_BUDGET):
-    """The per-member mask builder: expand each member with subspace_vectors."""
-    members, bases = sorted_bases(code)
-    points = code.q ** code.ambient_dim
-    if not members or points * len(members) > bit_budget:
-        return bases, None
-    words = (points + 63) // 64
+def reference_masks(code):
+    """Row i: the bitmask of the vector codes of sorted member i among all q^N,
+    in uint64 words, built by expanding the member with subspace_vectors."""
+    members = sorted(code.members)
+    words = (code.q ** code.ambient_dim + 63) // 64
     arr = np.zeros((len(members), words), dtype=np.uint64)
     for idx, s in enumerate(members):
         mask = 0
         for v in subspace_vectors(s):
             mask |= 1 << v
         arr[idx] = np.frombuffer(mask.to_bytes(8 * words, "little"), dtype="<u8")
-    return bases, arr
+    return arr
+
+
+def masked_sampled(code, pairs, seed):
+    """Reference sampled oracle: popcount the reference masks of each drawn pair.
+
+    The witness is the smallest (min, max) index pair among the sampled
+    pairs with the most common vectors.
+    """
+    members, arr = sorted(code.members), reference_masks(code)
+    left, right = verify._sample_pairs(seed, len(members), pairs)
+    counts = popcount_rows(arr[left] & arr[right]).tolist()
+    best = max(counts)
+    i, j = min((min(a, b), max(a, b)) for a, b, c in zip(left.tolist(), right.tolist(), counts)
+               if c == best)
+    return 2 * code.dim - 2 * verify._dim_from_count(best, code.q), (members[i], members[j])
 
 
 def mask_test_codes(q):
@@ -160,24 +179,23 @@ def mask_test_codes(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_masks_match_the_vectors_reference(q, monkeypatch):
     for code in mask_test_codes(q):
-        members, masks = membership_masks(code)
-        ref_members, ref_masks = reference_masks(code)
-        assert np.array_equal(members, ref_members)
-        assert masks.dtype == np.uint64 and np.array_equal(masks, ref_masks)
+        members, bases = sorted_bases(code)
+        table_bases, table = membership_masks(code)
+        points = code.q ** code.ambient_dim
+        assert np.array_equal(table_bases, bases) and table.dtype == np.min_scalar_type(points)
+        # each row: the member's vector codes in some order, then q^N as padding
+        assert np.sort(table, axis=1).tolist() == [
+            sorted(subspace_vectors(s)) + [points] * (table.shape[1] - q ** s.dim) for s in members]
         if len(members) > 400:  # the default chunks already split these codes
             continue
         # one member per chunk, then a few: boundaries fall inside the code
         for chunk_bytes in (1, 3000):
             monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
-            assert np.array_equal(membership_masks(code)[1], ref_masks)
+            assert np.array_equal(membership_masks(code)[1], table)
         monkeypatch.undo()
         fast = (min_distance_exhaustive(code, cap=len(members)),
                 min_distance_sampled(code, 2000, seed=q))
-        monkeypatch.setattr(verify, "membership_masks", reference_masks)
-        slow = (masked_pair_scan(code, reference_masks),
-                min_distance_sampled(code, 2000, seed=q))
-        monkeypatch.undo()
-        assert fast == slow  # distances and witnesses
+        assert fast == (masked_pair_scan(code), masked_sampled(code, 2000, q))  # witnesses too
 
 
 def fixture_codes():
@@ -234,6 +252,21 @@ def test_oracle_agrees_with_the_pair_scans_on_random_codes(monkeypatch, code):
         f"{sum(s.dim != code.dim for s in code.members)} offending members")
 
 
+@given(random_codes(), st.integers(1, 300), st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sampled_agrees_with_the_masked_reference_on_random_codes(monkeypatch, code, pairs, seed):
+    if len(code.members) < 2:
+        assert min_distance_sampled(code, pairs, seed) == (math.inf, None)
+        return
+    expected = masked_sampled(code, pairs, seed)
+    assert min_distance_sampled(code, pairs, seed) == expected  # distance and witness
+    with monkeypatch.context() as patch:  # each chunk of a few pairs builds its own rows
+        patch.setattr(verify, "_ORACLE_BYTES", 0)
+        patch.setattr(verify, "_CHUNK_BYTES", 1000)
+        assert min_distance_sampled(code, pairs, seed) == expected
+
+
 def record_vector_builds(monkeypatch):
     calls = []
     vectors = verify._member_vectors
@@ -279,16 +312,17 @@ def test_codes_beyond_the_byte_allowance_take_the_stacked_rank_path(monkeypatch)
     expected = masked_pair_scan(code)
     calls = record_vector_builds(monkeypatch)
     level_bytes = verify._level_cost(2, {3: 64}, 2)[1]
-    assert level_bytes > 64 * 2 ** 3 * 8  # more than the vector tables
+    assert level_bytes > 64 * 2 ** 3 * 1  # more than the vector table
     for allowance, oracle in ((level_bytes, True), (level_bytes - 1, False)):
         monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
         calls.clear()
         assert min_distance_exhaustive(code) == expected
         assert bool(calls) == oracle
     # claiming more than 2k starts the scan at level 0, which needs no keys:
-    # only the vector tables' bytes decide whether they are built
+    # only the vector table's bytes decide whether it is built
     low = CodeSet(code.field, code.ambient_dim, code.dim, 2 * code.dim + 2, code.members)
-    for allowance, oracle in ((64 * 2 ** 3 * 8, True), (64 * 2 ** 3 * 8 - 1, False)):
+    table_bytes = 64 * 2 ** 3 * 1  # uint8 entries hold the codes below 2^6 and the pad 2^6
+    for allowance, oracle in ((table_bytes, True), (table_bytes - 1, False)):
         monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
         calls.clear()
         assert min_distance_exhaustive(low) == expected
@@ -335,29 +369,29 @@ def test_rank_distance_scan_starts_at_the_singleton_bound(q, n, t, levels, monke
     assert seen[-1] == n
 
 
-def test_masks_respect_the_bit_budget():
-    code = lifted_mrd_code(3, 2, 0)
-    points = 3 ** 4
-    assert membership_masks(code, bit_budget=points * 9)[1] is not None
-    assert membership_masks(code, bit_budget=points * 9 - 1)[1] is None
-
-
-def test_popcount_fallback_without_bitwise_count(monkeypatch):
-    # numpy < 2 has no np.bitwise_count; the byte-table path must agree with it
-    rows = np.random.default_rng(5).integers(0, 1 << 64, size=(40, 3), dtype=np.uint64)
-    expected = [sum(bin(x).count("1") for x in row) for row in rows.tolist()]
-    code = multiblock_parallel_mrd(2, 3, 2, 1)
-    fast = (min_distance_sampled(code, 5000, seed=5), masked_pair_scan(code))
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    assert np.array_equal(verify._popcount_rows(rows), expected)
-    assert (min_distance_sampled(code, 5000, seed=5), masked_pair_scan(code)) == fast
-
-
 def test_dim_from_count_rejects_a_count_that_is_not_a_power_of_q():
     assert verify._dim_from_count(27, 3) == 3
     assert verify._dim_from_count(1, 3) == 0
     with pytest.raises(ArithmeticError, match="not a power of q=3"):
         verify._dim_from_count(18, 3)
+
+
+class SplitMix64:
+    """The sequential SplitMix64 generator that verify._draws reproduces in
+    numpy (see the verify module docstring for the constants)."""
+
+    def __init__(self, seed: int):
+        self.state = seed & verify._U64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & verify._U64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & verify._U64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & verify._U64
+        return z ^ (z >> 31)
+
+    def randbelow(self, n: int) -> int:
+        return self.next_u64() % n
 
 
 def test_splitmix_reference_sequence():
@@ -382,6 +416,16 @@ def generator_pairs(seed, size, pairs):
     return out
 
 
+def generator_sampled(code, pairs, seed):
+    """Reference sampled oracle for a constant-dimension code: subspace_distance
+    of each pair SplitMix64 draws, and the smallest (min, max) index pair of
+    sorted members at the minimum."""
+    members = sorted(code.members, key=Subspace.sort_key)
+    d, i, j = min((subspace_distance(members[i], members[j]), min(i, j), max(i, j))
+                  for i, j in generator_pairs(seed, len(members), pairs))
+    return d, (members[i], members[j])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**64 - 1, 2**64 + 5])
 @pytest.mark.parametrize("size", [2, 3, 16, 855])
 def test_sampled_pairs_are_the_generator_sequence(seed, size):
@@ -395,10 +439,7 @@ def test_sampled_pairs_are_the_generator_sequence(seed, size):
                                          (lifted_mrd_code, (3, 2, 1))])
 def test_sampled_witness_is_the_smallest_sampled_minimiser(build, args):
     code = build(*args)
-    members = sorted(code.members, key=Subspace.sort_key)
-    d, i, j = min((subspace_distance(members[i], members[j]), min(i, j), max(i, j))
-                  for i, j in generator_pairs(7, len(members), 2000))
-    assert min_distance_sampled(code, 2000, seed=7) == (d, (members[i], members[j]))
+    assert min_distance_sampled(code, 2000, seed=7) == generator_sampled(code, 2000, 7)
 
 
 def test_sampled_deterministic_and_bounded_below_by_exhaustive():
@@ -419,29 +460,39 @@ def test_sampled_covers_all_pairs_eventually():
 
 
 def test_sampled_generic_path(monkeypatch):
-    code = lifted_mrd_code(2, 2, 1)
-    masked = min_distance_sampled(code, 500, seed=3)
-    monkeypatch.setattr(verify, "MASK_BIT_BUDGET", 2 * 2 ** 4 - 1)  # below one pair's two masks
-    monkeypatch.setattr(verify, "_masks", None)  # no mask is built
-    assert min_distance_sampled(code, 500, seed=3) == masked  # distance and witness
+    # vector codes of GF(2)^64 overflow int64: stacked ranks score the drawn
+    # pairs and no vector table is built; those of GF(2)^63 still fit
+    calls = record_vector_builds(monkeypatch)
+    field = field_of_order(2)
+    for n, table in ((63, True), (64, False)):
+        rows = ([1] + [0] * (n - 1), [0] * (n - 1) + [1], [1] + [0] * (n - 2) + [1])
+        code = CodeSet(field, n, 1, 2, tuple(subspace_from_rows(MatrixGF(field, [r])) for r in rows))
+        calls.clear()
+        assert min_distance_sampled(code, 50, seed=3) == generator_sampled(code, 50, 3)
+        assert bool(calls) == table
 
 
 @pytest.mark.parametrize("build, args", [(multiblock_parallel_mrd, (2, 2, 1, 2)),
                                          (lifted_mrd_code, (3, 2, 1)), (lifted_mrd_code, (2, 2, 1))])
 def test_sampled_masks_per_chunk_of_pairs_agree_with_stacked_ranks(build, args, monkeypatch):
-    # over the budget for the whole code, masks are built per chunk of drawn pairs
+    # above _ORACLE_BYTES for the whole code's table, each chunk of drawn pairs
+    # builds the rows of its own members
     code = build(*args)
-    points = code.q ** code.ambient_dim
     whole = min_distance_sampled(code, 3000, seed=11)
-    monkeypatch.setattr(verify, "MASK_BIT_BUDGET", 2 * points - 1)
-    generic = min_distance_sampled(code, 3000, seed=11)
+    assert whole == generator_sampled(code, 3000, 11)
     built = []
-    masks = verify._masks
-    monkeypatch.setattr(verify, "_masks", lambda *a: built.append(len(a[2])) or masks(*a))
-    for pairs_per_chunk in (1, 5, 7):  # fewer than half the members: the whole code's masks do not fit
+    vector_table = verify._vector_table
+    monkeypatch.setattr(verify, "_vector_table", lambda *a: built.append(len(a[2])) or vector_table(*a))
+    table_bytes = verify._table_bytes(code.q, code.ambient_dim, verify._sorted_bases(code)[1])
+    monkeypatch.setattr(verify, "_ORACLE_BYTES", table_bytes)
+    assert min_distance_sampled(code, 3000, seed=11) == whole and built == [len(code)]
+    monkeypatch.setattr(verify, "_ORACLE_BYTES", table_bytes - 1)
+    # the chunk allowance for one pair's two rows and their two boolean temporaries
+    pair_bytes = 2 * code.q ** code.dim * (np.min_scalar_type(code.q ** code.ambient_dim).itemsize + 2)
+    for pairs_per_chunk in (1, 5, 7):
         built.clear()
-        monkeypatch.setattr(verify, "MASK_BIT_BUDGET", 2 * points * pairs_per_chunk)
-        assert min_distance_sampled(code, 3000, seed=11) == generic == whole
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", pairs_per_chunk * pair_bytes)
+        assert min_distance_sampled(code, 3000, seed=11) == whole
         assert built == [2 * pairs_per_chunk] * (3000 // pairs_per_chunk) + (
             [2 * (3000 % pairs_per_chunk)] if 3000 % pairs_per_chunk else [])
 
