@@ -2,10 +2,11 @@
 
 A subspace is identified with the unique reduced row-echelon basis of its
 row space, which makes equality, hashing and set membership exact integer
-comparisons.  For q = 2 the elimination routines run on bit-packed rows
-(column c lives in bit c); the packed code of a row then coincides with the
-base-q integer encoding used for ambient vectors.  All values are immutable
-after construction and every operation here is pure.
+comparisons.  Elimination has two kernels that agree entry for entry:
+rref_batch runs on arrays of matrices in numpy, and _rref_generic runs on
+one matrix of Python ints, behind MatrixGF.rref/rank and intersection_dim,
+and is the reference rref_batch is tested against.  All values are
+immutable after construction and every operation here is pure.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ def span(field: GF, rows, idx) -> np.ndarray:
 
 
 def _digit_mul(x, y, table, p):
-    """Products of the elements whose base-p digits are x and y (..., m), broadcast."""
-    if len(table) == 1:
+    """Products of the elements whose base-p digits are x and y (..., m), broadcast;
+    table is None for a prime field."""
+    if table is None:
         return x * y % p
-    return np.einsum("...i,...j,ijk->...k", x, y, table) % p
+    outer = x[..., :, None] * y[..., None, :]
+    return outer.reshape(*outer.shape[:-2], -1) @ table.reshape(-1, len(table)) % p
 
 
 def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
@@ -63,17 +66,20 @@ def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
     held as their m base-p digits, so a product is one contraction with
     the (m, m, m) digit table of span and an inverse is x^(q-2) by
     square-and-multiply; no table of q entries is built.  Memory is a few
-    int64 copies of the input's digits, so callers pass bounded chunks.
+    copies of the input's digits, so callers pass bounded chunks.  Digits
+    are int64, or Python ints when a product of two (p^2 >= 2^63) would
+    overflow int64.
     """
     p, m, q = field.p, field.m, field.order
-    table = _digit_products(field)
-    powers = p ** np.arange(m, dtype=np.int64)
-    mats = np.asarray(mats, dtype=np.int64)
+    table = _digit_products(field) if m > 1 else None
+    dtype = object if p * p >= 1 << 63 else np.int64
+    powers = p ** np.arange(m, dtype=dtype)
+    mats = np.asarray(mats, dtype=dtype)
     *batch, r, c = mats.shape
     a = mats.reshape(math.prod(batch), r, c)[..., None] // powers % p
     rank = np.zeros(len(a), dtype=np.int64)
     for col in range(c):
-        free = a[:, :, col].any(-1) & (np.arange(r) >= rank[:, None])
+        free = (a[:, :, col] != 0).any(-1) & (np.arange(r) >= rank[:, None])
         b = np.flatnonzero(free.any(1))
         if not len(b):
             continue
@@ -152,13 +158,10 @@ class MatrixGF:
 
     def rref(self) -> "MatrixGF":
         """Reduced row-echelon form; the row space is preserved."""
-        if self.field.order == 2:
-            packed = _rref_bits([_pack_row(r) for r in self.rows], self.ncols)[0]
-            return MatrixGF._of(self.field, tuple(_unpack_row(r, self.ncols) for r in packed))
         return MatrixGF._of(self.field, tuple(_rref_generic(self.field, self.rows, self.ncols)[0]))
 
     def rank(self) -> int:
-        return _rank(self.field, self.rows, self.ncols)
+        return _rref_generic(self.field, self.rows, self.ncols)[1]
 
     def __eq__(self, other):
         return (
@@ -183,8 +186,8 @@ def _dot(f, row, col) -> int:
 
 
 # ----------------------------------------------------------------------
-# Elimination kernels.  Both return (rows, rank); the bit-packed q=2
-# kernel must agree with the generic one entry for entry.
+# The per-matrix elimination kernel.  It returns (rows, rank); rref_batch
+# must agree with it entry for entry.
 # ----------------------------------------------------------------------
 
 def _rref_generic(field, rows, ncols):
@@ -209,44 +212,6 @@ def _rref_generic(field, rows, ncols):
         if r == nrows:
             break
     return [tuple(r_) for r_ in rows], r
-
-
-def _pack_row(row) -> int:
-    out = 0
-    for c, x in enumerate(row):
-        if x:
-            out |= 1 << c
-    return out
-
-
-def _unpack_row(bits: int, ncols: int) -> tuple[int, ...]:
-    return tuple((bits >> c) & 1 for c in range(ncols))
-
-
-def _rref_bits(rows, ncols):
-    rows = list(rows)
-    nrows = len(rows)
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = next((i for i in range(r, nrows) if rows[i] & bit), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_row = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i] & bit:
-                rows[i] ^= pivot_row
-        r += 1
-        if r == nrows:
-            break
-    return rows, r
-
-
-def _rank(field, rows, ncols) -> int:
-    if field.order == 2:
-        return _rref_bits([_pack_row(r) for r in rows], ncols)[1]
-    return _rref_generic(field, rows, ncols)[1]
 
 
 class Subspace:
@@ -327,7 +292,7 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
     """dim(U) + dim(V) - rank of the stacked bases."""
     if u.ambient_dim != v.ambient_dim or u.field != v.field:
         raise ValueError("subspaces live in different ambient spaces")
-    return u.dim + v.dim - _rank(u.field, u.basis + v.basis, u.ambient_dim)
+    return u.dim + v.dim - _rref_generic(u.field, u.basis + v.basis, u.ambient_dim)[1]
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:

@@ -32,17 +32,18 @@ nothing in it grows with q^N.  Before it builds the vector table and
 before each level, the oracle prices them: when the work so far would
 exceed the stacked-rank pair scan's M^2/2 intersections, or the table or
 one level's keys would hold more than _ORACLE_BYTES, it stops and the
-stacked-rank formula decides pair by pair, as it does for codes whose
-vector codes overflow int64 (q^N > 2^63).  Few members with large [k, j]_q
-or q^k take that path.  Both paths score a pair 2k - 2 dim(U cap V), so
-they agree on every code.
+stacked-rank formula decides, with a chunk of stacked pairs per
+linalg.rref_batch call, as it does for codes whose vector codes overflow
+int64 (q^N > 2^63).  Few members with large [k, j]_q or q^k take that
+path.  Both paths score a pair 2k - 2 dim(U cap V), so they agree on every
+code.
 
 The sampled oracle sorts each drawn pair's two table rows side by side and
 counts the vector codes that appear twice: a pair sharing q^j codes meets
 in dimension j.  When the whole code's table would hold more than
 _ORACLE_BYTES, each chunk of drawn pairs builds the rows of its own
 members.  Only codes whose vector codes overflow int64 take the
-stacked-rank formula, pair by pair.
+stacked-rank formula, a chunk of stacked pairs per rref_batch call.
 
 Rank distance between k x m matrices goes through the exhaustive oracle via
 the lifting of Silva, Kschischang and Koetter (2008): the row spaces of
@@ -64,12 +65,11 @@ over an order-free set of candidates, so no schedule can change a result.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 
 from ._numpy import np
 from .construct import CodeSet, bases_dtype
-from .linalg import MatrixGF, Subspace, enumerate_bases, span
+from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, span
 from .rankdist import gaussian_binomial
 
 EXHAUSTIVE_CAP = 5000  # members; larger codes are sampled in mode "auto"
@@ -101,8 +101,9 @@ def _witness(field, bases, pair):
                  for i in pair)
 
 
-# Bytes of temporaries one chunk of the vector build, the key hashing or the
-# sampled pair sort may hold (at least one member or pair per chunk).
+# Bytes of temporaries one chunk of the vector build, the key hashing, the
+# sampled pair sort or the stacked-rank scan may hold (at least one member or
+# pair per chunk).
 _CHUNK_BYTES = 1 << 18
 
 
@@ -316,7 +317,7 @@ def _level_pair(field, segments, j):
 _ORACLE_BYTES = 1 << 28  # the vector table, or one level's keys and index sets
 _KEY_COST = 16  # sort, run detection and bookkeeping of one key
 _SUBSPACE_COST = 4000  # enumerating one j-subspace into an index set
-_PAIR_COST = 5000  # one stacked-rank intersection of the pair scan
+_PAIR_COST = 2000  # one pair of the stacked-rank scan (see _min_distance_pairs_generic)
 
 
 class _OverBudget(Exception):
@@ -407,24 +408,42 @@ def min_distance_exhaustive(code, cap: int = EXHAUSTIVE_CAP):
             return 2 * code.dim - 2 * j, _witness(code.field, bases, pair)
         except _OverBudget:
             pass
-    dist, pair = _min_distance_pairs_generic(code.field, bases,
-                                             itertools.combinations(range(m), 2), code.dim)
+    dist, pair = _min_distance_pairs_generic(code.field, bases, code.dim)
     return dist, _witness(code.field, bases, pair)
 
 
-def _min_distance_pairs_generic(field, bases, pairs, dim):
-    """(minimum of 2 dim - 2 dim(U cap V), (i, j)) over index pairs i < j of bases.
+def _min_distance_pairs_generic(field, bases, dim, pairs=None):
+    """(minimum of 2 dim - 2 dim(U cap V), (i, j)) over index pairs i < j of
+    bases: every pair, or the pairs (left[t], right[t]) of pairs = (left, right).
 
-    dim(U cap V) is dim U + dim V less the rank of the stacked bases.  Ties
-    go to the smallest index pair, the smallest subspace pair of sorted bases.
+    dim(U cap V) is dim U + dim V less the rank of the stacked bases, taken
+    for a chunk of stacked pairs per rref_batch call.  A chunk's int64
+    digits and their elimination temporaries fill about _CHUNK_BYTES (a few
+    times more as Python ints), so memory does not grow with the pairs.
+    Ties go to the smallest index pair, the smallest subspace pair of
+    sorted bases.
     """
-    best = witness = None
-    for i, j in pairs:
-        u, v = (tuple(r for r in bases[x].tolist() if any(r)) for x in (i, j))
-        d = 2 * dim - 2 * (len(u) + len(v) - MatrixGF._of(field, u + v).rank())
-        if best is None or d < best or (d == best and (i, j) < witness):
-            best, witness = d, (i, j)
-    return best, witness
+    m, height, n = bases.shape
+    dims = bases.any(axis=2).sum(axis=1)
+    if pairs is None:  # pair t is (i, t - before[i] + i + 1), before[i] the pairs of rows < i
+        before = np.r_[0, np.cumsum(np.arange(m - 1, 0, -1))]
+        count = m * (m - 1) // 2
+    else:
+        count = len(pairs[0])
+    step = max(1, _CHUNK_BYTES // max(1, 6 * 16 * height * n * field.m))  # 6 int64 digit copies
+    best = (math.inf,)
+    for lo in range(0, count, step):
+        if pairs is None:
+            t = np.arange(lo, min(lo + step, count))
+            i = np.searchsorted(before, t, side="right") - 1
+            j = t - before[i] + i + 1
+        else:
+            i, j = pairs[0][lo:lo + step], pairs[1][lo:lo + step]
+        rank = rref_batch(field, np.concatenate([bases[i], bases[j]], axis=1))[1]
+        d = 2 * dim - 2 * (dims[i] + dims[j] - rank)
+        at = np.lexsort((j, i, d))[0]
+        best = min(best, (int(d[at]), int(i[at]), int(j[at])))
+    return best[0], best[1:]
 
 
 _DRAW_CHUNK = 1 << 16  # draws hashed at a time
@@ -498,9 +517,8 @@ def min_distance_sampled(code, pairs: int, seed: int):
     low, high = np.minimum(left, right), np.maximum(left, right)
     bases, table = membership_masks(code)
     points = code.q ** code.ambient_dim
-    if points > 1 << 63:  # vector codes overflow int64: stacked ranks, pair by pair
-        dist, pair = _min_distance_pairs_generic(
-            code.field, bases, zip(low.tolist(), high.tolist()), code.dim)
+    if points > 1 << 63:  # vector codes overflow int64: stacked ranks
+        dist, pair = _min_distance_pairs_generic(code.field, bases, code.dim, (low, high))
         return dist, _witness(code.field, bases, pair)
     dims = bases.any(axis=2).sum(axis=1)
     # a pair's two rows, sorted in place, and two boolean temporaries of their length

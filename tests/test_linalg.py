@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cdcodes.gf as gf
+from cdcodes.construct import bases_dtype
 from cdcodes.gf import GF, field_of_order
 from cdcodes.linalg import (
     MatrixGF,
     Subspace,
-    _rref_generic,
     enumerate_subspaces,
     intersection_dim,
     is_canonical_basis,
@@ -23,6 +24,7 @@ from vector_oracle import encode_vector, subspace_vectors
 
 F2 = GF(2)
 F3 = GF(3)
+BIG = 4_294_967_311  # the least prime above 2^32: a product of two entries overflows int64
 
 
 def all_matrices(field, nrows, ncols):
@@ -58,18 +60,6 @@ def test_rank_rank_nullity():
         kernel = [x for x in itertools.product(range(3), repeat=2)
                   if not any((MatrixGF(F3, [x]) @ m).rows[0])]
         assert len(kernel) == 3 ** (m.nrows - m.rank())
-
-
-def test_packed_matches_generic_rref():
-    rng = random.Random(7)
-    for _ in range(200):
-        nrows = rng.randint(1, 5)
-        ncols = rng.randint(1, 8)
-        rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
-        m = MatrixGF(F2, rows)
-        generic_rows, generic_rank = _rref_generic(F2, rows, ncols)
-        assert m.rref().rows == tuple(generic_rows)
-        assert m.rank() == generic_rank
 
 
 def test_rank_invariant_under_permutations():
@@ -260,9 +250,9 @@ def test_span_matches_a_fold_through_the_field(q):
 
 @st.composite
 def matrix_batches(draw):
-    """A batch of matrices over GF(q), q in {2, 3, 4, 5, 8, 9, 16}: zero rows or
-    columns, tall and wide shapes, and rows copied or scaled from other rows."""
-    field = field_of_order(draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16])))
+    """A batch of matrices over GF(q), q in {2, 3, 4, 5, 8, 9, 16, BIG}: zero rows
+    or columns, tall and wide shapes, and rows copied or scaled from other rows."""
+    field = field_of_order(draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, BIG])))
     q = field.order
     r, c, count = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 4))
     entry = st.integers(0, q - 1) | st.just(0)  # zeros often, so pivots move around
@@ -278,6 +268,8 @@ def matrix_batches(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(matrix_batches())
+@example((field_of_order(BIG), np.array([[[BIG - 1, BIG - 2], [3, BIG - 5]]])))  # invertible
+@example((field_of_order(BIG), np.array([[[BIG - 2, 7, BIG - 1], [4, BIG - 14, 2]]])))  # rank 1
 def test_batched_rref_matches_the_per_matrix_kernels(case):
     field, mats = case
     reduced, rank = rref_batch(field, mats)
@@ -286,6 +278,27 @@ def test_batched_rref_matches_the_per_matrix_kernels(case):
         m = MatrixGF(field, rows)
         assert reduced[i].tolist() == [list(row) for row in m.rref().rows]
         assert rank[i] == m.rank()
+
+
+@pytest.mark.parametrize("p", [2**63 + 29, 2**64 - 59, 2**64 + 13])
+def test_batched_rref_matches_the_per_matrix_kernels_beyond_uint64_products(p, monkeypatch):
+    """Known primes near 2^64 (is_prime, trial division, would take about 2^31
+    steps on each), with entries held as a CodeSet holds them: uint64 below
+    2^64 and Python ints above."""
+    monkeypatch.setattr(gf, "is_prime", lambda n: n == p)
+    field = gf.GF(p)
+    rng = random.Random(p)
+    mats = [[[rng.randrange(p) for _ in range(4)] for _ in range(3)] for _ in range(40)]
+    for rows in mats[::2]:  # rank-deficient: the last row a multiple of the first
+        c = rng.randrange(p)
+        rows[2] = [c * x % p for x in rows[0]]
+    mats.append([[p - 1, p - 2, 0, 1], [3, p - 5, 1, 0], [p - 1, p - 1, p - 1, 1]])  # entries near p
+    reduced, rank = rref_batch(field, np.array(mats, dtype=bases_dtype(field)))
+    for i, rows in enumerate(mats):
+        m = MatrixGF(field, rows)
+        assert reduced[i].tolist() == [list(row) for row in m.rref().rows]
+        assert rank[i] == m.rank()
+    assert sorted(set(rank.tolist())) == [2, 3]
 
 
 def test_batched_rref_keeps_leading_batch_axes():

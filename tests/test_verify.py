@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cdcodes.verify import (
     min_distance_sampled,
     validate_codeset,
 )
+import cdcodes.gf as gf
 import cdcodes.verify as verify
 from vector_oracle import subspace_vectors
 
@@ -108,8 +110,7 @@ def sorted_bases(code):
 def stacked_rank_scan(code):
     """Reference oracle: _min_distance_pairs_generic over all pairs."""
     members, bases = sorted_bases(code)
-    dist, (i, j) = verify._min_distance_pairs_generic(
-        code.field, bases, itertools.combinations(range(len(members)), 2), code.dim)
+    dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases, code.dim)
     return dist, (members[i], members[j])
 
 
@@ -132,6 +133,24 @@ def oracle_variants(code, monkeypatch):
 def test_generic_path_agrees_with_masked():
     code = multiblock_parallel_mrd(2, 2, 1, 1)
     assert min_distance_exhaustive(code) == masked_pair_scan(code) == stacked_rank_scan(code)
+
+
+def test_stacked_rank_scan_takes_every_pair_once_in_bounded_chunks(monkeypatch):
+    code = lifted_mrd_code(2, 2, 1)  # 16 members, 120 pairs
+    members, bases = sorted_bases(code)
+    calls = []
+    batch = verify.rref_batch
+    monkeypatch.setattr(verify, "rref_batch", lambda f, mats: calls.append(mats) or batch(f, mats))
+    pair_bytes = 6 * 16 * bases.shape[1] * bases.shape[2]  # six int64 copies of a pair's digits
+    for pairs_per_chunk in (1, 7, 120, 1000):
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", pairs_per_chunk * pair_bytes)
+        calls.clear()
+        dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases, code.dim)
+        assert (dist, (members[i], members[j])) == masked_pair_scan(code)
+        step = min(pairs_per_chunk, 120)
+        assert [len(m) for m in calls] == [step] * (120 // step) + ([120 % step] if 120 % step else [])
+        assert np.concatenate(calls).tolist() == [  # every pair once, in index order
+            bases[a].tolist() + bases[b].tolist() for a, b in itertools.combinations(range(16), 2)]
 
 
 def reference_masks(code):
@@ -495,6 +514,67 @@ def test_sampled_masks_per_chunk_of_pairs_agree_with_stacked_ranks(build, args, 
         assert min_distance_sampled(code, 3000, seed=11) == whole
         assert built == [2 * pairs_per_chunk] * (3000 // pairs_per_chunk) + (
             [2 * (3000 % pairs_per_chunk)] if 3000 % pairs_per_chunk else [])
+
+
+# Primes whose products overflow int64: the least above 2^32, the least above
+# 2^63, the greatest below 2^64 (bases held as uint64) and the least above 2^64
+# (bases held as Python ints).
+BIG = 4_294_967_311
+HUGE = (2**63 + 29, 2**64 - 59, 2**64 + 13)
+
+
+def large_prime_field(p, monkeypatch):
+    """GF(p) for one of the known primes above; is_prime is trial division and
+    would take about 2^31 steps to confirm one near 2^64."""
+    monkeypatch.setattr(gf, "is_prime", lambda n: n == p)
+    return gf.GF(p)
+
+
+def big_prime_code(field, n, k, seed):
+    """A code of k-dim subspaces of GF(p)^n, p a large prime: random members,
+    and members holding one of a few shared lines, each spanned by a scaled
+    copy of it."""
+    p = field.order
+    rng = random.Random(seed)
+    vector = lambda: [rng.randrange(p) for _ in range(n)]  # noqa: E731
+    lines = [vector() for _ in range(3)]
+    matrices = [[vector() for _ in range(k)] for _ in range(8)]
+    for _ in range(8):
+        line, c = rng.choice(lines), rng.randrange(1, p)
+        matrices.append([[c * x % p for x in line]] + [vector() for _ in range(k - 1)])
+    members = [subspace_from_rows(MatrixGF(field, m)) for m in matrices]
+    return CodeSet(field, n, k, 2, tuple(s for s in members if s.dim == k))
+
+
+def per_pair_rank_scan(code, pairs):
+    """Minimum distance and smallest (min, max) witness over the index pairs of
+    sorted members, each pair's intersection from one MatrixGF rank."""
+    members = sorted(code.members)
+    d, i, j = min((2 * code.dim - 2 * (2 * code.dim - MatrixGF(
+        code.field, members[i].basis + members[j].basis).rank()), min(i, j), max(i, j))
+        for i, j in pairs)
+    return d, [[list(row) for row in members[x].basis] for x in (i, j)]
+
+
+# In GF(p)^3 distinct planes always meet in a line and distinct lines only in
+# 0, so only equal members lower a rank there; in GF(p)^4 two planes meet in a
+# line or only in 0, and a wrong elimination changes the distance.
+@pytest.mark.parametrize("p", (BIG,) + HUGE)
+@pytest.mark.parametrize("n, k, seed, dist", [(3, 1, 1, 0), (3, 1, 2, 0), (3, 2, 3, 2),
+                                              (3, 2, 4, 2), (4, 2, 5, 2)])
+def test_codes_beyond_int64_over_a_large_prime_agree_with_per_pair_ranks(
+        p, n, k, seed, dist, monkeypatch):
+    code = big_prime_code(large_prime_field(p, monkeypatch), n, k, seed)
+    assert code.q ** code.ambient_dim > 1 << 63
+    m = len(code.members)
+    expected = {"exhaustive": per_pair_rank_scan(code, itertools.combinations(range(m), 2)),
+                "sampled": per_pair_rank_scan(code, generator_pairs(seed, m, 300))}
+    assert expected["exhaustive"][0] == dist
+    for mode, how in (("exhaustive", "exhaustive"), ("sampled", f"sampled(300,seed={seed})")):
+        report = validate_codeset(code, sampled_pairs=300, seed=seed, mode=mode)
+        check = next(c for c in report["checks"] if c["check"] == "min_distance")
+        assert (check["actual"], check["witness"]) == (f"{expected[mode][0]} ({how})",
+                                                       expected[mode][1])
 
 
 def test_empirical_rank_distribution():
