@@ -10,40 +10,38 @@ vector codes, built in numpy the same way for every q: for a chunk of
 equal-dimension members, the vectors of each row space are its
 combinations sum_i c_i row_i, computed by linalg.span, the kernel that also
 enumerates MRD codewords, each encoded as its base-q code (coordinate c is
-digit c).  A chunk holds about 256 KB of temporaries.  The table's entries
-take the smallest unsigned dtype that holds q^N, and a member of lower
-dimension than the widest is padded with q^N, which no vector code takes.
+digit c).  A chunk of members, or of one wide member's vectors, holds about
+256 KB of temporaries.  The table's entries take the smallest unsigned
+dtype that holds q^N, and a member of lower dimension than the widest is
+padded with q^N, which no vector code takes.
 
 The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
 meet in dimension at least j exactly when some j-subspace lies in both, so
 the minimum distance is 2(k - j*) for the largest level j* at which two
-members share a j-subspace.  The j-subspaces of GF(q)^dim are enumerated
-once per (field, dim, j) as index sets into a member's vector codes; the
-key of one j-subspace of one member is the set of its nonzero vector
-codes, hashed to 64 bits as a wrapping sum of SplitMix64-mixed codes, so
-the hash needs no sort.  np.sort brings equal hashes together, and a run
-of equal hashes counts only after its code rows compare equal: a hash
-collision can neither pass nor fail a code.  The scan starts one level
+members share a j-subspace.  Each j-subspace of a member is keyed by its
+canonical basis, whose rows are member vectors (_subspace_indices), so a
+key is j gathers from the vector table and equal keys are equal subspaces;
+one sort brings them together (_level_pair).  The scan starts one level
 above the claimed distance d = 2 delta, at j = k - delta + 1, moves down
-while a level has no collision and up past every level that has one, so a
-code that meets its claim exactly costs two levels.  A level costs
-M [k, j]_q keys, against the M^2/2 pair intersections of a pair scan, and
-nothing in it grows with q^N.  Before it builds the vector table and
-before each level, the oracle prices them: when the work so far would
-exceed the stacked-rank pair scan's M^2/2 intersections, or the table or
-one level's keys would hold more than _ORACLE_BYTES, it stops and the
-stacked-rank formula decides, with a chunk of stacked pairs per
-linalg.rref_batch call, as it does for codes whose vector codes overflow
-int64 (q^N > 2^63).  Few members with large [k, j]_q or q^k take that
-path.  Both paths score a pair 2k - 2 dim(U cap V), so they agree on every
-code.
+while no two members share a key and up past every level where two do, so
+a code that meets its claim exactly costs two levels.  A level costs
+M [k, j]_q keys, against the M^2/2 pair intersections of a pair scan.
+Before it builds the vector table and before each level, the oracle
+prices them: when the work so far would exceed the stacked-rank pair
+scan's M^2/2 intersections, or the table or one level's keys would hold
+more than _ORACLE_BYTES, it stops and the stacked-rank formula decides,
+with a chunk of stacked pairs per linalg.rref_batch call, as it does for
+codes whose vector codes overflow int64 (q^N > 2^63).  Few members with
+large [k, j]_q or q^k take that path.  Both paths score a pair
+2k - 2 dim(U cap V), so they agree on every code.
 
 The sampled oracle sorts each drawn pair's two table rows side by side and
 counts the vector codes that appear twice: a pair sharing q^j codes meets
 in dimension j.  When the whole code's table would hold more than
 _ORACLE_BYTES, each chunk of drawn pairs builds the rows of its own
-members.  Only codes whose vector codes overflow int64 take the
-stacked-rank formula, a chunk of stacked pairs per rref_batch call.
+members.  Codes whose vector codes overflow int64, and codes with one
+pair's rows above _ORACLE_BYTES, take the stacked-rank formula, a chunk of
+stacked pairs per rref_batch call.
 
 Rank distance between k x m matrices goes through the exhaustive oracle via
 the lifting of Silva, Kschischang and Koetter (2008): the row spaces of
@@ -101,29 +99,32 @@ def _witness(field, bases, pair):
                  for i in pair)
 
 
-# Bytes of temporaries one chunk of the vector build, the key hashing, the
-# sampled pair sort or the stacked-rank scan may hold (at least one member or
-# pair per chunk).
+# Bytes of temporaries one chunk of the vector build, the key build, the
+# sampled pair sort or the stacked-rank scan may hold (at least one member,
+# vector or pair per chunk).
 _CHUNK_BYTES = 1 << 18
 
 
 def _member_vectors(field, ambient_dim, bases, dims):
-    """Yield (rows, codes) for chunks of equal-dimension members of bases.
+    """Yield (rows, lo, codes) for chunks of equal-dimension members of bases.
 
     codes[i, c] is the base-q code of sum_l c_l row_l over the basis of
-    member rows[i], c_l being base-q digit l of c (column 0 is the zero
-    vector).
+    member rows[i], c_l being base-q digit l of lo + c (combination 0 is the
+    zero vector).  A member whose q^dim combinations overflow one chunk
+    spreads them over several.
     """
     q, n = field.order, ambient_dim
     place = q ** np.arange(n, dtype=np.int64)  # coordinate c is base-q digit c
+    per_vector = 8 * (2 * n * field.m + n + 1)
     for dim in np.flatnonzero(np.bincount(dims)).tolist():
         rows = np.flatnonzero(dims == dim)
         group = bases[rows, :dim]
-        combos = np.arange(q ** dim)
-        per_member = q ** dim * 8 * (2 * n * field.m + n + 1)
-        step = max(1, _CHUNK_BYTES // per_member)
+        width = min(q ** dim, max(1, _CHUNK_BYTES // per_vector))  # combinations per chunk
+        step = max(1, _CHUNK_BYTES // (per_vector * width))  # members per chunk
         for lo in range(0, len(rows), step):
-            yield rows[lo:lo + step], span(field, group[lo:lo + step], combos) @ place
+            for c in range(0, q ** dim, width):
+                combos = np.arange(c, min(c + width, q ** dim))
+                yield rows[lo:lo + step], c, span(field, group[lo:lo + step], combos) @ place
 
 
 def _table_bytes(q, ambient_dim, dims):
@@ -137,8 +138,8 @@ def _vector_table(field, ambient_dim, bases, dims):
     points = field.order ** ambient_dim
     table = np.full((len(bases), field.order ** int(dims.max())), points,
                     dtype=np.min_scalar_type(points))
-    for rows, codes in _member_vectors(field, ambient_dim, bases, dims):
-        table[rows, :codes.shape[1]] = codes
+    for rows, lo, codes in _member_vectors(field, ambient_dim, bases, dims):
+        table[rows, lo:lo + codes.shape[1]] = codes
     return table
 
 
@@ -171,19 +172,18 @@ _INDEX_CACHE_BYTES = 1 << 24
 
 
 def _subspace_indices(field, dim: int, j: int) -> np.ndarray:
-    """([dim, j]_q, q^j - 1) array: the nonzero vectors of each j-subspace of GF(q)^dim.
+    """([dim, j]_q, j) array: row s holds the base-q codes of the rows of the
+    s-th canonical j x dim basis C, in enumerate_bases order.
 
-    Row s holds the base-q codes of the nonzero vectors of the s-th
-    j-subspace in canonical order.  Read as coefficient indices into a
-    member's vector codes (see _member_vectors), they pick the vectors of
-    the s-th j-subspace of the member's row space.
+    Read as coefficient indices into a member's vector codes (see
+    _member_vectors), they pick the rows of C B, B the member's canonical
+    basis; B's pivot columns carry C, so C B is canonical too.
     """
     out = _INDEX_CACHE.get((field, dim, j))
     if out is not None:
         return out
-    q = field.order
     bases = np.array(list(enumerate_bases(field, dim, j)), dtype=np.int64).reshape(-1, j, dim)
-    out = span(field, bases, np.arange(1, q ** j)) @ q ** np.arange(dim, dtype=np.int64)
+    out = bases @ field.order ** np.arange(dim, dtype=np.int64)
     out.flags.writeable = False
     if out.nbytes <= _INDEX_CACHE_BYTES:
         if out.nbytes + sum(t.nbytes for t in _INDEX_CACHE.values()) > _INDEX_CACHE_BYTES:
@@ -192,131 +192,79 @@ def _subspace_indices(field, dim: int, j: int) -> np.ndarray:
     return out
 
 
-_MIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+def _key_bits(q, ambient_dim, j, members):
+    """Bits that number the members, or None when a key of j vector codes,
+    read in base q^N, and a member number do not fit one uint64 word."""
+    bits = max(1, (members - 1).bit_length())
+    return bits if q ** (ambient_dim * j) << bits <= 1 << 64 else None
 
 
-def _vector_hash(codes: np.ndarray) -> np.ndarray:
-    """SplitMix64's step and output mix of every vector code, as uint64."""
-    z = codes.astype(np.uint64) + np.uint64(_MIX[0])
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX[1])
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX[2])
-    z ^= z >> np.uint64(31)
-    return z
-
-
-class _LevelKeys:
-    """The keys of every j-subspace of every member of dimension >= j.
-
-    segments are (start, dim, vector codes) of runs of equal-dimension
-    members.  Keys are numbered member-major, and within a member by the
-    rows of _subspace_indices.  A key's hash is the wrapping sum of its
-    vectors' mixed codes, so it depends on the set of codes only; words[t]
-    keeps the high bits of key t's hash above t itself in the low `bits`
-    bits, so sorting the words orders the keys by (hash, number).
-    """
-
-    def __init__(self, field, segments, j):
-        self.width = field.order ** j - 1
-        self.parts = []
-        count = 0
-        for start, dim, vecs in segments:
-            if dim >= j:
-                idx = _subspace_indices(field, dim, j)
-                self.parts.append((count, start, vecs, idx))
-                count += len(vecs) * len(idx)
-        self.first = np.array([p[0] for p in self.parts], dtype=np.int64)
-        self.bits = max(1, (count - 1).bit_length())
-        self.words = np.empty(count, dtype=np.uint64)
-        high = np.uint64(~0 << self.bits & _U64)
-        for first, _start, vecs, idx in self.parts:
-            nsub, width = idx.shape
-            step = max(1, _CHUNK_BYTES // (8 * (3 * vecs.shape[1] + nsub * (width + 4))))
-            for lo in range(0, len(vecs), step):
-                hashes = _vector_hash(vecs[lo:lo + step])[:, idx].sum(axis=2, dtype=np.uint64)
-                at = first + lo * nsub
-                self.words[at:at + hashes.size] = hashes.ravel() & high | np.arange(
-                    at, at + hashes.size, dtype=np.uint64)
-
-    def _split(self, ids):
-        part = np.searchsorted(self.first, ids, side="right") - 1
-        for p, (first, start, vecs, idx) in enumerate(self.parts):
-            sel = np.flatnonzero(part == p)
-            if sel.size:
-                member, sub = np.divmod(ids[sel] - first, len(idx))
-                yield sel, start, member, vecs[member[:, None], idx[sub]]
-
-    def owners(self, ids) -> np.ndarray:
-        """Sorted-member index of each key."""
-        out = np.empty(len(ids), dtype=np.int64)
-        for sel, start, member, _codes in self._split(ids):
-            out[sel] = start + member
-        return out
-
-    def rows(self, ids) -> np.ndarray:
-        """The exact keys: each key's nonzero vector codes, sorted."""
-        out = np.empty((len(ids), self.width), dtype=np.int64)
-        for sel, _start, _member, codes in self._split(ids):
-            out[sel] = np.sort(codes, axis=1)
-        return out
-
-
-def _group_pair(keys, ids):
-    """Smallest member pair among ids (one run of equal hashes, ascending) sharing a key.
-
-    None when no two of them hold the same key exactly.
-    """
-    rows = keys.rows(ids)
-    order = np.lexsort((ids,) + tuple(rows.T[::-1]))  # by key, then by key number
-    rows, ids = rows[order], ids[order]
-    new = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
-    firsts = np.flatnonzero(new[:-1] & ~new[1:])  # groups of two or more
-    if not firsts.size:
-        return None
-    return min(zip(keys.owners(ids[firsts]).tolist(), keys.owners(ids[firsts + 1]).tolist()))
-
-
-def _level_pair(field, segments, j):
+def _level_pair(field, ambient_dim, segments, j):
     """Smallest member pair (a, b), a < b, sharing a j-subspace, or None.
 
-    Runs of equal hash bits in the sorted key words are the candidate
-    groups, with key numbers ascending.  The first two keys of a run bound
-    every pair the run can confirm from below, so runs are confirmed in
-    that order until no unconfirmed run can hold a smaller pair.
+    segments are (start, dim, vector codes) of runs of equal-dimension
+    members.  A key, the codes of a canonical basis (_subspace_indices),
+    names one subspace, and no member holds it twice.  When _key_bits
+    allows, keys are packed in base q^N above their member's number and
+    sorted as words; else their rows are lexsorted, which is stable.  So a
+    run of equal keys lists its members ascending, and its first two keys
+    name the run's smallest pair.
     """
     if j == 0:
         return 0, 1  # every member holds the zero subspace
-    keys = _LevelKeys(field, segments, j)
-    words = keys.words
-    words.sort()
-    low = np.uint64((1 << keys.bits) - 1)
-    joined = words[1:] ^ words[:-1] <= low  # key i + 1 is in key i's run
-    if not joined.any():
+    parts = [(start, vecs, _subspace_indices(field, dim, j))
+             for start, dim, vecs in segments if dim >= j]
+    count = sum(len(vecs) * len(idx) for _start, vecs, idx in parts)
+    members = segments[-1][0] + len(segments[-1][2])
+    bits = _key_bits(field.order, ambient_dim, j, members)
+    if bits is None:  # j rows of key codes, then each key's member
+        keys = np.empty((j + 1, count), np.min_scalar_type(max(field.order ** ambient_dim, members)))
+    else:
+        words = np.empty(count, dtype=np.uint64)
+        place = np.array([field.order ** (ambient_dim * r) for r in range(j)], dtype=np.uint64)
+    at = 0
+    for start, vecs, idx in parts:
+        step = max(1, _CHUNK_BYTES // (len(idx) * (2 * j * vecs.itemsize + 24)))
+        for lo in range(0, len(vecs), step):
+            chunk = vecs[lo:lo + step]
+            owner = np.arange(start + lo, start + lo + len(chunk), dtype=np.uint64)
+            end = at + len(chunk) * len(idx)
+            if bits is None:
+                keys[:j, at:end] = chunk[:, idx.T].swapaxes(0, 1).reshape(j, -1)
+                keys[j, at:end] = owner.repeat(len(idx))
+            else:
+                key = sum(chunk[:, idx[:, r]] * place[r:r + 1] for r in range(j))  # base q^N
+                words[at:end] = (key << np.uint64(bits) | owner[:, None]).ravel()
+            at = end
+    if bits is None:
+        order = np.lexsort(keys[:j])
+        joined = np.ones(count - 1, dtype=bool)  # key order[i + 1] equals key order[i]
+        for row in keys[:j]:
+            row = row[order]
+            joined &= row[1:] == row[:-1]
+        owners = keys[j][order]
+        del keys, order, row
+    else:
+        words.sort()
+        low = np.uint64((1 << bits) - 1)
+        joined = words[1:] ^ words[:-1] <= low
+        words &= low
+        owners = words
+    starts = np.flatnonzero(joined & ~np.r_[False, joined][:-1])  # the runs' first keys
+    if not starts.size:
         return None
-    edge = np.diff(np.r_[False, joined, False].view(np.int8))
-    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) + 1
-    words &= low
-    ids = words.view(np.int64)
-    heads_a = keys.owners(ids[starts]).tolist()
-    heads_b = keys.owners(ids[starts + 1]).tolist()
-    best = None
-    for r in np.lexsort((heads_b, heads_a)).tolist():
-        if best is not None and best <= (heads_a[r], heads_b[r]):
-            break
-        pair = _group_pair(keys, ids[starts[r]:ends[r]])
-        if pair is not None and (best is None or pair < best):
-            best = pair
-    return best
+    a, b = owners[starts], owners[starts + 1]
+    least = a.min()
+    return int(least), int(b[a == least].min())
 
 
 # What the exhaustive oracle may spend before it hands a code to the
-# stacked-rank pair scan.  Costs count vector-hash units (one vector of one
-# key gathered and summed, about 4 ns); the weights were measured on a
-# 2-vCPU host on lifted, multiblock and Grassmannian codes over q <= 4.
+# stacked-rank pair scan.  Costs count key units (one vector code of one key
+# gathered and packed, about 4 ns); the weights were measured on a 2-vCPU
+# host on lifted, multiblock and Grassmannian codes over q <= 4.
 _ORACLE_BYTES = 1 << 28  # the vector table, or one level's keys and index sets
-_KEY_COST = 16  # sort, run detection and bookkeeping of one key
-_SUBSPACE_COST = 4000  # enumerating one j-subspace into an index set
+_KEY_COST = 4  # sort, run detection and bookkeeping of one key
+_SUBSPACE_COST = 1200  # enumerating one j-subspace into an index set
 _PAIR_COST = 2000  # one pair of the stacked-rank scan (see _min_distance_pairs_generic)
 
 
@@ -324,19 +272,20 @@ class _OverBudget(Exception):
     """The oracle would outspend the pair scan or outgrow _ORACLE_BYTES."""
 
 
-def _level_cost(q, sizes, j):
+def _level_cost(q, ambient_dim, sizes, j):
     """(cost, bytes) of level j's keys, for sizes[dim] members of each dimension."""
     if j == 0:
         return 0, 0  # decided without keys
-    width = q ** j - 1
-    cost = nbytes = 0
-    for dim, size in sizes.items():
-        if dim >= j:
-            subspaces = gaussian_binomial(dim, j, q)
-            cost += subspaces * (_SUBSPACE_COST + size * (width + _KEY_COST))
-            # index set and one member's hashing temporaries; key words and run detection
-            nbytes += subspaces * (16 * (width + 4) + 17 * size)
-    return cost, nbytes
+    subspaces = {dim: gaussian_binomial(dim, j, q) for dim in sizes if dim >= j}
+    keys = sum(sizes[dim] * count for dim, count in subspaces.items())
+    members = sum(sizes.values())
+    if _key_bits(q, ambient_dim, j, members) is None:
+        # key and member rows, lexsort's order and its sort buffer
+        per_key = (j + 1) * np.min_scalar_type(max(q ** ambient_dim, members)).itemsize + 16
+    else:
+        per_key = 17  # key words, their xor and run flags
+    return (_SUBSPACE_COST * sum(subspaces.values()) + (j + _KEY_COST) * keys,
+            8 * j * sum(subspaces.values()) + per_key * keys)
 
 
 def _shared_level(field, ambient_dim, bases, dims, j, budget):
@@ -350,13 +299,13 @@ def _shared_level(field, ambient_dim, bases, dims, j, budget):
     """
     q = field.order
     sizes = collections.Counter(dims.tolist())
-    spent = ambient_dim * sum(size * q ** dim for dim, size in sizes.items())
+    spent = 8 * ambient_dim * field.m * sum(size * q ** dim for dim, size in sizes.items())
     if _table_bytes(q, ambient_dim, dims) > _ORACLE_BYTES:
         raise _OverBudget
 
     def charge(j):
         nonlocal spent
-        cost, nbytes = _level_cost(q, sizes, j)
+        cost, nbytes = _level_cost(q, ambient_dim, sizes, j)
         spent += cost
         if spent > budget or nbytes > _ORACLE_BYTES:
             raise _OverBudget
@@ -370,9 +319,9 @@ def _shared_level(field, ambient_dim, bases, dims, j, budget):
 
     def level(j):
         charge(j)
-        return _level_pair(field, segments, j)
+        return _level_pair(field, ambient_dim, segments, j)
 
-    pair = _level_pair(field, segments, j)
+    pair = _level_pair(field, ambient_dim, segments, j)
     if pair is None:
         while pair is None:  # level 0 always has a collision
             j -= 1
@@ -446,15 +395,28 @@ def _min_distance_pairs_generic(field, bases, dim, pairs=None):
     return best[0], best[1:]
 
 
-_DRAW_CHUNK = 1 << 16  # draws hashed at a time
+_DRAW_CHUNK = 1 << 16  # draws mixed at a time
+_MIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _vector_hash(codes: np.ndarray) -> np.ndarray:
+    """SplitMix64's step and output mix of every entry of codes, as uint64."""
+    z = codes.astype(np.uint64) + np.uint64(_MIX[0])
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX[1])
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX[2])
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _draws(seed: int, count: int, size: int) -> np.ndarray:
     """The first count values of SplitMix64(seed).randbelow(size), as int64.
 
-    Draw i is the output mix of the state seed + (i + 1) * gamma, which
-    _vector_hash computes from seed + i * gamma; uint64 arithmetic wraps
-    mod 2^64 as the generator does.
+    Draw i is the output mix of the state seed + (i + 1) * gamma:
+    _vector_hash takes SplitMix64's step from seed + i * gamma and mixes, a
+    chunk of states at once, and uint64 arithmetic wraps mod 2^64 as the
+    generator does.
     """
     out = np.empty(count, dtype=np.int64)
     for lo in range(0, count, _DRAW_CHUNK):
@@ -515,14 +477,15 @@ def min_distance_sampled(code, pairs: int, seed: int):
         return math.inf, None
     left, right = _sample_pairs(seed, m, pairs)
     low, high = np.minimum(left, right), np.maximum(left, right)
-    bases, table = membership_masks(code)
     points = code.q ** code.ambient_dim
-    if points > 1 << 63:  # vector codes overflow int64: stacked ranks
+    # a pair's two rows, sorted in place, and two boolean temporaries of their length
+    pair_bytes = 2 * code.q ** code.bases.shape[1] * (np.min_scalar_type(points).itemsize + 2)
+    if points > 1 << 63 or pair_bytes > _ORACLE_BYTES:  # stacked ranks
+        bases = _sorted_bases(code)[0]
         dist, pair = _min_distance_pairs_generic(code.field, bases, code.dim, (low, high))
         return dist, _witness(code.field, bases, pair)
+    bases, table = membership_masks(code)
     dims = bases.any(axis=2).sum(axis=1)
-    # a pair's two rows, sorted in place, and two boolean temporaries of their length
-    pair_bytes = 2 * code.q ** int(dims.max()) * (np.min_scalar_type(points).itemsize + 2)
     chunk = max(1, _CHUNK_BYTES // pair_bytes)
     counts = np.empty(pairs, dtype=np.int64)
     for lo in range(0, pairs, chunk):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def stacked_rank_scan(code):
 
 def oracle_variants(code, monkeypatch):
     """min_distance_exhaustive as shipped, and its sub-subspace scan forced:
-    plain, with one-member chunks and with a constant key hash."""
+    plain and with one-member chunks."""
     def run(**patches):
         for name, value in patches.items():
             monkeypatch.setattr(verify, name, value)
@@ -124,10 +125,7 @@ def oracle_variants(code, monkeypatch):
         monkeypatch.undo()
         return out
 
-    # every key collides on its hash, so only the exact row comparison can decide
-    constant = lambda codes: np.zeros(codes.shape, np.uint64)  # noqa: E731
-    return [run(), run(_PAIR_COST=math.inf), run(_PAIR_COST=math.inf, _CHUNK_BYTES=1),
-            run(_PAIR_COST=math.inf, _vector_hash=constant)]
+    return [run(), run(_PAIR_COST=math.inf), run(_PAIR_COST=math.inf, _CHUNK_BYTES=1)]
 
 
 def test_generic_path_agrees_with_masked():
@@ -229,9 +227,44 @@ def fixture_codes():
 def test_oracle_agrees_with_the_pair_scans_on_every_fixture(monkeypatch):
     for code in fixture_codes():
         expected = masked_pair_scan(code)
-        assert oracle_variants(code, monkeypatch) == [expected] * 4, code
+        assert oracle_variants(code, monkeypatch) == [expected] * 3, code
         if len(code.members) <= 200:
             assert stacked_rank_scan(code) == expected, code
+
+
+def shared_row_code(rng, q, n, k):
+    """Up to 12 random k-dim subspaces of GF(q)^n, each holding some rows of
+    one pool of k + 2 rows, so members meet in every dimension up to k."""
+    field = field_of_order(q)
+    vector = lambda: [rng.randrange(q) for _ in range(n)]  # noqa: E731
+    pool = [vector() for _ in range(k + 2)]
+    matrices = []
+    for _ in range(12):
+        rows = rng.sample(pool, rng.randint(0, k))
+        matrices.append(rows + [vector() for _ in range(k - len(rows))])
+    members = [subspace_from_rows(MatrixGF(field, m)) for m in matrices]
+    return CodeSet(field, n, k, 2, tuple(s for s in members if s.dim == k))
+
+
+def test_oracle_agrees_with_the_stacked_rank_scan_on_wide_keys(monkeypatch):
+    # from level 2 on, the canonical basis rows of a key read in base q^N
+    # overflow one uint64 word (q^(2N) > 2^64), so the keys are lexsorted as rows
+    rng = random.Random(15)
+    met = set()
+    for q, lo, hi in ((2, 33, 60), (3, 21, 38)):
+        for _ in range(8):
+            n, k = rng.randint(lo, hi), rng.randint(2, 3)
+            assert q ** (2 * n) > 1 << 64 and q ** n <= 1 << 63
+            code = shared_row_code(rng, q, n, k)
+            expected = stacked_rank_scan(code)
+            assert oracle_variants(code, monkeypatch) == [expected] * 3, code
+            met.add(code.dim - expected[0] // 2)
+    assert {2, 3} <= met  # pairs met in wide levels
+    for code in (grassmannian_code(2, 9, 8), grassmannian_code(3, 6, 5)):
+        calls = record_vector_builds(monkeypatch)
+        assert min_distance_exhaustive(code, cap=len(code)) == stacked_rank_scan(code)
+        assert calls  # the sub-subspace scan decided
+        monkeypatch.undo()
 
 
 @st.composite
@@ -264,7 +297,7 @@ def test_oracle_agrees_with_the_pair_scans_on_random_codes(monkeypatch, code):
         return
     expected = masked_pair_scan(code)
     assert stacked_rank_scan(code) == expected
-    assert oracle_variants(code, monkeypatch) == [expected] * 4
+    assert oracle_variants(code, monkeypatch) == [expected] * 3
     checks = {c["check"]: c for c in validate_codeset(code, mode="exhaustive")["checks"]}
     assert checks["distinct_members"]["actual"] == len(set(code.members))
     assert checks["member_dimensions"]["actual"] == (
@@ -330,7 +363,7 @@ def test_codes_beyond_the_byte_allowance_take_the_stacked_rank_path(monkeypatch)
     code = lifted_mrd_code(2, 3, 1)  # 64 members; the scan starts at level 2
     expected = masked_pair_scan(code)
     calls = record_vector_builds(monkeypatch)
-    level_bytes = verify._level_cost(2, {3: 64}, 2)[1]
+    level_bytes = verify._level_cost(2, 6, {3: 64}, 2)[1]
     assert level_bytes > 64 * 2 ** 3 * 1  # more than the vector table
     for allowance, oracle in ((level_bytes, True), (level_bytes - 1, False)):
         monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
@@ -350,14 +383,14 @@ def test_codes_beyond_the_byte_allowance_take_the_stacked_rank_path(monkeypatch)
 
 def test_subspace_index_cache_stays_within_its_bytes(monkeypatch):
     monkeypatch.setattr(verify, "_INDEX_CACHE", {})
-    monkeypatch.setattr(verify, "_INDEX_CACHE_BYTES", 15 * 7 * 8)  # [4, 3]_2 x 7 codes
+    monkeypatch.setattr(verify, "_INDEX_CACHE_BYTES", 15 * 3 * 8)  # [4, 3]_2 x 3 rows
     field = field_of_order(2)
     big = verify._subspace_indices(field, 4, 3)
-    assert big.shape == (15, 7) and list(verify._INDEX_CACHE) == [(field, 4, 3)]
+    assert big.shape == (15, 3) and list(verify._INDEX_CACHE) == [(field, 4, 3)]
     assert verify._subspace_indices(field, 4, 3) is big
     verify._subspace_indices(field, 3, 1)  # 7 x 1 more would overflow: the cache starts over
     assert list(verify._INDEX_CACHE) == [(field, 3, 1)]
-    assert verify._subspace_indices(field, 5, 2).shape == (155, 3)  # too large to keep
+    assert verify._subspace_indices(field, 5, 2).shape == (155, 2)  # too large to keep
     assert list(verify._INDEX_CACHE) == [(field, 3, 1)]
 
 
@@ -379,7 +412,7 @@ def test_rank_distance_scan_starts_at_the_singleton_bound(q, n, t, levels, monke
     mats = list(enumerate_mrd(q, n, t))
     seen = []
     level_pair = verify._level_pair
-    monkeypatch.setattr(verify, "_level_pair", lambda f, s, j: seen.append(j) or level_pair(f, s, j))
+    monkeypatch.setattr(verify, "_level_pair", lambda *a: seen.append(a[3]) or level_pair(*a))
     brute = min_pair_difference_rank(q, mats)
     assert verify.pairwise_min_rank_distance(mats) == brute == n - t
     assert seen == levels
@@ -489,6 +522,31 @@ def test_sampled_generic_path(monkeypatch):
         calls.clear()
         assert min_distance_sampled(code, 50, seed=3) == generator_sampled(code, 50, 3)
         assert bool(calls) == table
+    # so does a code whose one pair's two rows and their sort temporaries
+    # would hold more than _ORACLE_BYTES (a k = 30 pair over GF(2)^60: 20 GB)
+    code = multiblock_parallel_mrd(2, 2, 1, 2)
+    pair_bytes = 2 * 2 ** code.dim * (np.min_scalar_type(2 ** code.ambient_dim).itemsize + 2)
+    for allowance, table in ((pair_bytes, True), (pair_bytes - 1, False)):
+        monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
+        calls.clear()
+        assert min_distance_sampled(code, 500, seed=3) == generator_sampled(code, 500, 3)
+        assert bool(calls) == table
+
+
+def test_a_wide_member_builds_its_vectors_in_chunks():
+    # the 2^16 vectors of one 16-dim member are built a chunk of them at a
+    # time: the build holds little more than the 1 MB table
+    code = lifted_pair(2, 16, 8, 16)  # (I | 0) and (I | diag(1^8, 0)) in GF(2)^32
+    tracemalloc.start()
+    try:
+        table = membership_masks(code)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 2 * 2 ** 16 * 8 and peak < table.nbytes + 2 * verify._CHUNK_BYTES
+    combos = np.arange(2 ** 16, dtype=np.uint64)  # coefficient c gives c, then c + (c mod 2^8) 2^16
+    assert sorted(np.sort(table, axis=1).tolist()) == [
+        combos.tolist(), np.sort(combos + (combos % 256 << np.uint64(16))).tolist()]
 
 
 @pytest.mark.parametrize("build, args", [(multiblock_parallel_mrd, (2, 2, 1, 2)),
