@@ -10,10 +10,9 @@ vector codes, built in numpy the same way for every q: for a chunk of
 equal-dimension members, the vectors of each row space are its
 combinations sum_i c_i row_i, computed by linalg.span, the kernel that also
 enumerates MRD codewords, each encoded as its base-q code (coordinate c is
-digit c).  A chunk of members, or of one wide member's vectors, holds about
-256 KB of temporaries.  The table's entries take the smallest unsigned
-dtype that holds q^N, and a member of lower dimension than the widest is
-padded with q^N, which no vector code takes.
+digit c), in chunks of _CHUNK_BYTES.  Its entries take the smallest
+unsigned dtype that holds q^N, and a member of lower dimension than the
+widest is padded with q^N, which no vector code takes.
 
 The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
 meet in dimension at least j exactly when some j-subspace lies in both, so
@@ -27,13 +26,14 @@ while no two members share a key and up past every level where two do, so
 a code that meets its claim exactly costs two levels.  A level costs
 M [k, j]_q keys, against the M^2/2 pair intersections of a pair scan.
 Before it builds the vector table and before each level, the oracle
-prices them: when the work so far would exceed the stacked-rank pair
-scan's M^2/2 intersections, or the table or one level's keys would hold
-more than _ORACLE_BYTES, it stops and the stacked-rank formula decides,
-with a chunk of stacked pairs per linalg.rref_batch call, as it does for
-codes whose vector codes overflow int64 (q^N > 2^63).  Few members with
-large [k, j]_q or q^k take that path.  Both paths score a pair
-2k - 2 dim(U cap V), so they agree on every code.
+prices them, and stops when its work would exceed the budget, the
+stacked-rank pair scan's price (_PAIR_COST m^2 k^2 N units a pair, its
+2k x N stack of m-digit entries) for at most _BUDGET_MEMBERS members, or
+the table or one level's keys would hold more than _ORACLE_BYTES.  Then
+the stacked-rank formula decides, a chunk of stacked pairs per
+linalg.rref_batch call, as for codes whose vector codes overflow int64
+(q^N > 2^63), up to _BUDGET_MEMBERS members; a larger code is refused in
+one line.  Both paths score a pair 2k - 2 dim(U cap V), so they agree.
 
 The sampled oracle sorts each drawn pair's two table rows side by side and
 counts the vector codes that appear twice: a pair sharing q^j codes meets
@@ -42,10 +42,6 @@ _ORACLE_BYTES, each chunk of drawn pairs builds the rows of its own
 members.  Codes whose vector codes overflow int64, and codes with one
 pair's rows above _ORACLE_BYTES, take the stacked-rank formula, a chunk of
 stacked pairs per rref_batch call.
-
-Rank distance between k x m matrices goes through the exhaustive oracle via
-the lifting of Silva, Kschischang and Koetter (2008): the row spaces of
-(I_k | A) and (I_k | B) are at subspace distance 2 rank(A - B).
 
 Sampling uses SplitMix64, fixed here by its constants so independent
 implementations can reproduce reports bit for bit: the state advances by
@@ -70,7 +66,6 @@ from .construct import CodeSet, bases_dtype
 from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, span
 from .rankdist import gaussian_binomial
 
-EXHAUSTIVE_CAP = 5000  # members; larger codes are sampled in mode "auto"
 SAMPLED_PAIRS = 1_000_000
 SAMPLED_SEED = 0x5EED
 
@@ -258,18 +253,19 @@ def _level_pair(field, ambient_dim, segments, j):
     return int(least), int(b[a == least].min())
 
 
-# What the exhaustive oracle may spend before it hands a code to the
-# stacked-rank pair scan.  Costs count key units (one vector code of one key
-# gathered and packed, about 4 ns); the weights were measured on a 2-vCPU
-# host on lifted, multiblock and Grassmannian codes over q <= 4.
+# What the exact check may spend (module docstring).  Costs count key units
+# (one vector code of one key gathered and packed, about 4 ns); the weights
+# were measured on a 2-vCPU host on lifted, multiblock and Grassmannian codes
+# over q <= 4, a stacked-rank pair at 20-61 units per m^2 k^2 N.
 _ORACLE_BYTES = 1 << 28  # the vector table, or one level's keys and index sets
 _KEY_COST = 4  # sort, run detection and bookkeeping of one key
 _SUBSPACE_COST = 1200  # enumerating one j-subspace into an index set
-_PAIR_COST = 2000  # one pair of the stacked-rank scan (see _min_distance_pairs_generic)
+_PAIR_COST = 32  # one pair of the stacked-rank scan, per m^2 k^2 N
+_BUDGET_MEMBERS = 5000  # the budget: the pair scan of this many members
 
 
-class _OverBudget(Exception):
-    """The oracle would outspend the pair scan or outgrow _ORACLE_BYTES."""
+class _OverBudget(ValueError):
+    """The exact check would outspend its budget or outgrow _ORACLE_BYTES."""
 
 
 def _level_cost(q, ambient_dim, sizes, j):
@@ -332,7 +328,7 @@ def _shared_level(field, ambient_dim, bases, dims, j, budget):
     return j, pair
 
 
-def min_distance_exhaustive(code, cap: int = EXHAUSTIVE_CAP):
+def min_distance_exhaustive(code, _sorted=None):
     """(exact minimum distance, lexicographically smallest witnessing pair).
 
     Finds the largest dimension j* in which two members meet, through
@@ -340,23 +336,25 @@ def min_distance_exhaustive(code, cap: int = EXHAUSTIVE_CAP):
     the witness is the smallest pair of sorted members meeting in j*.
     Codes for which that would cost more than scanning all pairs, or need
     too much memory, take the stacked-rank pair scan, with the same answer.
-    Raises if the code is larger than cap.  A singleton or empty code has
-    no pairs: distance math.inf, witness None.
+    Above _BUDGET_MEMBERS members the scan too is over the budget: raises
+    _OverBudget, a one-line ValueError.  _sorted, if given, is
+    _sorted_bases(code).  A code of under two members gives (math.inf, None).
     """
-    m = len(code)
-    if m > cap:
-        raise ValueError(f"code has {m} members, above the exhaustive cap {cap}")
-    if m < 2:
+    if len(code) < 2:
         return math.inf, None
-    bases, dims = _sorted_bases(code)
+    bases, dims = _sorted_bases(code) if _sorted is None else _sorted
+    m, height, n = bases.shape
+    paid = min(m, _BUDGET_MEMBERS)  # the oracle may cost the pair scan of this many members
+    budget = _PAIR_COST * (code.field.m * height) ** 2 * n * (paid * (paid - 1) // 2)
     if code.q ** code.ambient_dim <= 1 << 63:  # vector codes fit int64
         j = min(max(code.dim - (code.claimed_distance + 1) // 2 + 1, 0), int(dims[-1]))
         try:
-            j, pair = _shared_level(code.field, code.ambient_dim, bases, dims, j,
-                                    _PAIR_COST * (m * (m - 1) // 2))
+            j, pair = _shared_level(code.field, code.ambient_dim, bases, dims, j, budget)
             return 2 * code.dim - 2 * j, _witness(code.field, bases, pair)
         except _OverBudget:
             pass
+    if m > _BUDGET_MEMBERS:  # the pair scan of m members costs more than the budget
+        raise _OverBudget(f"exact distance of {m} members priced over the budget; sample it")
     dist, pair = _min_distance_pairs_generic(code.field, bases, code.dim)
     return dist, _witness(code.field, bases, pair)
 
@@ -515,9 +513,10 @@ def pairwise_min_rank_distance(matrices) -> int:
     """Exact minimum of rank(A - B) over all unordered pairs of the list.
 
     Each k x m matrix A is lifted to the row space of (I_k | A); two lifts
-    are at subspace distance 2 rank(A - B), so the exhaustive subspace
-    oracle does the scan and the answer is half its distance.  A repeated
-    matrix gives 0; fewer than two matrices give math.inf.
+    are at subspace distance 2 rank(A - B) (Silva, Kschischang and Koetter
+    2008), so the exhaustive subspace oracle does the scan, or raises its
+    ValueError, and the answer is half its distance.  A repeated matrix
+    gives 0; fewer than two matrices give math.inf.
     """
     matrices = list(matrices)
     if len(matrices) < 2:
@@ -537,18 +536,18 @@ def pairwise_min_rank_distance(matrices) -> int:
         t += 1
     claim = 2 * max(0, min(first.nrows, first.ncols) - t + 1)
     code = CodeSet(first.field, first.nrows + first.ncols, first.nrows, claim, lifts)
-    return min_distance_exhaustive(code, cap=len(matrices))[0] // 2
+    return min_distance_exhaustive(code)[0] // 2
 
 
-def validate_codeset(code, exhaustive_cap: int = EXHAUSTIVE_CAP,
-                     sampled_pairs: int = SAMPLED_PAIRS, seed: int = SAMPLED_SEED,
+def validate_codeset(code, sampled_pairs: int = SAMPLED_PAIRS, seed: int = SAMPLED_SEED,
                      mode: str = "auto") -> dict:
     """Machine-readable pass/fail report on a CodeSet's own claims.
 
     Checks membership invariants, cardinality against the construction's
     predicted size, duplicate-freeness, and the claimed minimum distance.
-    mode "auto" scans exhaustively up to exhaustive_cap members and samples
-    beyond; "exhaustive" and "sampled" force one path.
+    mode "auto" finds the exact distance when min_distance_exhaustive fits
+    its budget (always up to _BUDGET_MEMBERS members) and else samples;
+    "exhaustive" raises its one-line ValueError there; "sampled" samples.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -578,12 +577,14 @@ def validate_codeset(code, exhaustive_cap: int = EXHAUSTIVE_CAP,
     if m < 2:
         add("min_distance", True, f">= {code.claimed_distance}", "no pairs")
     elif bad_members == 0:
-        if mode == "exhaustive" or (mode == "auto" and m <= exhaustive_cap):
-            dist, witness = min_distance_exhaustive(code, cap=exhaustive_cap)
-            how = "exhaustive"
-        else:
-            dist, witness = min_distance_sampled(code, sampled_pairs, seed)
-            how = f"sampled({sampled_pairs},seed={seed})"
+        try:
+            exact = mode != "sampled" and min_distance_exhaustive(code, (bases, dims))
+        except _OverBudget:
+            if mode == "exhaustive":
+                raise
+            exact = None
+        dist, witness = exact or min_distance_sampled(code, sampled_pairs, seed)
+        how = "exhaustive" if exact else f"sampled({sampled_pairs},seed={seed})"
         add("min_distance", dist >= code.claimed_distance,
             f">= {code.claimed_distance}", f"{dist} ({how})",
             witness=[[list(row) for row in w.basis] for w in witness] if witness else None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cdcodes import bounds, cli
+from cdcodes import bounds, cli, verify
 from cdcodes.cli import main, read_codeset, write_codeset
 from cdcodes.construct import CodeSet, grassmannian_code, lifted_mrd_code, multiblock_parallel_mrd
 from cdcodes.gf import field_of_order
@@ -429,20 +429,26 @@ def test_verify_sampled_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_verify_defaults_to_auto_mode(tmp_path, capsys):
-    path = tmp_path / "code.jsonl"
-    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
-    code, out, _ = run_cli(capsys, "verify", str(path))  # 16 members, under the cap
-    assert code == 0
-    dist = next(c for c in json.loads(out)["checks"] if c["check"] == "min_distance")
-    assert dist["actual"] == "2 (exhaustive)"
-    code, out, _ = run_cli(capsys, "verify", str(path), "--cap", "10")  # 1e6 sampled pairs
-    assert code == 0
-    dist = next(c for c in json.loads(out)["checks"] if c["check"] == "min_distance")
-    assert dist["actual"] == f"2 (sampled(1000000,seed={0x5EED}))"
-    code, out, err = run_cli(capsys, "verify", str(path), "--mode", "exhaustive", "--cap", "10")
+def test_verify_defaults_to_auto_mode(tmp_path, capsys, monkeypatch):
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(small))
+    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "5", "--t", "2", "-o", str(large))
+
+    def verify_distance(*argv):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        return next(c for c in json.loads(out)["checks"] if c["check"] == "min_distance")["actual"]
+
+    assert verify_distance(str(small)) == "2 (exhaustive)"  # 16 members
+    assert verify_distance(str(large)) == "6 (exhaustive)"  # 32,768 members, on the oracle
+    # with no bytes for the oracle only the pair scan could answer, and its
+    # price for 32,768 members is over the budget: auto samples, exhaustive refuses
+    monkeypatch.setattr(verify, "_ORACLE_BYTES", 0)
+    assert verify_distance(str(large), "--pairs", "1000").endswith(
+        f" (sampled(1000,seed={0x5EED}))")
+    code, out, err = run_cli(capsys, "verify", str(large), "--mode", "exhaustive")
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and "above the exhaustive cap 10" in err
+    assert len(err.splitlines()) == 1 and "32768 members priced over the budget" in err
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])

@@ -72,10 +72,71 @@ def test_exhaustive_singleton_sentinel():
     assert dist == math.inf and witness is None
 
 
-def test_exhaustive_cap():
-    code = lifted_mrd_code(2, 2, 1)
-    with pytest.raises(ValueError):
-        min_distance_exhaustive(code, cap=10)
+def test_a_code_priced_over_the_budget_is_refused_before_any_scan(monkeypatch):
+    # 531,441 members: level 3's keys would outgrow _ORACLE_BYTES, and the
+    # pair scan of that many members costs more than the budget
+    code = lifted_mrd_code(3, 4, 2)
+    calls = record_vector_builds(monkeypatch)
+    monkeypatch.setattr(verify, "_min_distance_pairs_generic",
+                        lambda *a: pytest.fail("the pair scan ran"))
+    with pytest.raises(ValueError, match="^exact distance of 531441 members priced over the budget"):
+        min_distance_exhaustive(code)
+    assert not calls
+
+
+def min_distance_check(report):
+    return next(c for c in report["checks"] if c["check"] == "min_distance")
+
+
+def test_the_budget_pays_for_the_pair_scan_of_its_members(monkeypatch):
+    # with no bytes for the oracle only the stacked-rank scan can answer: it
+    # does for up to _BUDGET_MEMBERS members, and above them auto samples
+    code = lifted_mrd_code(2, 3, 1)  # 64 members
+    members, bases = sorted_bases(code)
+    dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases, code.dim)
+    witness = [[list(row) for row in members[x].basis] for x in (i, j)]
+    monkeypatch.setattr(verify, "_ORACLE_BYTES", 0)
+    for budget_members in (verify._BUDGET_MEMBERS, 64):
+        monkeypatch.setattr(verify, "_BUDGET_MEMBERS", budget_members)
+        check = min_distance_check(validate_codeset(code))
+        assert (check["actual"], check["witness"]) == (f"{dist} (exhaustive)", witness)
+    monkeypatch.setattr(verify, "_BUDGET_MEMBERS", 63)
+    with pytest.raises(ValueError, match="^exact distance of 64 members priced over the budget"):
+        validate_codeset(code, mode="exhaustive")
+    sampled, pair = min_distance_sampled(code, 500, seed=3)
+    check = min_distance_check(validate_codeset(code, sampled_pairs=500, seed=3))
+    assert (check["actual"], check["witness"]) == (
+        f"{sampled} (sampled(500,seed=3))", [[list(row) for row in w.basis] for w in pair])
+
+
+def planted_lifted_code():
+    """lifted_mrd_code(2, 5, 2), its last member replaced by the row space of
+    (I | A + E), (I | A) member 1 and E of rank 2, and sorted again.
+
+    E is a rank-3 difference C of two members, C = A' - A, less one row of
+    C, so the planted member is at rank distance 1 from (I | A')."""
+    code = lifted_mrd_code(2, 5, 2)
+    bases = code.bases.copy()
+    parts = bases[:, :, 5:]
+    rank = lambda a: MatrixGF(code.field, a.tolist()).rank()  # noqa: E731
+    c = next(parts[x] ^ parts[1] for x in range(2, len(bases) - 1)
+             if rank(parts[x] ^ parts[1]) == 3)
+    e = next(e for e in (np.where(np.arange(5)[:, None] == r, 0, c) for r in range(5))
+             if rank(e) == 2)
+    bases[-1, :, 5:] = parts[1] ^ e
+    bases = bases[np.lexsort(bases.reshape(len(bases), -1).T[::-1])]
+    return CodeSet(code.field, 10, 5, code.claimed_distance, bases, dict(code.provenance))
+
+
+def test_a_planted_defect_fails_the_default_check_exactly():
+    code = planted_lifted_code()  # 32,768 members, one pair at distance 2
+    report = validate_codeset(code)
+    assert [c["check"] for c in report["checks"] if not c["pass"]] == ["min_distance"]
+    check = min_distance_check(report)
+    assert check["actual"] == "2 (exhaustive)"
+    assert check["witness"] == min_distance_check(validate_codeset(code, mode="exhaustive"))["witness"]
+    u, v = (subspace_from_rows(MatrixGF(code.field, rows)) for rows in check["witness"])
+    assert subspace_distance(u, v) == 2
 
 
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
@@ -121,7 +182,7 @@ def oracle_variants(code, monkeypatch):
     def run(**patches):
         for name, value in patches.items():
             monkeypatch.setattr(verify, name, value)
-        out = min_distance_exhaustive(code, cap=len(code.members))
+        out = min_distance_exhaustive(code)
         monkeypatch.undo()
         return out
 
@@ -210,7 +271,7 @@ def test_masks_match_the_vectors_reference(q, monkeypatch):
             monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
             assert np.array_equal(membership_masks(code)[1], table)
         monkeypatch.undo()
-        fast = (min_distance_exhaustive(code, cap=len(members)),
+        fast = (min_distance_exhaustive(code),
                 min_distance_sampled(code, 2000, seed=q))
         assert fast == (masked_pair_scan(code), masked_sampled(code, 2000, q))  # witnesses too
 
@@ -262,7 +323,7 @@ def test_oracle_agrees_with_the_stacked_rank_scan_on_wide_keys(monkeypatch):
     assert {2, 3} <= met  # pairs met in wide levels
     for code in (grassmannian_code(2, 9, 8), grassmannian_code(3, 6, 5)):
         calls = record_vector_builds(monkeypatch)
-        assert min_distance_exhaustive(code, cap=len(code)) == stacked_rank_scan(code)
+        assert min_distance_exhaustive(code) == stacked_rank_scan(code)
         assert calls  # the sub-subspace scan decided
         monkeypatch.undo()
 
