@@ -123,20 +123,23 @@ def load_best_known(path) -> dict:
     table = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = set(CSV_HEADER) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"best-known CSV is missing columns: {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                key = tuple(int(row[c]) for c in ("q", "n", "d", "k"))
-                value = int(row["value"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad best-known CSV row at line {lineno}: {row}") from exc
-            if value < 1:
-                raise ValueError(f"non-positive value at line {lineno}")
-            if key in table:
-                raise ValueError(f"duplicate key {key} at line {lineno}")
-            table[key] = (value, row["source"] or "")
+        try:
+            missing = set(CSV_HEADER) - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"best-known CSV is missing columns: {sorted(missing)}")
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    key = tuple(int(row[c]) for c in ("q", "n", "d", "k"))
+                    value = int(row["value"])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"bad best-known CSV row at line {lineno}: {row}") from exc
+                if value < 1:
+                    raise ValueError(f"non-positive value at line {lineno}")
+                if key in table:
+                    raise ValueError(f"duplicate key {key} at line {lineno}")
+                table[key] = (value, row["source"] or "")
+        except csv.Error as exc:
+            raise ValueError(f"bad best-known CSV at line {reader.reader.line_num}: {exc}") from None
     return table
 
 

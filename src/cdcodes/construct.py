@@ -21,8 +21,8 @@ concatenations (S_0[i_0] | S_1[i_1] | ...) of blocks drawn from
 or the bases of a smaller code.  (A | B) is canonical when A is, so only
 products whose first block is not canonical go through linalg.rref_batch.
 multiblock_generators and enumerate_mrd remain the per-member reference.
-_collect sorts every code by its flattened entries, the (dim, basis)
-order of Subspace, and drops equal neighbours.
+_collect sorts every code with sorted_bases, by its flattened entries, and
+drops equal neighbours.
 
 Every build checks its predicted cardinality after deduplication, so a
 silent collision would surface as a count mismatch.  Members are sorted
@@ -56,6 +56,18 @@ def bases_dtype(field) -> np.dtype:
     return np.min_scalar_type(field.order - 1)
 
 
+def sorted_bases(bases: np.ndarray) -> np.ndarray:
+    """bases in the order of their flattened entries, sorted only if out of
+    it: Subspace.sort_key order for members of one dimension."""
+    flat = bases.reshape(len(bases), math.prod(bases.shape[1:]))
+    if flat.shape[1]:  # else every member is 0-dimensional
+        before, after = flat[:-1], flat[1:]
+        at = (before != after).argmax(axis=1)[:, None]  # first differing entry, 0 if none
+        if (np.take_along_axis(before, at, 1) > np.take_along_axis(after, at, 1)).any():
+            bases = bases[np.lexsort(flat.T[::-1])]
+    return bases
+
+
 def padded_bases(rows: np.ndarray, dims, dim: int) -> np.ndarray:
     """CodeSet.bases of members whose rows, dims[i] for member i, are the (R, N) rows in order."""
     dims = np.asarray(dims, dtype=np.int64)
@@ -71,9 +83,11 @@ class CodeSet:
     `bases` is one (M, r, N) array of the members' canonical bases, of
     bases_dtype (one byte per entry for q <= 256), r the largest member
     dimension (dim for no members).  Smaller members are padded with zero
-    rows, which no canonical basis has.  Builds sort it as Subspace.sort_key;
-    duplicates stay.  Subspace values given in its place must have canonical
-    bases.  `members` makes Subspace values anew on each access.
+    rows, which no canonical basis has.  Builds sort it with sorted_bases, in
+    Subspace.sort_key order; duplicates stay.  Subspace values given in its
+    place must have canonical bases.  `members` makes Subspace values anew on
+    each access.  The distance oracles of verify take only codes whose
+    members are all dim-dimensional.
     """
 
     __slots__ = ("field", "ambient_dim", "dim", "claimed_distance", "bases", "provenance")
@@ -134,9 +148,7 @@ def _collect(field, ambient_dim, dim, distance, bases, provenance, predicted, bu
             raise ConstructionError(f"member with dim {len(short)} in ambient {ambient_dim}, "
                                     f"expected dim {dim} in ambient {ambient_dim}")
         bases = np.array(bases, dtype=bases_dtype(field)).reshape(len(bases), dim, ambient_dim)
-    flat = bases.reshape(len(bases), dim * ambient_dim)
-    if flat.shape[1]:
-        flat = flat[np.lexsort(flat.T[::-1])]
+    flat = sorted_bases(bases).reshape(len(bases), dim * ambient_dim)
     keep = np.ones(len(flat), dtype=bool)
     keep[1:] = (flat[1:] != flat[:-1]).any(axis=1)
     flat = flat[keep]

@@ -3,16 +3,17 @@
 The distance oracles here deliberately avoid the constructions' own
 reasoning: a code's minimum distance is recomputed from subspace
 intersections, d(U, V) = 2k - 2 dim(U cap V) (Koetter and Kschischang
-2008).  They read the code's array of canonical bases (CodeSet.bases),
-sorting it only if it is out of Subspace.sort_key order, and make Subspace
-values only for a witness.  Both read one table of each member's q^dim
+2008), which is defined for k-dimensional U and V only: a code with a
+member of another dimension than its own k is refused in one line.  They
+read the code's array of canonical bases (CodeSet.bases), sorted by
+construct.sorted_bases only if it is out of order, and make Subspace
+values only for a witness.  Both read one table of each member's q^k
 vector codes, built in numpy the same way for every q: for a chunk of
-equal-dimension members, the vectors of each row space are its
-combinations sum_i c_i row_i, computed by linalg.span, the kernel that also
-enumerates MRD codewords, each encoded as its base-q code (coordinate c is
-digit c), in chunks of _CHUNK_BYTES.  Its entries take the smallest
-unsigned dtype that holds q^N, and a member of lower dimension than the
-widest is padded with q^N, which no vector code takes.
+members, the vectors of each row space are its combinations
+sum_i c_i row_i, computed by linalg.span, the kernel that also enumerates
+MRD codewords, each encoded as its base-q code (coordinate c is digit c),
+in chunks of _CHUNK_BYTES.  Its entries take the smallest unsigned dtype
+that holds q^N - 1.
 
 The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
 meet in dimension at least j exactly when some j-subspace lies in both, so
@@ -58,11 +59,10 @@ over an order-free set of candidates, so no schedule can change a result.
 
 from __future__ import annotations
 
-import collections
 import math
 
 from ._numpy import np
-from .construct import CodeSet, bases_dtype
+from .construct import CodeSet, bases_dtype, sorted_bases
 from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, span
 from .rankdist import gaussian_binomial
 
@@ -72,26 +72,24 @@ SAMPLED_SEED = 0x5EED
 _U64 = (1 << 64) - 1
 
 
-def _sorted_bases(code):
-    """(bases, dims): the code's bases in Subspace.sort_key order, sorted only
-    if they are out of it, and each member's dimension (its nonzero rows)."""
-    bases = code.bases
-    dims = bases.any(axis=2).sum(axis=1)
-    flat = bases.reshape(len(bases), -1)
-    if flat.shape[1]:  # else every member is 0-dimensional
-        before, after = flat[:-1], flat[1:]
-        at = (before != after).argmax(axis=1)[:, None]  # first differing entry, 0 if none
-        rises = np.take_along_axis(before, at, 1)[:, 0] <= np.take_along_axis(after, at, 1)[:, 0]
-        if not ((dims[:-1] < dims[1:]) | (dims[:-1] == dims[1:]) & rises).all():
-            order = np.lexsort((*flat.T[::-1], dims))
-            bases, dims = bases[order], dims[order]
-    return bases, dims
+def _code_bases(code, _sorted=None):
+    """The (M, k, N) array of the code's bases, k = code.dim, in sorted_bases
+    order (_sorted, if given, is the code's bases already in that order).
+
+    Raises a one-line ValueError unless every member is k-dimensional; then
+    the rows past the first k are zero, and are cut off.
+    """
+    bases = sorted_bases(code.bases) if _sorted is None else _sorted
+    bad = int((bases.any(axis=2).sum(axis=1) != code.dim).sum())
+    if bad:
+        raise ValueError(f"distance oracles take constant-dimension codes only: "
+                         f"{bad} of {len(bases)} members are not {code.dim}-dimensional")
+    return bases[:, :code.dim]
 
 
 def _witness(field, bases, pair):
     """The Subspace values of the two members of bases that pair indexes."""
-    return tuple(Subspace(field, bases.shape[2], [r for r in bases[i].tolist() if any(r)])
-                 for i in pair)
+    return tuple(Subspace(field, bases.shape[2], bases[i].tolist()) for i in pair)
 
 
 # Bytes of temporaries one chunk of the vector build, the key build, the
@@ -100,53 +98,49 @@ def _witness(field, bases, pair):
 _CHUNK_BYTES = 1 << 18
 
 
-def _member_vectors(field, ambient_dim, bases, dims):
-    """Yield (rows, lo, codes) for chunks of equal-dimension members of bases.
+def _member_vectors(field, ambient_dim, bases):
+    """Yield (lo, c, codes) for chunks of the members of the (M, k, N) bases.
 
-    codes[i, c] is the base-q code of sum_l c_l row_l over the basis of
-    member rows[i], c_l being base-q digit l of lo + c (combination 0 is the
-    zero vector).  A member whose q^dim combinations overflow one chunk
+    codes[i, c'] is the base-q code of sum_l c_l row_l over the basis of
+    member lo + i, c_l being base-q digit l of c + c' (combination 0 is the
+    zero vector).  A member whose q^k combinations overflow one chunk
     spreads them over several.
     """
-    q, n = field.order, ambient_dim
+    q, n, k = field.order, ambient_dim, bases.shape[1]
     place = q ** np.arange(n, dtype=np.int64)  # coordinate c is base-q digit c
     per_vector = 8 * (2 * n * field.m + n + 1)
-    for dim in np.flatnonzero(np.bincount(dims)).tolist():
-        rows = np.flatnonzero(dims == dim)
-        group = bases[rows, :dim]
-        width = min(q ** dim, max(1, _CHUNK_BYTES // per_vector))  # combinations per chunk
-        step = max(1, _CHUNK_BYTES // (per_vector * width))  # members per chunk
-        for lo in range(0, len(rows), step):
-            for c in range(0, q ** dim, width):
-                combos = np.arange(c, min(c + width, q ** dim))
-                yield rows[lo:lo + step], c, span(field, group[lo:lo + step], combos) @ place
+    width = min(q ** k, max(1, _CHUNK_BYTES // per_vector))  # combinations per chunk
+    step = max(1, _CHUNK_BYTES // (per_vector * width))  # members per chunk
+    for lo in range(0, len(bases), step):
+        for c in range(0, q ** k, width):
+            combos = np.arange(c, min(c + width, q ** k))
+            yield lo, c, span(field, bases[lo:lo + step], combos) @ place
 
 
-def _table_bytes(q, ambient_dim, dims):
-    """Bytes of the _vector_table of members of dimensions dims (q^N <= 2^63)."""
-    return len(dims) * q ** int(dims.max()) * np.min_scalar_type(q ** ambient_dim).itemsize
+def _table_bytes(q, ambient_dim, members, dim):
+    """Bytes of the _vector_table of that many dim-dimensional members (q^N <= 2^63)."""
+    return members * q ** dim * np.min_scalar_type(q ** ambient_dim - 1).itemsize
 
 
-def _vector_table(field, ambient_dim, bases, dims):
-    """Row i: the vector codes of member i of bases (see _member_vectors), then
-    q^N in every column past q^dims[i], in the smallest unsigned dtype holding q^N."""
-    points = field.order ** ambient_dim
-    table = np.full((len(bases), field.order ** int(dims.max())), points,
-                    dtype=np.min_scalar_type(points))
-    for rows, lo, codes in _member_vectors(field, ambient_dim, bases, dims):
-        table[rows, lo:lo + codes.shape[1]] = codes
+def _vector_table(field, ambient_dim, bases):
+    """Row i: the q^k vector codes of member i of the (M, k, N) bases (see
+    _member_vectors), in the smallest unsigned dtype holding q^N - 1."""
+    table = np.empty((len(bases), field.order ** bases.shape[1]),
+                     dtype=np.min_scalar_type(field.order ** ambient_dim - 1))
+    for lo, c, codes in _member_vectors(field, ambient_dim, bases):
+        table[lo:lo + len(codes), c:c + codes.shape[1]] = codes
     return table
 
 
-def membership_masks(code):
-    """(bases, table): the bases of _sorted_bases and their _vector_table, or
+def membership_masks(code, _sorted=None):
+    """(bases, table): the bases of _code_bases and their _vector_table, or
     None for the table when it would hold more than _ORACLE_BYTES or vector
-    codes overflow int64 (q^N > 2^63)."""
-    bases, dims = _sorted_bases(code)
-    if (not len(bases) or code.q ** code.ambient_dim > 1 << 63
-            or _table_bytes(code.q, code.ambient_dim, dims) > _ORACLE_BYTES):
+    codes overflow int64 (q^N > 2^63).  Raises _code_bases' ValueError."""
+    bases = _code_bases(code, _sorted)
+    if (code.q ** code.ambient_dim > 1 << 63
+            or _table_bytes(code.q, code.ambient_dim, *bases.shape[:2]) > _ORACLE_BYTES):
         return bases, None
-    return bases, _vector_table(code.field, code.ambient_dim, bases, dims)
+    return bases, _vector_table(code.field, code.ambient_dim, bases)
 
 
 def _dim_from_count(count: int, q: int) -> int:
@@ -194,43 +188,38 @@ def _key_bits(q, ambient_dim, j, members):
     return bits if q ** (ambient_dim * j) << bits <= 1 << 64 else None
 
 
-def _level_pair(field, ambient_dim, segments, j):
+def _level_pair(field, ambient_dim, table, dim, j):
     """Smallest member pair (a, b), a < b, sharing a j-subspace, or None.
 
-    segments are (start, dim, vector codes) of runs of equal-dimension
-    members.  A key, the codes of a canonical basis (_subspace_indices),
-    names one subspace, and no member holds it twice.  When _key_bits
-    allows, keys are packed in base q^N above their member's number and
-    sorted as words; else their rows are lexsorted, which is stable.  So a
-    run of equal keys lists its members ascending, and its first two keys
-    name the run's smallest pair.
+    table is the _vector_table of dim-dimensional members.  A key, the codes
+    of a canonical basis (_subspace_indices), names one subspace, and no
+    member holds it twice.  When _key_bits allows, keys are packed in base
+    q^N above their member's number and sorted as words; else their rows are
+    lexsorted, which is stable.  So a run of equal keys lists its members
+    ascending, and its first two keys name the run's smallest pair.
     """
     if j == 0:
         return 0, 1  # every member holds the zero subspace
-    parts = [(start, vecs, _subspace_indices(field, dim, j))
-             for start, dim, vecs in segments if dim >= j]
-    count = sum(len(vecs) * len(idx) for _start, vecs, idx in parts)
-    members = segments[-1][0] + len(segments[-1][2])
+    idx = _subspace_indices(field, dim, j)
+    members = len(table)
+    count = members * len(idx)
     bits = _key_bits(field.order, ambient_dim, j, members)
     if bits is None:  # j rows of key codes, then each key's member
         keys = np.empty((j + 1, count), np.min_scalar_type(max(field.order ** ambient_dim, members)))
     else:
         words = np.empty(count, dtype=np.uint64)
         place = np.array([field.order ** (ambient_dim * r) for r in range(j)], dtype=np.uint64)
-    at = 0
-    for start, vecs, idx in parts:
-        step = max(1, _CHUNK_BYTES // (len(idx) * (2 * j * vecs.itemsize + 24)))
-        for lo in range(0, len(vecs), step):
-            chunk = vecs[lo:lo + step]
-            owner = np.arange(start + lo, start + lo + len(chunk), dtype=np.uint64)
-            end = at + len(chunk) * len(idx)
-            if bits is None:
-                keys[:j, at:end] = chunk[:, idx.T].swapaxes(0, 1).reshape(j, -1)
-                keys[j, at:end] = owner.repeat(len(idx))
-            else:
-                key = sum(chunk[:, idx[:, r]] * place[r:r + 1] for r in range(j))  # base q^N
-                words[at:end] = (key << np.uint64(bits) | owner[:, None]).ravel()
-            at = end
+    step = max(1, _CHUNK_BYTES // (len(idx) * (2 * j * table.itemsize + 24)))
+    for lo in range(0, members, step):
+        chunk = table[lo:lo + step]
+        owner = np.arange(lo, lo + len(chunk), dtype=np.uint64)
+        at, end = lo * len(idx), (lo + len(chunk)) * len(idx)
+        if bits is None:
+            keys[:j, at:end] = chunk[:, idx.T].swapaxes(0, 1).reshape(j, -1)
+            keys[j, at:end] = owner.repeat(len(idx))
+        else:
+            key = sum(chunk[:, idx[:, r]] * place[r:r + 1] for r in range(j))  # base q^N
+            words[at:end] = (key << np.uint64(bits) | owner[:, None]).ravel()
     if bits is None:
         order = np.lexsort(keys[:j])
         joined = np.ones(count - 1, dtype=bool)  # key order[i + 1] equals key order[i]
@@ -268,62 +257,55 @@ class _OverBudget(ValueError):
     """The exact check would outspend its budget or outgrow _ORACLE_BYTES."""
 
 
-def _level_cost(q, ambient_dim, sizes, j):
-    """(cost, bytes) of level j's keys, for sizes[dim] members of each dimension."""
+def _level_cost(q, ambient_dim, members, dim, j):
+    """(cost, bytes) of level j's keys, for that many dim-dimensional members."""
     if j == 0:
         return 0, 0  # decided without keys
-    subspaces = {dim: gaussian_binomial(dim, j, q) for dim in sizes if dim >= j}
-    keys = sum(sizes[dim] * count for dim, count in subspaces.items())
-    members = sum(sizes.values())
+    subspaces = gaussian_binomial(dim, j, q)
+    keys = members * subspaces
     if _key_bits(q, ambient_dim, j, members) is None:
         # key and member rows, lexsort's order and its sort buffer
         per_key = (j + 1) * np.min_scalar_type(max(q ** ambient_dim, members)).itemsize + 16
     else:
         per_key = 17  # key words, their xor and run flags
-    return (_SUBSPACE_COST * sum(subspaces.values()) + (j + _KEY_COST) * keys,
-            8 * j * sum(subspaces.values()) + per_key * keys)
+    return _SUBSPACE_COST * subspaces + (j + _KEY_COST) * keys, 8 * j * subspaces + per_key * keys
 
 
-def _shared_level(field, ambient_dim, bases, dims, j, budget):
+def _shared_level(field, ambient_dim, bases, j, budget):
     """(j*, (a, b)): the largest dimension in which two members of the sorted
-    bases meet, and the smallest pair of member indices meeting in it.
+    (M, k, N) bases meet, and the smallest pair of member indices meeting in it.
 
     The scan starts at level j (module docstring).  Raises _OverBudget as
     soon as the vector table and the levels to visit would cost more than
     budget, or one of them would hold more than _ORACLE_BYTES, before
     building it.
     """
-    q = field.order
-    sizes = collections.Counter(dims.tolist())
-    spent = 8 * ambient_dim * field.m * sum(size * q ** dim for dim, size in sizes.items())
-    if _table_bytes(q, ambient_dim, dims) > _ORACLE_BYTES:
+    q, (members, dim) = field.order, bases.shape[:2]
+    spent = 8 * ambient_dim * field.m * members * q ** dim
+    if _table_bytes(q, ambient_dim, members, dim) > _ORACLE_BYTES:
         raise _OverBudget
 
     def charge(j):
         nonlocal spent
-        cost, nbytes = _level_cost(q, ambient_dim, sizes, j)
+        cost, nbytes = _level_cost(q, ambient_dim, members, dim, j)
         spent += cost
         if spent > budget or nbytes > _ORACLE_BYTES:
             raise _OverBudget
 
     charge(j)
-    table = _vector_table(field, ambient_dim, bases, dims)
-    segments, start = [], 0
-    for dim, size in sorted(sizes.items()):  # the members of one dimension are contiguous
-        segments.append((start, dim, table[start:start + size, :q ** dim]))
-        start += size
+    table = _vector_table(field, ambient_dim, bases)
 
     def level(j):
         charge(j)
-        return _level_pair(field, ambient_dim, segments, j)
+        return _level_pair(field, ambient_dim, table, dim, j)
 
-    pair = _level_pair(field, ambient_dim, segments, j)
+    pair = _level_pair(field, ambient_dim, table, dim, j)
     if pair is None:
         while pair is None:  # level 0 always has a collision
             j -= 1
             pair = level(j)
     else:
-        while j < dims[-1] and (above := level(j + 1)) is not None:
+        while j < dim and (above := level(j + 1)) is not None:
             j, pair = j + 1, above
     return j, pair
 
@@ -338,46 +320,48 @@ def min_distance_exhaustive(code, _sorted=None):
     too much memory, take the stacked-rank pair scan, with the same answer.
     Above _BUDGET_MEMBERS members the scan too is over the budget: raises
     _OverBudget, a one-line ValueError.  _sorted, if given, is
-    _sorted_bases(code).  A code of under two members gives (math.inf, None).
+    sorted_bases(code.bases).  A code with a member of another dimension
+    than code.dim is refused by _code_bases' one-line ValueError; one of
+    under two members gives (math.inf, None).
     """
-    if len(code) < 2:
+    bases = _code_bases(code, _sorted)
+    m, k, n = bases.shape
+    if m < 2:
         return math.inf, None
-    bases, dims = _sorted_bases(code) if _sorted is None else _sorted
-    m, height, n = bases.shape
     paid = min(m, _BUDGET_MEMBERS)  # the oracle may cost the pair scan of this many members
-    budget = _PAIR_COST * (code.field.m * height) ** 2 * n * (paid * (paid - 1) // 2)
+    budget = _PAIR_COST * (code.field.m * k) ** 2 * n * (paid * (paid - 1) // 2)
     if code.q ** code.ambient_dim <= 1 << 63:  # vector codes fit int64
-        j = min(max(code.dim - (code.claimed_distance + 1) // 2 + 1, 0), int(dims[-1]))
+        j = min(max(k - (code.claimed_distance + 1) // 2 + 1, 0), k)
         try:
-            j, pair = _shared_level(code.field, code.ambient_dim, bases, dims, j, budget)
-            return 2 * code.dim - 2 * j, _witness(code.field, bases, pair)
+            j, pair = _shared_level(code.field, code.ambient_dim, bases, j, budget)
+            return 2 * k - 2 * j, _witness(code.field, bases, pair)
         except _OverBudget:
             pass
     if m > _BUDGET_MEMBERS:  # the pair scan of m members costs more than the budget
         raise _OverBudget(f"exact distance of {m} members priced over the budget; sample it")
-    dist, pair = _min_distance_pairs_generic(code.field, bases, code.dim)
+    dist, pair = _min_distance_pairs_generic(code.field, bases)
     return dist, _witness(code.field, bases, pair)
 
 
-def _min_distance_pairs_generic(field, bases, dim, pairs=None):
-    """(minimum of 2 dim - 2 dim(U cap V), (i, j)) over index pairs i < j of
-    bases: every pair, or the pairs (left[t], right[t]) of pairs = (left, right).
+def _min_distance_pairs_generic(field, bases, pairs=None):
+    """(minimum of 2k - 2 dim(U cap V), (i, j)) over index pairs i < j of the
+    (M, k, N) bases: every pair, or the pairs (left[t], right[t]) of
+    pairs = (left, right).
 
-    dim(U cap V) is dim U + dim V less the rank of the stacked bases, taken
-    for a chunk of stacked pairs per rref_batch call.  A chunk's int64
-    digits and their elimination temporaries fill about _CHUNK_BYTES (a few
-    times more as Python ints), so memory does not grow with the pairs.
-    Ties go to the smallest index pair, the smallest subspace pair of
-    sorted bases.
+    dim(U cap V) is 2k less the rank of the stacked bases, so a pair scores
+    2 rank - 2k; the ranks are taken for a chunk of stacked pairs per
+    rref_batch call.  A chunk's int64 digits and their elimination
+    temporaries fill about _CHUNK_BYTES (a few times more as Python ints),
+    so memory does not grow with the pairs.  Ties go to the smallest index
+    pair, the smallest subspace pair of sorted bases.
     """
-    m, height, n = bases.shape
-    dims = bases.any(axis=2).sum(axis=1)
+    m, k, n = bases.shape
     if pairs is None:  # pair t is (i, t - before[i] + i + 1), before[i] the pairs of rows < i
         before = np.r_[0, np.cumsum(np.arange(m - 1, 0, -1))]
         count = m * (m - 1) // 2
     else:
         count = len(pairs[0])
-    step = max(1, _CHUNK_BYTES // max(1, 6 * 16 * height * n * field.m))  # 6 int64 digit copies
+    step = max(1, _CHUNK_BYTES // max(1, 6 * 16 * k * n * field.m))  # 6 int64 digit copies
     best = (math.inf,)
     for lo in range(0, count, step):
         if pairs is None:
@@ -387,7 +371,7 @@ def _min_distance_pairs_generic(field, bases, dim, pairs=None):
         else:
             i, j = pairs[0][lo:lo + step], pairs[1][lo:lo + step]
         rank = rref_batch(field, np.concatenate([bases[i], bases[j]], axis=1))[1]
-        d = 2 * dim - 2 * (dims[i] + dims[j] - rank)
+        d = 2 * rank - 2 * k
         at = np.lexsort((j, i, d))[0]
         best = min(best, (int(d[at]), int(i[at]), int(j[at])))
     return best[0], best[1:]
@@ -461,43 +445,42 @@ def _sample_pairs(seed: int, size: int, pairs: int) -> tuple[np.ndarray, np.ndar
         count *= 2
 
 
-def min_distance_sampled(code, pairs: int, seed: int):
+def min_distance_sampled(code, pairs: int, seed: int, _sorted=None):
     """Minimum distance over `pairs` fixed-seed uniform pair draws.
 
     An upper bound on the true minimum: violations of a claimed distance
     show up immediately, agreement proves nothing.  Deterministic given the
     seed; the witness is the lexicographically smallest sampled minimizer.
+    _sorted and the refusal of a code with a member of another dimension
+    than code.dim are as in min_distance_exhaustive.
     """
     if pairs < 1:
         raise ValueError("need at least one sampled pair")
-    m = len(code)
+    bases = _code_bases(code, _sorted)
+    m, k = bases.shape[:2]
     if m < 2:
         return math.inf, None
     left, right = _sample_pairs(seed, m, pairs)
     low, high = np.minimum(left, right), np.maximum(left, right)
-    points = code.q ** code.ambient_dim
-    # a pair's two rows, sorted in place, and two boolean temporaries of their length
-    pair_bytes = 2 * code.q ** code.bases.shape[1] * (np.min_scalar_type(points).itemsize + 2)
-    if points > 1 << 63 or pair_bytes > _ORACLE_BYTES:  # stacked ranks
-        bases = _sorted_bases(code)[0]
-        dist, pair = _min_distance_pairs_generic(code.field, bases, code.dim, (low, high))
+    # a pair's two rows, sorted in place, and a boolean temporary of their length
+    pair_bytes = _table_bytes(code.q, code.ambient_dim, 2, k) + 2 * code.q ** k
+    if code.q ** code.ambient_dim > 1 << 63 or pair_bytes > _ORACLE_BYTES:  # stacked ranks
+        dist, pair = _min_distance_pairs_generic(code.field, bases, (low, high))
         return dist, _witness(code.field, bases, pair)
-    bases, table = membership_masks(code)
-    dims = bases.any(axis=2).sum(axis=1)
+    table = membership_masks(code, bases)[1]
     chunk = max(1, _CHUNK_BYTES // pair_bytes)
     counts = np.empty(pairs, dtype=np.int64)
     for lo in range(0, pairs, chunk):
         rows = np.stack([left[lo:lo + chunk], right[lo:lo + chunk]], axis=1).ravel()
         both = (table[rows] if table is not None  # else this chunk's members only
-                else _vector_table(code.field, code.ambient_dim, bases[rows], dims[rows]))
+                else _vector_table(code.field, code.ambient_dim, bases[rows]))
         both = both.reshape(len(rows) // 2, -1)
         both.sort(axis=1)
-        counts[lo:lo + len(both)] = (
-            (both[:, 1:] == both[:, :-1]) & (both[:, 1:] < points)).sum(axis=1)
+        counts[lo:lo + len(both)] = (both[:, 1:] == both[:, :-1]).sum(axis=1)
     best = int(counts.max())
     low, high = low[counts == best], high[counts == best]
     pair = int(low.min()), int(high[low == low.min()].min())
-    return 2 * code.dim - 2 * _dim_from_count(best, code.q), _witness(code.field, bases, pair)
+    return 2 * k - 2 * _dim_from_count(best, code.q), _witness(code.field, bases, pair)
 
 
 def empirical_rank_distribution(matrices) -> dict[int, int]:
@@ -559,15 +542,14 @@ def validate_codeset(code, sampled_pairs: int = SAMPLED_PAIRS, seed: int = SAMPL
             entry["witness"] = witness
         checks.append(entry)
 
-    bases, dims = _sorted_bases(code)
+    bases = sorted_bases(code.bases)  # checked once, for every check and oracle below
     m = len(bases)
-    bad_members = int((dims != code.dim).sum())  # every basis has the ambient dimension
+    bad_members = int((bases.any(axis=2).sum(axis=1) != code.dim).sum())
     add("member_dimensions", bad_members == 0,
         f"all members {code.dim}-dim in ambient {code.ambient_dim}",
         f"{bad_members} offending members")
 
-    flat = bases.reshape(m, -1)
-    distinct = m and 1 + int((flat[1:] != flat[:-1]).any(axis=1).sum())
+    distinct = m and 1 + int((bases[1:] != bases[:-1]).any(axis=(1, 2)).sum())
     add("distinct_members", distinct == m, m, distinct)
 
     predicted = code.provenance.get("predicted_size")
@@ -578,12 +560,12 @@ def validate_codeset(code, sampled_pairs: int = SAMPLED_PAIRS, seed: int = SAMPL
         add("min_distance", True, f">= {code.claimed_distance}", "no pairs")
     elif bad_members == 0:
         try:
-            exact = mode != "sampled" and min_distance_exhaustive(code, (bases, dims))
+            exact = mode != "sampled" and min_distance_exhaustive(code, bases)
         except _OverBudget:
             if mode == "exhaustive":
                 raise
             exact = None
-        dist, witness = exact or min_distance_sampled(code, sampled_pairs, seed)
+        dist, witness = exact or min_distance_sampled(code, sampled_pairs, seed, bases)
         how = "exhaustive" if exact else f"sampled({sampled_pairs},seed={seed})"
         add("min_distance", dist >= code.claimed_distance,
             f">= {code.claimed_distance}", f"{dist} ({how})",

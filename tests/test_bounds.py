@@ -182,6 +182,15 @@ def test_load_best_known_errors(tmp_path):
         load_best_known(bad_value)
 
 
+def test_load_best_known_names_the_line_of_malformed_csv(tmp_path):
+    # csv.Error, here a field over the csv module's limit, comes out as a ValueError
+    big = tmp_path / "big.csv"
+    big.write_text("q,n,d,k,value,source\n2,4,2,2,5,x\n2,4,2,3,5," + "x" * 200_000 + "\n",
+                   encoding="utf-8")
+    with pytest.raises(ValueError, match="^bad best-known CSV at line 3: field larger than"):
+        load_best_known(big)
+
+
 def test_bound_record_rejects_nonpositive():
     with pytest.raises(ValueError):
         BoundRecord(2, 4, 2, 2, 0, "lower", "bad")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cdcodes import bounds, cli, verify
+from cdcodes import bounds, cli, tables, verify
 from cdcodes.cli import main, read_codeset, write_codeset
 from cdcodes.construct import CodeSet, grassmannian_code, lifted_mrd_code, multiblock_parallel_mrd
 from cdcodes.gf import field_of_order
@@ -181,6 +181,53 @@ def test_table1_with_custom_registry(tmp_path, capsys):
     # the supplied A_2(10,4,5) input makes exactly the A_2(15,4,5) row computable
     assert any(l.startswith("A_2(15,4,5),") and ",skipped" not in l for l in rows)
     assert sum(",,,skipped" in l for l in rows) == 62
+
+
+def test_table1_refuses_an_oversized_best_known_field_in_one_line(tmp_path, capsys):
+    reg = tmp_path / "reg.csv"
+    reg.write_text("q,n,d,k,value,source\n2,10,4,5,1235787711790," + "x" * 200_000 + "\n",
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "table", "1", "--best-known", str(reg))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: bad best-known CSV at line 2: field larger than field limit")
+
+
+TABLE1_INPUTS = sorted({(q, 2 * k + h, d, k) for q, k, h, d, _new, _old in tables.TABLE1})
+CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+CSV_FIELD = st.one_of(st.integers(-3, 10 ** 20).map(str), CSV_TEXT,
+                      st.sampled_from(['"', '"1"', ' 7', '1e3', '\r', '\n', '"a""b"']))
+
+
+@st.composite
+def best_known_texts(draw):
+    """Best-known CSV text: mostly the right header, else another or any text,
+    then rows of drawn fields, some keyed by an input of table 1 with a drawn value."""
+    lines = ["q,n,d,k,value,source" if draw(st.booleans()) else draw(
+        st.sampled_from(["q,n,d,k,value", "value,source,q,n,d,k,extra"]) | CSV_TEXT)]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(TABLE1_INPUTS))
+            fields = [*key, draw(st.integers(-2, 10 ** 30)), draw(CSV_TEXT)]
+        else:
+            fields = draw(st.lists(CSV_FIELD, max_size=8))
+        lines.append(",".join(map(str, fields)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(best_known_texts())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_table1_reads_any_best_known_csv_or_gives_one_error_line(tmp_path, capsys, text):
+    reg = tmp_path / "reg.csv"
+    reg.write_text(text, encoding="utf-8", newline="")
+    code, out, err = run_cli(capsys, "table", "1", "--best-known", str(reg))
+    assert code in (0, 2)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    if code == 0:
+        assert out.startswith("A_q(n,d,k),new,old,formula") and err == ""
+    else:
+        assert out == "" and err.startswith("error: ")
 
 
 def test_construct_writes_and_verify_passes(tmp_path, capsys):
@@ -396,6 +443,21 @@ def test_verify_reads_a_member_of_another_dimension_and_fails_it(tmp_path, capsy
     assert code == 1 and err == ""
     checks = {c["check"]: c for c in json.loads(out)["checks"]}
     assert not checks["member_dimensions"]["pass"]
+    assert checks["member_dimensions"]["actual"] == "1 offending members"
+    assert checks["min_distance"]["actual"] == "skipped: malformed members"
+
+
+def test_verify_reports_a_line_and_a_plane_that_contains_it_as_malformed(tmp_path, capsys):
+    # the distance oracles refuse such a code; the report skips the distance
+    field = field_of_order(2)
+    members = (subspace_from_rows(MatrixGF(field, [[1, 0, 0]])),
+               subspace_from_rows(MatrixGF(field, [[1, 0, 0], [0, 1, 0]])))
+    path = tmp_path / "code.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_codeset(CodeSet(field, 3, 1, 2, members), fh)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
     assert checks["member_dimensions"]["actual"] == "1 offending members"
     assert checks["min_distance"]["actual"] == "skipped: malformed members"
 

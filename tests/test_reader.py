@@ -140,7 +140,9 @@ def mutated_files(draw):
             elif kind == "drop_row":
                 rows.pop(draw(st.integers(0, len(rows) - 1)))
             elif kind == "widen_row":
-                rows[draw(st.integers(0, len(rows) - 1))].append(0)
+                row = rows[draw(st.integers(0, len(rows) - 1))]
+                if isinstance(row, list):  # not_a_list may have left a bare entry there
+                    row.append(0)
             lines[i] = json.dumps(rows, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
             lines[i] += "\n"
         elif kind == "empty_member":

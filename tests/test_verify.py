@@ -93,7 +93,7 @@ def test_the_budget_pays_for_the_pair_scan_of_its_members(monkeypatch):
     # does for up to _BUDGET_MEMBERS members, and above them auto samples
     code = lifted_mrd_code(2, 3, 1)  # 64 members
     members, bases = sorted_bases(code)
-    dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases, code.dim)
+    dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases)
     witness = [[list(row) for row in members[x].basis] for x in (i, j)]
     monkeypatch.setattr(verify, "_ORACLE_BYTES", 0)
     for budget_members in (verify._BUDGET_MEMBERS, 64):
@@ -172,7 +172,7 @@ def sorted_bases(code):
 def stacked_rank_scan(code):
     """Reference oracle: _min_distance_pairs_generic over all pairs."""
     members, bases = sorted_bases(code)
-    dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases, code.dim)
+    dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases)
     return dist, (members[i], members[j])
 
 
@@ -204,7 +204,7 @@ def test_stacked_rank_scan_takes_every_pair_once_in_bounded_chunks(monkeypatch):
     for pairs_per_chunk in (1, 7, 120, 1000):
         monkeypatch.setattr(verify, "_CHUNK_BYTES", pairs_per_chunk * pair_bytes)
         calls.clear()
-        dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases, code.dim)
+        dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases)
         assert (dist, (members[i], members[j])) == masked_pair_scan(code)
         step = min(pairs_per_chunk, 120)
         assert [len(m) for m in calls] == [step] * (120 // step) + ([120 % step] if 120 % step else [])
@@ -242,16 +242,12 @@ def masked_sampled(code, pairs, seed):
 
 
 def mask_test_codes(q):
-    """Lifted, rect-lifted, multiblock and Grassmannian codes over GF(q), and a
-    code mixing members of dimension 0, 1 and 2, sorted and in reverse order."""
-    field = field_of_order(q)
-    lines = grassmannian_code(q, 3, 1)
+    """Lifted, rect-lifted, multiblock and Grassmannian codes over GF(q), and
+    the planes of GF(q)^3 in reverse order, which the oracles sort."""
     planes = grassmannian_code(q, 3, 2)
-    zero = subspace_from_rows(MatrixGF.zeros(field, 1, 3))
-    mixed = CodeSet(field, 3, 1, 2, (zero,) + lines.members + planes.members)
     return [lifted_mrd_code(q, 2, 0), rect_lifted_mrd_code(q, 2, 1, 0),
-            multiblock_parallel_mrd(q, 2, 1, 1), lines, mixed,
-            CodeSet(field, 3, 1, 2, mixed.members[::-1])]
+            multiblock_parallel_mrd(q, 2, 1, 1), grassmannian_code(q, 3, 1),
+            CodeSet(planes.field, 3, 2, 2, planes.members[::-1])]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -260,10 +256,9 @@ def test_masks_match_the_vectors_reference(q, monkeypatch):
         members, bases = sorted_bases(code)
         table_bases, table = membership_masks(code)
         points = code.q ** code.ambient_dim
-        assert np.array_equal(table_bases, bases) and table.dtype == np.min_scalar_type(points)
-        # each row: the member's vector codes in some order, then q^N as padding
-        assert np.sort(table, axis=1).tolist() == [
-            sorted(subspace_vectors(s)) + [points] * (table.shape[1] - q ** s.dim) for s in members]
+        assert np.array_equal(table_bases, bases) and table.dtype == np.min_scalar_type(points - 1)
+        # each row: the member's vector codes in some order
+        assert np.sort(table, axis=1).tolist() == [sorted(subspace_vectors(s)) for s in members]
         if len(members) > 400:  # the default chunks already split these codes
             continue
         # one member per chunk, then a few: boundaries fall inside the code
@@ -333,7 +328,8 @@ def random_codes(draw):
     """Row spaces of drawn k x n matrices over GF(q), q in {2, 3, 4}, some repeated.
 
     Half the draws keep only the k-dimensional row spaces (a
-    constant-dimension code); the others mix every dimension up to k.
+    constant-dimension code); the others mix every dimension up to k, which
+    the oracles refuse when a member falls short of k.
     """
     q = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(2, 4))
@@ -349,26 +345,81 @@ def random_codes(draw):
     return CodeSet(field, n, k, draw(st.integers(0, 2 * k + 2)), tuple(members))
 
 
+REFUSAL = (r"^distance oracles take constant-dimension codes only: "
+           r"\d+ of \d+ members are not \d+-dimensional$")
+
+
+def assert_refused(code):
+    """Each distance oracle refuses the code in one line."""
+    for oracle in (min_distance_exhaustive, membership_masks,
+                   lambda c: min_distance_sampled(c, 10, seed=0)):
+        with pytest.raises(ValueError, match=REFUSAL):
+            oracle(code)
+
+
+def test_oracles_refuse_a_line_and_a_plane_that_contains_it():
+    # 2 - 2 dim(U cap V) would call them distance 0, while subspace_distance gives 1
+    field = field_of_order(2)
+    line = subspace_from_rows(MatrixGF(field, [[1, 0, 0]]))
+    plane = subspace_from_rows(MatrixGF(field, [[1, 0, 0], [0, 1, 0]]))
+    assert subspace_distance(line, plane) == 1
+    for dim in (1, 2):
+        code = CodeSet(field, 3, dim, 2, (line, plane))
+        assert_refused(code)
+        assert min_distance_check(validate_codeset(code))["actual"] == "skipped: malformed members"
+
+
+def test_oracles_cut_zero_rows_below_a_constant_dimension_code():
+    # bases taller than k whose extra rows are zero give the same answers
+    code = lifted_mrd_code(2, 2, 1)
+    tall = np.concatenate([code.bases, np.zeros((len(code), 1, 4), code.bases.dtype)], axis=1)
+    padded = CodeSet(code.field, 4, 2, code.claimed_distance, tall)
+    assert min_distance_exhaustive(padded) == min_distance_exhaustive(code)
+    assert min_distance_sampled(padded, 300, seed=1) == min_distance_sampled(code, 300, seed=1)
+    assert np.array_equal(membership_masks(padded)[1], membership_masks(code)[1])
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_validate_codeset_checks_the_sort_order_once(monkeypatch, mode):
+    code = lifted_mrd_code(2, 3, 1)
+    reversed_code = CodeSet(code.field, 6, 3, code.claimed_distance, code.bases[::-1],
+                            dict(code.provenance))
+    expected = validate_codeset(code, sampled_pairs=2000, mode=mode)
+    calls = []
+    sort = verify.sorted_bases
+    monkeypatch.setattr(verify, "sorted_bases", lambda b: calls.append(len(b)) or sort(b))
+    for c in (code, reversed_code):
+        calls.clear()
+        assert validate_codeset(c, sampled_pairs=2000, mode=mode) == expected
+        assert calls == [len(code)]
+
+
 @given(random_codes())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_oracle_agrees_with_the_pair_scans_on_random_codes(monkeypatch, code):
+    checks = {c["check"]: c for c in validate_codeset(code, mode="exhaustive")["checks"]}
+    assert checks["distinct_members"]["actual"] == len(set(code.members))
+    offending = sum(s.dim != code.dim for s in code.members)
+    assert checks["member_dimensions"]["actual"] == f"{offending} offending members"
+    if offending:
+        assert_refused(code)
+        return
     if len(code.members) < 2:
         assert min_distance_exhaustive(code) == (math.inf, None)
         return
     expected = masked_pair_scan(code)
     assert stacked_rank_scan(code) == expected
     assert oracle_variants(code, monkeypatch) == [expected] * 3
-    checks = {c["check"]: c for c in validate_codeset(code, mode="exhaustive")["checks"]}
-    assert checks["distinct_members"]["actual"] == len(set(code.members))
-    assert checks["member_dimensions"]["actual"] == (
-        f"{sum(s.dim != code.dim for s in code.members)} offending members")
 
 
 @given(random_codes(), st.integers(1, 300), st.integers(0, 2 ** 64 - 1))
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_sampled_agrees_with_the_masked_reference_on_random_codes(monkeypatch, code, pairs, seed):
+    if any(s.dim != code.dim for s in code.members):
+        assert_refused(code)
+        return
     if len(code.members) < 2:
         assert min_distance_sampled(code, pairs, seed) == (math.inf, None)
         return
@@ -424,7 +475,7 @@ def test_codes_beyond_the_byte_allowance_take_the_stacked_rank_path(monkeypatch)
     code = lifted_mrd_code(2, 3, 1)  # 64 members; the scan starts at level 2
     expected = masked_pair_scan(code)
     calls = record_vector_builds(monkeypatch)
-    level_bytes = verify._level_cost(2, 6, {3: 64}, 2)[1]
+    level_bytes = verify._level_cost(2, 6, 64, 3, 2)[1]
     assert level_bytes > 64 * 2 ** 3 * 1  # more than the vector table
     for allowance, oracle in ((level_bytes, True), (level_bytes - 1, False)):
         monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
@@ -434,7 +485,7 @@ def test_codes_beyond_the_byte_allowance_take_the_stacked_rank_path(monkeypatch)
     # claiming more than 2k starts the scan at level 0, which needs no keys:
     # only the vector table's bytes decide whether it is built
     low = CodeSet(code.field, code.ambient_dim, code.dim, 2 * code.dim + 2, code.members)
-    table_bytes = 64 * 2 ** 3 * 1  # uint8 entries hold the codes below 2^6 and the pad 2^6
+    table_bytes = 64 * 2 ** 3 * 1  # uint8 entries hold the codes below 2^6
     for allowance, oracle in ((table_bytes, True), (table_bytes - 1, False)):
         monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
         calls.clear()
@@ -473,7 +524,7 @@ def test_rank_distance_scan_starts_at_the_singleton_bound(q, n, t, levels, monke
     mats = list(enumerate_mrd(q, n, t))
     seen = []
     level_pair = verify._level_pair
-    monkeypatch.setattr(verify, "_level_pair", lambda *a: seen.append(a[3]) or level_pair(*a))
+    monkeypatch.setattr(verify, "_level_pair", lambda *a: seen.append(a[-1]) or level_pair(*a))
     brute = min_pair_difference_rank(q, mats)
     assert verify.pairwise_min_rank_distance(mats) == brute == n - t
     assert seen == levels
@@ -583,10 +634,10 @@ def test_sampled_generic_path(monkeypatch):
         calls.clear()
         assert min_distance_sampled(code, 50, seed=3) == generator_sampled(code, 50, 3)
         assert bool(calls) == table
-    # so does a code whose one pair's two rows and their sort temporaries
-    # would hold more than _ORACLE_BYTES (a k = 30 pair over GF(2)^60: 20 GB)
+    # so does a code whose one pair's two rows and their sort temporary
+    # would hold more than _ORACLE_BYTES (a k = 30 pair over GF(2)^60: 19 GB)
     code = multiblock_parallel_mrd(2, 2, 1, 2)
-    pair_bytes = 2 * 2 ** code.dim * (np.min_scalar_type(2 ** code.ambient_dim).itemsize + 2)
+    pair_bytes = 2 * 2 ** code.dim * (np.min_scalar_type(2 ** code.ambient_dim - 1).itemsize + 1)
     for allowance, table in ((pair_bytes, True), (pair_bytes - 1, False)):
         monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
         calls.clear()
@@ -596,7 +647,7 @@ def test_sampled_generic_path(monkeypatch):
 
 def test_a_wide_member_builds_its_vectors_in_chunks():
     # the 2^16 vectors of one 16-dim member are built a chunk of them at a
-    # time: the build holds little more than the 1 MB table
+    # time: the build holds little more than the 512 KB table of uint32 codes
     code = lifted_pair(2, 16, 8, 16)  # (I | 0) and (I | diag(1^8, 0)) in GF(2)^32
     tracemalloc.start()
     try:
@@ -604,7 +655,7 @@ def test_a_wide_member_builds_its_vectors_in_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.nbytes == 2 * 2 ** 16 * 8 and peak < table.nbytes + 2 * verify._CHUNK_BYTES
+    assert table.nbytes == 2 * 2 ** 16 * 4 and peak < table.nbytes + 2 * verify._CHUNK_BYTES
     combos = np.arange(2 ** 16, dtype=np.uint64)  # coefficient c gives c, then c + (c mod 2^8) 2^16
     assert sorted(np.sort(table, axis=1).tolist()) == [
         combos.tolist(), np.sort(combos + (combos % 256 << np.uint64(16))).tolist()]
@@ -621,12 +672,12 @@ def test_sampled_masks_per_chunk_of_pairs_agree_with_stacked_ranks(build, args, 
     built = []
     vector_table = verify._vector_table
     monkeypatch.setattr(verify, "_vector_table", lambda *a: built.append(len(a[2])) or vector_table(*a))
-    table_bytes = verify._table_bytes(code.q, code.ambient_dim, verify._sorted_bases(code)[1])
+    table_bytes = verify._table_bytes(code.q, code.ambient_dim, len(code), code.dim)
     monkeypatch.setattr(verify, "_ORACLE_BYTES", table_bytes)
     assert min_distance_sampled(code, 3000, seed=11) == whole and built == [len(code)]
     monkeypatch.setattr(verify, "_ORACLE_BYTES", table_bytes - 1)
-    # the chunk allowance for one pair's two rows and their two boolean temporaries
-    pair_bytes = 2 * code.q ** code.dim * (np.min_scalar_type(code.q ** code.ambient_dim).itemsize + 2)
+    # the chunk allowance for one pair's two rows and their boolean temporary
+    pair_bytes = 2 * code.q ** code.dim * (np.min_scalar_type(code.q ** code.ambient_dim - 1).itemsize + 1)
     for pairs_per_chunk in (1, 5, 7):
         built.clear()
         monkeypatch.setattr(verify, "_CHUNK_BYTES", pairs_per_chunk * pair_bytes)
@@ -754,6 +805,12 @@ def test_validate_codeset_flags_mixed_dimensions():
     assert not report["pass"]
     failing = {c["check"] for c in report["checks"] if not c["pass"]}
     assert "member_dimensions" in failing
+
+
+def test_validate_codeset_reports_a_code_without_members():
+    field = field_of_order(2)
+    report = validate_codeset(CodeSet(field, 3, 1, 2, np.zeros((0, 1, 3), np.uint8)))
+    assert report["pass"] and min_distance_check(report)["actual"] == "no pairs"
 
 
 def test_validate_report_is_json_serializable():
