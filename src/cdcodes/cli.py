@@ -1,7 +1,11 @@
 """Command-line front end: bounds, tables, constructions, verification.
 
 `bound` and `table` run without loading numpy, which is imported on first
-array use (see `cdcodes._numpy`).
+array use (see `cdcodes._numpy`).  Options are taken under their full names
+only, and each construction takes its own: lifted ``--q --n --t``,
+multiblock ``--q --n --t --s``, parallel-linkage ``--q --k --d`` with
+optional ``--h`` (default 0) and ``--v-code``, grassmannian ``--q --n --k``;
+all take ``--budget`` and ``-o``.
 
 File formats
 ------------
@@ -17,18 +21,19 @@ per chunk of lines, so identical codes produce identical files.  The reader
 skips blank lines and checks, for each member line in this order, that it
 is JSON, a list of rows of length N, made of integers (not floats or
 booleans) in [0, q), and the canonical full-rank RREF basis of its row
-space; then that the header count matches.  The first failing line is
-reported as "line L: <check>".  Lines are checked a chunk at a time, and
-one at a time only to find which line of a chunk failed.
+space (``[]`` for the zero subspace); then that the header count matches.
+The first failing line is reported as "line L: <check>".  Lines are checked
+a chunk at a time, and one at a time only to find which line of a chunk
+failed.
 
 Numeric tables are CSV with columns ``A_q(n,d,k), new, old, formula``; the
 best-known registry is CSV with header ``q,n,d,k,value,source``.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or parse
-error, 3 enumeration budget exceeded.  ``construct --budget`` sets the
-enumeration cap, 2^24 elements by default.  ``verify`` finds the exact
-distance when it is priced within the pair scan of 5,000 members; past
-that, auto samples and ``--mode exhaustive`` exits 2.
+error, printed as one ``error: ...`` line, 3 enumeration budget exceeded.
+``construct --budget`` sets the enumeration cap, 2^24 elements by default.
+``verify`` finds the exact distance when it is priced within the pair scan
+of 5,000 members; past that, auto samples and ``--mode exhaustive`` exits 2.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from . import bounds as bounds_mod
 from ._numpy import np
 from .construct import (
     CodeSet,
-    ConstructionError,
     bases_dtype,
     grassmannian_code,
     lifted_mrd_code,
@@ -134,7 +138,7 @@ def _line_error(field: GF, n: int, line: str) -> str | None:
     except ValueError as exc:
         return str(exc)
     s = subspace_from_rows(matrix)
-    if s.ambient_dim != n or s.basis != matrix.rows:
+    if s.basis != matrix.rows:
         return "basis is not a canonical full-rank RREF"
     return None
 
@@ -163,7 +167,7 @@ def _chunk_members(field: GF, n: int, texts: list[str]) -> tuple[list, list[int]
     for member in parsed:
         basis = tuple(map(tuple, member))
         s = subspace_from_rows(MatrixGF._of(field, basis))
-        if s.ambient_dim != n or s.basis != basis:
+        if s.basis != basis:
             return None
     return rows, list(map(len, parsed))
 
@@ -243,16 +247,7 @@ def _decimal(value: int) -> str:
 
 
 def cmd_bound(args) -> int:
-    if args.formula == "multiblock":
-        rec = bounds_mod.bound_multiblock(args.q, args.n, args.t, args.s)
-    elif args.formula == "johnson":
-        rec = bounds_mod.bound_johnson_halving(args.q, args.n, args.t)
-    elif args.formula == "anticode":
-        rec = bounds_mod.anticode_upper(args.q, args.n, args.delta, args.k)
-    else:  # parallel-linkage
-        rec = bounds_mod.bound_parallel_linkage(
-            args.q, args.k, args.h, args.d, args.input, input_source="cli"
-        )
+    rec = args.run(args)
     print(f"{_decimal(rec.value)} {rec.formula} {rec.kind} {rec.label()}")
     return EXIT_OK
 
@@ -269,10 +264,11 @@ def _table_records(args):
 
 
 def cmd_table(args) -> int:
+    if args.best_known is not None and args.table_id != 1:
+        raise UsageError("--best-known supplies the inputs of table 1 only")
     if args.check:
         if args.table_id == 1:
-            print("table 1 depends on external inputs and has no embedded reference", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("table 1 depends on external inputs and has no embedded reference")
         mismatches = bounds_mod.check_table(args.table_id)
         if mismatches:
             for mm in mismatches:
@@ -303,19 +299,13 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _read_file(path: str) -> CodeSet:
+    with open(path, encoding="utf-8") as fh:
+        return read_codeset(fh)
+
+
 def cmd_construct(args) -> int:
-    if args.construction == "lifted":
-        code = lifted_mrd_code(args.q, args.n, args.t, budget=args.budget)
-    elif args.construction == "multiblock":
-        code = multiblock_parallel_mrd(args.q, args.n, args.t, args.s, budget=args.budget)
-    elif args.construction == "parallel-linkage":
-        v_code = None
-        if args.v_code:
-            with open(args.v_code, encoding="utf-8") as fh:
-                v_code = read_codeset(fh)
-        code = parallel_linkage(args.q, args.k, args.h, args.d, v_code, budget=args.budget)
-    else:  # grassmannian, handy for building v-code inputs
-        code = grassmannian_code(args.q, args.n, args.k, budget=args.budget)
+    code = args.run(args)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             write_codeset(code, fh)
@@ -326,74 +316,98 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        code = read_codeset(fh)
+    code = _read_file(args.path)
     report = validate_codeset(code, sampled_pairs=args.pairs, seed=args.seed, mode=args.mode)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
+class UsageError(Exception):
+    """A malformed command line: main prints it as one error line and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """The class of the parser and its subparsers: options under their full
+    names only, and UsageError where argparse would print usage and exit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _variant(sub, name: str, summary: str, run, options: str, parents=()) -> _Parser:
+    """Add the subparser `name` to sub: it sets args.run to run and takes the
+    int options named in options, each required except --h, which defaults to 0."""
+    sp = sub.add_parser(name, help=summary, parents=list(parents))
+    for opt in options.split():
+        kind = {"default": 0} if opt == "h" else {"required": True}
+        sp.add_argument(f"--{opt}", type=int, **kind)
+    sp.set_defaults(run=run)
+    return sp
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `cdc` parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    """The `cdc` parser, built once per process: parsing leaves it unchanged.
+
+    Each bound formula and construction is one subparser with its own options
+    and library call, which looks its function up by name when it runs.
+    """
+    parser = _Parser(
         prog="cdc",
         description="Constant-dimension subspace codes: constructions, verification, bound tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate one bound formula")
+    p_bound.set_defaults(func=cmd_bound)
     bsub = p_bound.add_subparsers(dest="formula", required=True)
-    b_multi = bsub.add_parser("multiblock", help="multi-block lower bound on A_q((s+1)n, 2(n-t), n)")
-    b_multi.add_argument("--q", type=int, required=True)
-    b_multi.add_argument("--n", type=int, required=True)
-    b_multi.add_argument("--t", type=int, required=True)
-    b_multi.add_argument("--s", type=int, required=True)
-    b_john = bsub.add_parser("johnson", help="halved bound on A_q(2n-1, 2(n-t), n-1)")
-    b_john.add_argument("--q", type=int, required=True)
-    b_john.add_argument("--n", type=int, required=True)
-    b_john.add_argument("--t", type=int, required=True)
-    b_anti = bsub.add_parser("anticode", help="anticode upper bound on A_q(n, 2*delta, k)")
-    b_anti.add_argument("--q", type=int, required=True)
-    b_anti.add_argument("--n", type=int, required=True)
-    b_anti.add_argument("--delta", type=int, required=True)
-    b_anti.add_argument("--k", type=int, required=True)
-    b_link = bsub.add_parser("parallel-linkage", help="three-block linkage bound on A_q(3k+h, d, k)")
-    b_link.add_argument("--q", type=int, required=True)
-    b_link.add_argument("--k", type=int, required=True)
-    b_link.add_argument("--h", type=int, default=0)
-    b_link.add_argument("--d", type=int, required=True)
-    b_link.add_argument("--input", type=int, required=True,
-                        help="known lower bound on A_q(2k+h, d, k)")
-    for sp in (b_multi, b_john, b_anti, b_link):
-        sp.set_defaults(func=cmd_bound)
+    _variant(bsub, "multiblock", "multi-block lower bound on A_q((s+1)n, 2(n-t), n)",
+             lambda a: bounds_mod.bound_multiblock(a.q, a.n, a.t, a.s), "q n t s")
+    _variant(bsub, "johnson", "halved bound on A_q(2n-1, 2(n-t), n-1)",
+             lambda a: bounds_mod.bound_johnson_halving(a.q, a.n, a.t), "q n t")
+    _variant(bsub, "anticode", "anticode upper bound on A_q(n, 2*delta, k)",
+             lambda a: bounds_mod.anticode_upper(a.q, a.n, a.delta, a.k), "q n delta k")
+    _variant(bsub, "parallel-linkage",
+             "three-block linkage bound on A_q(3k+h, d, k); --input bounds A_q(2k+h, d, k) below",
+             lambda a: bounds_mod.bound_parallel_linkage(a.q, a.k, a.h, a.d, a.input,
+                                                         input_source="cli"),
+             "q k h d input")
 
     p_table = sub.add_parser("table", help="regenerate a published bound table")
     p_table.add_argument("table_id", type=int, choices=[1, 2, 3, 4, 5])
-    p_table.add_argument("--check", action="store_true",
-                         help="compare against the embedded reference rows (tables 2-5)")
     p_table.add_argument("--best-known", dest="best_known", default=None,
                          help="best-known CSV supplying table-1 inputs")
-    p_table.add_argument("-o", "--output", default=None)
+    check_or_write = p_table.add_mutually_exclusive_group()
+    check_or_write.add_argument("--check", action="store_true",
+                                help="compare against the embedded reference rows (tables 2-5)")
+    check_or_write.add_argument("-o", "--output", default=None)
     p_table.set_defaults(func=cmd_table)
 
     p_con = sub.add_parser("construct", help="build a code and write it as JSON lines")
-    p_con.add_argument("construction",
-                       choices=["lifted", "multiblock", "parallel-linkage", "grassmannian"])
-    p_con.add_argument("--q", type=int, required=True)
-    p_con.add_argument("--n", type=int, help="block size / ambient dimension")
-    p_con.add_argument("--t", type=int, help="q-degree bound of the MRD code")
-    p_con.add_argument("--s", type=int, help="extra blocks (multiblock)")
-    p_con.add_argument("--k", type=int, help="codeword dimension")
-    p_con.add_argument("--h", type=int, default=0, help="ambient widening (parallel-linkage)")
-    p_con.add_argument("--d", type=int, help="target distance (parallel-linkage)")
-    p_con.add_argument("--v-code", dest="v_code", default=None,
-                       help="code file for the second linkage family")
-    p_con.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="enumeration budget (default 2^24)")
-    p_con.add_argument("-o", "--output", default=None)
     p_con.set_defaults(func=cmd_construct)
+    csub = p_con.add_subparsers(dest="construction", required=True)
+    common = _Parser(add_help=False)
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="enumeration budget (default 2^24)")
+    common.add_argument("-o", "--output", default=None)
+    _variant(csub, "lifted", "lifted MRD code: (2n, q^(n(t+1)), 2(n-t), n)",
+             lambda a: lifted_mrd_code(a.q, a.n, a.t, budget=a.budget), "q n t", [common])
+    _variant(csub, "multiblock", "(s+1)-block parallel code on (s+1)n, distance 2(n-t)",
+             lambda a: multiblock_parallel_mrd(a.q, a.n, a.t, a.s, budget=a.budget),
+             "q n t s", [common])
+    linkage = _variant(csub, "parallel-linkage", "two linked families on 3k+h, distance d",
+                       lambda a: parallel_linkage(a.q, a.k, a.h, a.d,
+                                                  _read_file(a.v_code) if a.v_code else None,
+                                                  budget=a.budget),
+                       "q k h d", [common])
+    linkage.add_argument("--v-code", dest="v_code", default=None,
+                         help="code file for the second linkage family")
+    _variant(csub, "grassmannian", "every k-subspace of GF(q)^n, handy for building v-code inputs",
+             lambda a: grassmannian_code(a.q, a.n, a.k, budget=a.budget), "q n k", [common])
 
     p_ver = sub.add_parser("verify", help="validate a code file and print a JSON report")
     p_ver.add_argument("path")
@@ -407,31 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _missing_args(args) -> list[str]:
-    required = {
-        "lifted": ["n", "t"],
-        "multiblock": ["n", "t", "s"],
-        "parallel-linkage": ["k", "d"],
-        "grassmannian": ["n", "k"],
-    }
-    if getattr(args, "command", None) != "construct":
-        return []
-    return [name for name in required[args.construction] if getattr(args, name) is None]
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    missing = _missing_args(args)
-    if missing:
-        print(f"construct {args.construction} requires --" + " --".join(missing), file=sys.stderr)
-        return EXIT_USAGE
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConstructionError, ValueError, json.JSONDecodeError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # ValueError covers ConstructionError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,9 +17,7 @@ array, and _bounded_rank keeps its nonzero codewords of rank at most r,
 which enumerate_filtration yields as matrices.
 
 Enumeration order is an odometer over the integer codes of
-(a_0, ..., a_t) with a_0 varying fastest; streams accept start/stop
-indices so disjoint sub-ranges can be enumerated independently and
-deterministically.
+(a_0, ..., a_t) with a_0 varying fastest.
 """
 
 from __future__ import annotations
@@ -108,10 +106,9 @@ def check_degree(n: int, t: int, h: int = 0) -> None:
         raise ValueError("h must be non-negative")
 
 
-def _mrd_blocks(q: int, n: int, t: int, h: int, start: int, stop: int | None,
-                budget: int | None):
+def _mrd_blocks(q: int, n: int, t: int, h: int, budget: int | None):
     """Validate, then (field, count, blocks): blocks yields the codewords
-    start..stop-1 as int64 arrays of at most _CHUNK codewords each."""
+    as int64 arrays of at most _CHUNK codewords each."""
     check_degree(n, t, h)
     ext = extension_field(q, n)
     big = extension_field(q, n + h)
@@ -119,39 +116,34 @@ def _mrd_blocks(q: int, n: int, t: int, h: int, start: int, stop: int | None,
     _check_budget(total, budget, f"the rank-metric code of {n}x{n + h} matrices with q={q}, t={t}")
     if total > 1 << 62:
         raise ValueError(f"the code has {total} codewords, above the 2^62 index range")
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError("bad enumeration sub-range")
     # basis matrix i*(n+h) + d is the map alpha^d x^(q^i): index digit order
     basis = [QPolynomial(ext, [0] * i + [q ** d], big).to_matrix().rows
              for i in range(t + 1) for d in range(n + h)]
     basis = np.reshape(basis, (len(basis), -1))
-    blocks = (span(ext.base, basis, np.arange(lo, min(lo + _CHUNK, stop))).reshape(-1, n, n + h)
-              for lo in range(start, stop, _CHUNK))
-    return ext.base, stop - start, blocks
+    blocks = (span(ext.base, basis, np.arange(lo, min(lo + _CHUNK, total))).reshape(-1, n, n + h)
+              for lo in range(0, total, _CHUNK))
+    return ext.base, total, blocks
 
 
-def mrd_array(q: int, n: int, t: int, *, h: int = 0, start: int = 0, stop: int | None = None,
+def mrd_array(q: int, n: int, t: int, *, h: int = 0,
               budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
     """The codewords of enumerate_mrd, with its checks and order, as one
     (count, n, n+h) array of element codes in the smallest unsigned dtype."""
-    _field, count, blocks = _mrd_blocks(q, n, t, h, start, stop, budget)
+    _field, count, blocks = _mrd_blocks(q, n, t, h, budget)
     out = np.empty((count, n, n + h), dtype=np.min_scalar_type(q - 1))
     for lo, block in zip(range(0, count, _CHUNK), blocks):
         out[lo:lo + len(block)] = block
     return out
 
 
-def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, start: int = 0,
-                  stop: int | None = None, budget: int | None = DEFAULT_BUDGET):
+def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, budget: int | None = DEFAULT_BUDGET):
     """The n x (n+h) matrices of the maps of q-degree <= t, in odometer order.
 
     The q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) form an MRD code with
     rank distance n - t; h = 0 is the square code.  Validation (including the budget check) happens at call time;
     indices are int64, so a code of more than 2^62 codewords is refused.
     """
-    field, _count, blocks = _mrd_blocks(q, n, t, h, start, stop, budget)
+    field, _count, blocks = _mrd_blocks(q, n, t, h, budget)
     # span's entries are in range by construction: no per-entry check
     return (MatrixGF._of(field, tuple(map(tuple, rows)))
             for block in blocks for rows in block.tolist())

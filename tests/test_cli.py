@@ -2,10 +2,11 @@ import io
 import json
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cdcodes import bounds, cli, tables, verify
@@ -30,20 +31,12 @@ def test_parser_is_built_once_per_process(capsys):
         ["table", "3", "--check"],
     ]
 
-    def run(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
     fresh = []
     for argv in argvs:
         cli.build_parser.cache_clear()
-        fresh.append(run(argv))
+        fresh.append(run_cli(capsys, *argv))
     cli.build_parser.cache_clear()
-    cached = [run(argv) for argv in argvs]
+    cached = [run_cli(capsys, *argv) for argv in argvs]
     assert cli.build_parser.cache_info().misses == 1
     assert cached == fresh
     assert [code for code, _out, _err in cached] == [0, 2, 2, 0, 0]
@@ -275,6 +268,130 @@ def test_construct_bad_parameters_are_named(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "construct lifted --q 2 --n 2 --t 1 --h 1",  # an option lifted does not take
+    "construct multiblock --q 2 --n 2 --t 1 --s 1 --v-code nope",
+    "bound multiblock --q 2 --n 4 --t 2 --s 1 --h 1",  # not read as --help
+    "bound anticode --q 2 --n 4 --del 1 --k 2",  # not read as --delta
+    "construct lifted --q x --n 2 --t 1",
+    "construct multiblock --q 2 --n 2 --t 1",
+    "table 7",
+    "table 1 --check",
+    "table 2 --best-known x.csv",  # table 2 takes no inputs
+    "table 2 --check -o t.csv",  # --check writes no file
+    "",
+])
+def test_usage_errors_are_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv.split())  # main returns: no SystemExit
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cdc ")
+
+
+CONSTRUCT_OPTIONS = {
+    "lifted": ("q", "n", "t"), "multiblock": ("q", "n", "t", "s"),
+    "parallel-linkage": ("q", "k", "h", "d", "v-code"), "grassmannian": ("q", "n", "k"),
+}
+OPTIONAL = {"h", "v-code", "budget", "o", "check", "best-known"}
+VALUES = {
+    "q": st.sampled_from(["2", "3", "4", "6"]),
+    "budget": st.integers(0, 4096).map(str),
+    "v-code": st.sampled_from(["{v}", "{missing}"]), "o": st.just("{out}"),
+    "best-known": st.sampled_from(["{registry}", "{missing}"]),
+}
+SMALL_INT = st.integers(0, 4).map(str)
+JUNK = st.sampled_from(["x", "1.5", "-1"])
+TABLE_IDS = ["1", "2", "3", "4", "5", "7", "x"]
+
+
+def _flag(name):
+    return "-o" if name == "o" else f"--{name}"
+
+
+@st.composite
+def construct_and_table_argvs(draw):
+    """(argv, refused) for `cdc construct` and `cdc table`: each declared option
+    absent, present or repeated with a drawn value, and in half the lists junk
+    values and options that the command does not take.  refused says the
+    parser must refuse argv.  Files are placeholders in braces; construct's
+    --budget is always given, at most 4096, so every build stays small."""
+    if draw(st.booleans()):
+        variant = draw(st.sampled_from(sorted(CONSTRUCT_OPTIONS)))
+        head, declared = ["construct", variant], CONSTRUCT_OPTIONS[variant] + ("budget", "o")
+        foreign = sorted({"q", "n", "t", "s", "k", "h", "d", "v-code", "del", "bud"}
+                         - set(declared))
+    else:
+        head, declared = ["table", draw(st.sampled_from(TABLE_IDS))], ("check", "best-known", "o")
+        foreign = ["q", "budget", "v-code", "h", "best", "che", "out"]
+    dirty = draw(st.booleans())
+    groups, given_names, refused = [], set(), False
+    for name in declared:
+        required = name == "budget" or (name not in OPTIONAL and not dirty)
+        count = draw(st.integers(1 if required else 0, 2))
+        given_names |= {name} if count else set()
+        refused |= not count and name not in OPTIONAL
+        for _ in range(count):
+            if name == "check":
+                groups.append(["--check"])
+                continue
+            value = draw(VALUES.get(name, SMALL_INT))
+            if dirty and name not in ("v-code", "o", "best-known") and draw(st.booleans()):
+                value = draw(JUNK)
+                refused |= value != "-1"
+            groups.append([_flag(name), value])
+    for name in draw(st.lists(st.sampled_from(foreign), max_size=2 if dirty else 0)):
+        groups.append([_flag(name), draw(SMALL_INT | JUNK)])
+        refused = True
+    if head[0] == "table":
+        refused |= (head[1] not in TABLE_IDS[:5] or {"check", "o"} <= given_names
+                    or ("best-known" in given_names and head[1] != "1")
+                    or (head[1] == "1" and "check" in given_names))
+    order = draw(st.permutations(groups))
+    return head + [token for group in order for token in group], refused
+
+
+@given(construct_and_table_argvs())
+@example((["construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "--h", "1"], True))
+@example((["table", "2", "--best-known", "{missing}"], True))
+@example((["table", "2", "--check", "-o", "{out}"], True))
+@example((["construct", "grassmannian", "--q", "2", "--n", "1", "--k", "0", "--budget", "1"],
+          False))  # a file of one 0-dimensional member reads back
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_construct_and_table_answer_any_arguments_or_refuse_them_in_one_line(
+        tmp_path, capsys, case):
+    argv, refused = case
+    out_path, v_path = tmp_path / "out", tmp_path / "v.jsonl"
+    out_path.unlink(missing_ok=True)
+    if not v_path.exists():
+        with open(v_path, "w", encoding="utf-8") as fh:
+            write_codeset(grassmannian_code(2, 4, 2), fh)
+    files = {"out": out_path, "v": v_path, "missing": tmp_path / "missing",
+             "registry": Path(cli.__file__).with_name("data") / "best_known.csv"}
+    code, out, err = run_cli(capsys, *[arg.format(**files) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    if refused:
+        assert code == 2 and err.startswith("error: ")
+    if code:
+        assert out == "" and not out_path.exists()
+    elif argv[0] == "construct":
+        with open(out_path, encoding="utf-8") if out_path.exists() else io.StringIO(out) as fh:
+            header = json.loads(fh.readline())
+            fh.seek(0)
+            assert len(read_codeset(fh)) == header["count"]
+    elif out_path.exists():
+        assert out_path.read_text().startswith("A_q(n,d,k),new,old,formula\n")
+
+
 def json_lines(code):
     """The member lines as json.dumps prints them, one call per member."""
     return "".join(json.dumps([list(row) for row in s.basis]) + "\n" for s in code.members)
@@ -306,6 +423,7 @@ def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
     header, members = buf.getvalue().split("\n", 1)
     assert members == json_lines(code)
     assert json.loads(header)["count"] == len(code)
+    assert read_codeset(io.StringIO(buf.getvalue())).members == code.members
 
 
 @pytest.mark.parametrize("convert, shown", [
