@@ -16,12 +16,13 @@ Code files are JSON lines (UTF-8).  The first line is a header::
 
 followed by one line per member: the RREF basis as an array of rows, each
 row an array of integer element codes.  The writer prints the code's
-bases array, which builds keep in canonical sorted order, one %-template
+bases array, which CodeSet keeps in canonical sorted order, one %-template
 per chunk of lines, so identical codes produce identical files.  The reader
 skips blank lines and checks, for each member line in this order, that it
 is JSON, a list of rows of length N, made of integers (not floats or
-booleans) in [0, q), and the canonical full-rank RREF basis of its row
-space (``[]`` for the zero subspace); then that the header count matches.
+booleans) in [0, q), the canonical full-rank RREF basis of its row space
+(``[]`` for the zero subspace), and k rows long; then that the header
+count matches.
 The first failing line is reported as "line L: <check>".  Lines are checked
 a chunk at a time, and one at a time only to find which line of a chunk
 failed.
@@ -53,7 +54,6 @@ from .construct import (
     grassmannian_code,
     lifted_mrd_code,
     multiblock_parallel_mrd,
-    padded_bases,
     parallel_linkage,
 )
 from .gf import GF
@@ -104,15 +104,10 @@ def write_codeset(code: CodeSet, fh) -> None:
         "count": len(code),
     }
     fh.write(json.dumps(header, sort_keys=True) + "\n")
-    bases, n = code.bases, code.ambient_dim
-    for lo in range(0, len(bases), _WRITE_CHUNK):
-        chunk = bases[lo:lo + _WRITE_CHUNK]
-        full = chunk.any(axis=2)  # the rows that are not padding
-        if full.all():
-            template = _line_format(chunk.shape[1], n) * len(chunk)
-        else:
-            template = "".join([_line_format(d, n) for d in full.sum(axis=1).tolist()])
-        fh.write(template % tuple(chunk[full].ravel().tolist()))
+    for lo in range(0, len(code), _WRITE_CHUNK):
+        chunk = code.bases[lo:lo + _WRITE_CHUNK]
+        template = _line_format(code.dim, code.ambient_dim) * len(chunk)
+        fh.write(template % tuple(chunk.ravel().tolist()))
 
 
 def _all_ints(values) -> bool:
@@ -120,9 +115,9 @@ def _all_ints(values) -> bool:
     return isinstance(values, list) and {int}.issuperset(map(type, values))
 
 
-def _line_error(field: GF, n: int, line: str) -> str | None:
+def _line_error(field: GF, n: int, k: int, line: str) -> str | None:
     """The first check one member line fails, in the order JSON, shape, integers,
-    range, canonical form; None if it passes them all."""
+    range, canonical form, k rows; None if it passes them all."""
     try:
         rows = json.loads(line.rstrip("\r\n"))
     except json.JSONDecodeError as exc:
@@ -140,12 +135,14 @@ def _line_error(field: GF, n: int, line: str) -> str | None:
     s = subspace_from_rows(matrix)
     if s.basis != matrix.rows:
         return "basis is not a canonical full-rank RREF"
+    if len(rows) != k:
+        return f"member has {len(rows)} rows, not k={k}"
     return None
 
 
-def _chunk_members(field: GF, n: int, texts: list[str]) -> tuple[list, list[int]] | None:
-    """(rows, dims) of the members on the non-blank lines in texts, or None if any
-    line fails a check: their rows in order, and the number of rows of each.
+def _chunk_members(field: GF, n: int, k: int, texts: list[str]) -> list | None:
+    """The members on the non-blank lines in texts, each a list of its k rows,
+    or None if any line fails a check.
 
     The lines are checked together: one pattern match for their form, one
     json.loads of them joined, one pass over all rows for length n and one
@@ -167,22 +164,22 @@ def _chunk_members(field: GF, n: int, texts: list[str]) -> tuple[list, list[int]
     for member in parsed:
         basis = tuple(map(tuple, member))
         s = subspace_from_rows(MatrixGF._of(field, basis))
-        if s.basis != basis:
+        if s.basis != basis or len(basis) != k:
             return None
-    return rows, list(map(len, parsed))
+    return parsed
 
 
-def _read_members(field: GF, n: int, lines: list[str], lineno: int) -> tuple[list, list[int]]:
+def _read_members(field: GF, n: int, k: int, lines: list[str], lineno: int) -> list:
     """_chunk_members of a chunk of lines, the first numbered lineno; blank lines are skipped.
 
     The chunk is checked as a whole, and line by line only to name the
     first line that fails.
     """
-    members = _chunk_members(field, n, [line for line in lines if line.strip()])
+    members = _chunk_members(field, n, k, [line for line in lines if line.strip()])
     if members is not None:
         return members
     for at, line in enumerate(lines, start=lineno):
-        error = line.strip() and _line_error(field, n, line)
+        error = line.strip() and _line_error(field, n, k, line)
         if error:
             raise ValueError(f"line {at}: {error}")
     raise RuntimeError(f"lines {lineno}-{lineno + len(lines) - 1} fail a chunk check but no line check")
@@ -213,21 +210,18 @@ def read_codeset(fh) -> CodeSet:
     field = GF(header["p"], header["m"], tuple(header["moduli"]))
     if field.order != header["q"]:
         raise ValueError("header q does not match p^m")
-    n, dtype = header["N"], bases_dtype(field)
-    parts, dims = [], []
+    n, k, dtype = header["N"], header["k"], bases_dtype(field)
+    parts, count = [], 0
     lineno = 2
     while lines := list(itertools.islice(fh, _READ_CHUNK)):
-        rows, chunk_dims = _read_members(field, n, lines, lineno)
-        parts.append(np.fromiter(_chain(rows), dtype, count=len(rows) * n))
-        dims += chunk_dims
+        members = _read_members(field, n, k, lines, lineno)
+        parts.append(np.fromiter(_chain(_chain(members)), dtype, count=len(members) * k * n))
+        count += len(members)
         lineno += len(lines)
-    if len(dims) != header["count"]:
-        raise ValueError(
-            f"header count {header['count']} does not match {len(dims)} member lines"
-        )
-    rows = np.concatenate([np.zeros(0, dtype)] + parts).reshape(sum(dims), n)
-    return CodeSet(field, n, header["k"], header["claimed_distance"],
-                   padded_bases(rows, dims, header["k"]), provenance)
+    if count != header["count"]:
+        raise ValueError(f"header count {header['count']} does not match {count} member lines")
+    bases = np.concatenate([np.zeros(0, dtype)] + parts).reshape(count, k, n)
+    return CodeSet(field, n, k, header["claimed_distance"], bases, provenance)
 
 
 # ----------------------------------------------------------------------

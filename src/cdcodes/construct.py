@@ -14,7 +14,7 @@ Four constructions, all returning a CodeSet of canonical subspaces:
   position; blocks before the identity are restricted to maps of kernel
   dimension at least n-t (zero map excluded), blocks after it are free.
 
-A CodeSet holds its members as one (M, k, N) array of canonical bases.
+A CodeSet holds its members as one sorted (M, k, N) array of canonical bases.
 Every build but the Grassmannian is a block product: the bases of all
 concatenations (S_0[i_0] | S_1[i_1] | ...) of blocks drawn from
 (count, k, n_j) arrays: MRD codewords from qpoly.mrd_array, an identity,
@@ -22,7 +22,8 @@ or the bases of a smaller code.  (A | B) is canonical when A is, so only
 products whose first block is not canonical go through linalg.rref_batch.
 multiblock_generators and enumerate_mrd remain the per-member reference.
 _collect sorts every code with sorted_bases, by its flattened entries, and
-drops equal neighbours.
+drops equal neighbours; CodeSet, which sorts any array it is given, finds
+them in order.
 
 Every build checks its predicted cardinality after deduplication, so a
 silent collision would surface as a count mismatch.  Members are sorted
@@ -68,26 +69,15 @@ def sorted_bases(bases: np.ndarray) -> np.ndarray:
     return bases
 
 
-def padded_bases(rows: np.ndarray, dims, dim: int) -> np.ndarray:
-    """CodeSet.bases of members whose rows, dims[i] for member i, are the (R, N) rows in order."""
-    dims = np.asarray(dims, dtype=np.int64)
-    height = int(dims.max()) if len(dims) else dim
-    out = np.zeros((len(dims), height, rows.shape[1]), dtype=rows.dtype)
-    out[np.arange(height) < dims[:, None]] = rows
-    return out
-
-
 class CodeSet:
-    """A finite set of subspaces of GF(q)^N, claimed dim-dimensional, with provenance.
+    """A finite set of dim-dimensional subspaces of GF(q)^N, with provenance.
 
-    `bases` is one (M, r, N) array of the members' canonical bases, of
-    bases_dtype (one byte per entry for q <= 256), r the largest member
-    dimension (dim for no members).  Smaller members are padded with zero
-    rows, which no canonical basis has.  Builds sort it with sorted_bases, in
-    Subspace.sort_key order; duplicates stay.  Subspace values given in its
-    place must have canonical bases.  `members` makes Subspace values anew on
-    each access.  The distance oracles of verify take only codes whose
-    members are all dim-dimensional.
+    `bases` is one (M, dim, N) array of the members' canonical bases, of
+    bases_dtype (one byte per entry for q <= 256), in sorted_bases order,
+    which is Subspace.sort_key order; duplicates stay.  It is made here, from
+    Subspace values with canonical bases or from such an array; a member of
+    another dimension or an array of another shape is refused in one line.
+    `members` makes Subspace values anew on each access.
     """
 
     __slots__ = ("field", "ambient_dim", "dim", "claimed_distance", "bases", "provenance")
@@ -107,16 +97,21 @@ class CodeSet:
             bad = [i for i, s in enumerate(members) if not is_canonical_basis(s.basis, field.order)]
             if bad:  # else one subspace could be held under two bases
                 raise ValueError(f"member {bad[0]}: basis is not a canonical full-rank RREF")
-            dims = [s.dim for s in members]
-            rows = np.array(entries, dtype=bases_dtype(field)).reshape(sum(dims), ambient_dim)
-            members = padded_bases(rows, dims, dim)
-        self.bases = members
+            bad = [i for i, s in enumerate(members) if (s.dim, s.ambient_dim) != (dim, ambient_dim)]
+            if bad:
+                s = members[bad[0]]
+                raise ValueError(f"member {bad[0]} has dim {s.dim} in ambient {s.ambient_dim}, "
+                                 f"not dim {dim} in ambient {ambient_dim}")
+            members = np.array(entries, dtype=bases_dtype(field)).reshape(len(members), dim,
+                                                                          ambient_dim)
+        if members.shape[1:] != (dim, ambient_dim):
+            raise ValueError(f"bases array of shape {members.shape}, not (M, {dim}, {ambient_dim})")
+        self.bases = sorted_bases(members)
         self.provenance = {} if provenance is None else provenance
 
     @property
     def members(self) -> tuple[Subspace, ...]:
-        return tuple(Subspace(self.field, self.ambient_dim, [r for r in b if any(r)])
-                     for b in self.bases.tolist())
+        return tuple(Subspace(self.field, self.ambient_dim, b) for b in self.bases.tolist())
 
     @property
     def q(self) -> int:
@@ -241,7 +236,7 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
             raise ValueError("rank-metric codewords must be k x n2 over the same field")
     predicted = len(u_code) * len(q_matrices)
     _check_budget(predicted, budget)
-    if u_code.bases.shape[1] != k or (_ranks(field, u_code.bases) != k).any():
+    if (_ranks(field, u_code.bases) != k).any():
         raise ConstructionError("SC-representation matrix with deficient row rank")
     q_array = np.array([m.rows for m in q_matrices], dtype=bases_dtype(field))
     return _collect(
@@ -275,7 +270,7 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
     predicted = parallel_linkage_size(q, k, h, d, len(v_code))
     _check_budget(predicted, budget)
     if (v_code.dim != k or v_code.ambient_dim != 2 * k + h or v_code.field != field
-            or v_code.bases.shape[1] != k or (_ranks(field, v_code.bases) != k).any()):
+            or (_ranks(field, v_code.bases) != k).any()):
         raise ValueError("v_code must consist of k-dim subspaces of GF(q)^(2k+h)")
     if v_code.claimed_distance < d:
         raise ValueError(f"v_code distance {v_code.claimed_distance} is below {d}")
@@ -313,15 +308,6 @@ class BlockGenerator:
         return subspace_from_rows(self.matrix())
 
 
-def _multiblock_size(q: int, n: int, t: int, s: int, budget: int | None) -> int:
-    total = multiblock_size(q, n, t, s)
-    if budget is not None and total > budget:
-        raise BudgetError(
-            f"the {s + 1}-block construction has {total} members, above the budget {budget}"
-        )
-    return total
-
-
 def multiblock_generators(q: int, n: int, t: int, s: int, *,
                           budget: int | None = DEFAULT_BUDGET):
     """Generator tuples of the (s+1)-block construction, one per member.
@@ -330,7 +316,7 @@ def multiblock_generators(q: int, n: int, t: int, s: int, *,
     over the maps with kernel dimension >= n-t (zero map excluded) and the
     s-p blocks after it run over the whole MRD code.
     """
-    _multiblock_size(q, n, t, s, budget)
+    _check_budget(multiblock_size(q, n, t, s), budget)
     ident = MatrixGF.identity(field_of_order(q), n)
     full = list(enumerate_mrd(q, n, t, budget=budget))
     restricted = list(enumerate_filtration(q, n, t, n - t, budget=budget))
@@ -351,7 +337,8 @@ def multiblock_parallel_mrd(q: int, n: int, t: int, s: int, *,
 
     Built as one block product per identity position, of multiblock_generators' members.
     """
-    predicted = _multiblock_size(q, n, t, s, budget)
+    predicted = multiblock_size(q, n, t, s)
+    _check_budget(predicted, budget)
     field = field_of_order(q)
     full = mrd_array(q, n, t, budget=budget)
     restricted = _bounded_rank(field, full, t)  # kernel dim >= n - t, nonzero

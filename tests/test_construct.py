@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -142,13 +143,39 @@ def test_linkage_rejects_bad_inputs():
     with pytest.raises(ValueError):
         linkage(u, wrong_shape, d1=2, d2=1)
     q_mats = list(enumerate_mrd(2, 2, 1))
-    line = grassmannian_code(2, 4, 1).members[0]
     # an array member: CodeSet refuses a Subspace value whose basis is not canonical
     deficient = np.array([[[1, 0, 1, 1], [1, 0, 1, 1]]], dtype=u.bases.dtype)
-    for u_short in (CodeSet(u.field, 4, 2, 2, u.members[1:] + (line,)),
-                    CodeSet(u.field, 4, 2, 2, np.concatenate([u.bases[1:], deficient]))):
-        with pytest.raises(ConstructionError, match="deficient row rank"):
-            linkage(u_short, q_mats, d1=2, d2=1)
+    u_short = CodeSet(u.field, 4, 2, 2, np.concatenate([u.bases[1:], deficient]))
+    with pytest.raises(ConstructionError, match="deficient row rank"):
+        linkage(u_short, q_mats, d1=2, d2=1)
+
+
+def test_codeset_refuses_members_of_another_dimension_in_one_line():
+    u = lifted_mrd_code(2, 2, 1)
+    line = grassmannian_code(2, 4, 1).members[0]
+    with pytest.raises(ValueError, match="^member 15 has dim 1 in ambient 4, not dim 2 in ambient 4$"):
+        CodeSet(u.field, 4, 2, 2, u.members[1:] + (line,))
+    wide = grassmannian_code(2, 5, 2).members[0]
+    with pytest.raises(ValueError, match="^member 0 has dim 2 in ambient 5, not dim 2 in ambient 4$"):
+        CodeSet(u.field, 4, 2, 2, (wide,) + u.members)
+    padded = np.concatenate([u.bases, np.zeros((16, 1, 4), u.bases.dtype)], axis=1)  # a zero row
+    for bases in (padded, u.bases[:, :1], u.bases[:, :, :3], u.bases[0], u.bases[None]):
+        shape = re.escape(str(bases.shape))
+        with pytest.raises(ValueError, match=rf"^bases array of shape {shape}, not \(M, 2, 4\)$"):
+            CodeSet(u.field, 4, 2, 2, bases)
+
+
+def test_codeset_sorts_its_bases_once_made():
+    # Subspace values and arrays in any order, and duplicates, which stay
+    code = lifted_mrd_code(3, 2, 1)
+    order = np.random.default_rng(5).permutation(len(code))
+    twice = np.concatenate([code.bases, code.bases[:3]])
+    expected = sorted(code.members + code.members[:3])
+    for members in (code.bases[::-1], code.bases[order], code.members[::-1],
+                    tuple(code.members[i] for i in order)):
+        assert CodeSet(code.field, 4, 2, 2, members).members == code.members
+    for members in (twice[::-1], tuple(expected[::-1])):
+        assert list(CodeSet(code.field, 4, 2, 2, members).members) == expected
 
 
 def test_parallel_linkage_acceptance_shape():
@@ -187,12 +214,11 @@ def test_parallel_linkage_validates_v_code():
     v_bad_dim = grassmannian_code(2, 4, 1)
     with pytest.raises(ValueError):
         parallel_linkage(2, 2, 0, 2, v_bad_dim)
-    # a member of another dimension in a code that claims k = 2
+    # a code that claims k = 2 holds no member of another dimension
     planes = grassmannian_code(2, 4, 2).members
     for odd in (grassmannian_code(2, 4, 1).members[0], grassmannian_code(2, 4, 3).members[0]):
-        v_mixed = CodeSet(field_of_order(2), 4, 2, 2, planes[1:] + (odd,))
-        with pytest.raises(ValueError, match="v_code must consist of k-dim subspaces"):
-            parallel_linkage(2, 2, 0, 2, v_mixed)
+        with pytest.raises(ValueError, match=f"^member 34 has dim {odd.dim} in ambient 4, not dim 2"):
+            CodeSet(field_of_order(2), 4, 2, 2, planes[1:] + (odd,))
     v_bad_ambient = grassmannian_code(2, 5, 2)
     with pytest.raises(ValueError):
         parallel_linkage(2, 2, 0, 2, v_bad_ambient)
@@ -478,8 +504,9 @@ def test_budget_errors_come_before_any_array(monkeypatch):
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(BudgetError, match="construction would produce 4096 members"):
         lifted_mrd_code(2, 4, 2, budget=4095)
-    with pytest.raises(BudgetError, match="2-block construction has 855 members"):
-        multiblock_parallel_mrd(2, 3, 2, 1, budget=854)
+    for build in (multiblock_parallel_mrd, multiblock_generators):  # like every other build
+        with pytest.raises(BudgetError, match="^construction would produce 855 members, above"):
+            build(2, 3, 2, 1, budget=854)
     with pytest.raises(BudgetError, match="construction would produce 256 members"):
         linkage(u_code, q_matrices, 2, 1, budget=255)
     with pytest.raises(BudgetError, match="construction would produce 571 members"):

@@ -8,7 +8,7 @@ import signal
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cdcodes import cli
@@ -59,6 +59,8 @@ def reference_read_codeset(fh) -> CodeSet:
             raise ValueError(f"line {lineno}: {exc}") from None
         if subspace_from_rows(matrix).basis != member.basis:  # [] is the zero subspace
             raise ValueError(f"line {lineno}: basis is not a canonical full-rank RREF")
+        if member.dim != header["k"]:
+            raise ValueError(f"line {lineno}: member has {member.dim} rows, not k={header['k']}")
         members.append(member)
     if len(members) != header["count"]:
         raise ValueError(
@@ -165,6 +167,37 @@ def test_reader_agrees_with_the_per_line_reference(text, chunk):
         assert outcome(read_codeset, text) == outcome(reference_read_codeset, text)
 
 
+def with_line(name, at, member):
+    """CODES[name] with line `at` (1-based, the header is line 1) replaced by member."""
+    lines = CODES[name].splitlines(keepends=True)
+    lines[at - 1] = member + "\n"
+    return "".join(lines)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_files())
+@example(with_line("lifted(2,2,1)", 3, "[[0, 0, 0, 1]]"))  # a 1-row member among 2-row members
+@example(with_line("multiblock(2,2,1,1)", 3, "[]"))  # the zero subspace in a k = 2 file
+def test_verify_answers_any_mutated_file_or_refuses_it_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "code.jsonl"
+    path.write_text(text, encoding="utf-8")
+    try:
+        with open(path, encoding="utf-8") as fh:  # as `cdc verify` opens it
+            read_codeset(fh)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    code, out, err = run_main(capsys, "verify", str(path))
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    assert (code == 2) == (message is not None)
+    if message is not None:
+        assert (out, err) == ("", f"error: {message}\n")
+    else:  # every member the reader lets through has the header's k rows
+        assert json.loads(out)["checks"][0]["actual"] == "0 offending members"
+
+
 def two_members_then_a_split_member(lines):
     first, rest = lines[3].split(", [", 1)
     return lines[:1] + [lines[1].rstrip("\n") + "," + lines[2], first + "\n", "[" + rest] + lines[4:]
@@ -198,6 +231,12 @@ def test_reader_agrees_on_chosen_files(name, edit, result):
     assert (expected[2] if expected[0] == "error" else "read") == result
 
 
+def test_a_file_in_reverse_order_reads_as_the_sorted_code():
+    header, *lines = CODES["lifted(3,2,1)"].splitlines(keepends=True)
+    code = read_codeset(io.StringIO(header + "".join(lines[::-1])))
+    assert code.members == lifted_mrd_code(3, 2, 1).members
+
+
 def test_valid_file_never_takes_the_per_line_checks(monkeypatch):
     # the per-line checks run only to name the line of an error a chunk check found
     calls = []
@@ -209,11 +248,12 @@ def test_valid_file_never_takes_the_per_line_checks(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
 def test_reader_names_a_bad_line_at_once_after_many_padded_empty_members():
-    # 63 empty members with blanks inside the brackets, then a float: a check
-    # whose work grows exponentially with the lines before the bad one would
-    # not finish; the reference names line 65 at once
-    header = CODES["lifted(2,2,1)"].splitlines(keepends=True)[0]
-    text = header + "[ \t ]\n" * 63 + "[[1.0, 0, 0, 0], [0, 1, 0, 0]]\n"
+    # 63 empty members with blanks inside the brackets, in a file of k = 0,
+    # then a float: a check whose work grows exponentially with the lines
+    # before the bad one would not finish; the reference names line 65 at once
+    header = json.loads(CODES["lifted(2,2,1)"].splitlines()[0])
+    text = json.dumps(dict(header, k=0)) + "\n" + "[ \t ]\n" * 63
+    text += "[[1.0, 0, 0, 0], [0, 1, 0, 0]]\n"
 
     def too_slow(signum, frame):
         raise TimeoutError("reading took over 10 s")

@@ -26,6 +26,7 @@ from cdcodes.verify import (
     min_distance_sampled,
     validate_codeset,
 )
+import cdcodes.construct as construct
 import cdcodes.gf as gf
 import cdcodes.verify as verify
 from vector_oracle import subspace_vectors
@@ -243,7 +244,7 @@ def masked_sampled(code, pairs, seed):
 
 def mask_test_codes(q):
     """Lifted, rect-lifted, multiblock and Grassmannian codes over GF(q), and
-    the planes of GF(q)^3 in reverse order, which the oracles sort."""
+    the planes of GF(q)^3 given in reverse order, which CodeSet sorts."""
     planes = grassmannian_code(q, 3, 2)
     return [lifted_mrd_code(q, 2, 0), rect_lifted_mrd_code(q, 2, 1, 0),
             multiblock_parallel_mrd(q, 2, 1, 1), grassmannian_code(q, 3, 1),
@@ -323,13 +324,16 @@ def test_oracle_agrees_with_the_stacked_rank_scan_on_wide_keys(monkeypatch):
         monkeypatch.undo()
 
 
+REFUSAL = r"^member \d+ has dim \d+ in ambient \d+, not dim \d+ in ambient \d+$"
+
+
 @st.composite
 def random_codes(draw):
-    """Row spaces of drawn k x n matrices over GF(q), q in {2, 3, 4}, some repeated.
+    """The k-dimensional row spaces of drawn k x n matrices over GF(q), q in
+    {2, 3, 4}, some repeated.
 
-    Half the draws keep only the k-dimensional row spaces (a
-    constant-dimension code); the others mix every dimension up to k, which
-    the oracles refuse when a member falls short of k.
+    When a drawn matrix falls short of rank k, CodeSet first refuses all the
+    row spaces, which mix dimensions, in one line.
     """
     q = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(2, 4))
@@ -338,60 +342,42 @@ def random_codes(draw):
     row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     matrices = draw(st.lists(st.lists(row, min_size=k, max_size=k), min_size=2, max_size=14))
     members = [subspace_from_rows(MatrixGF(field, m)) for m in matrices]
-    if draw(st.booleans()):
+    if any(s.dim != k for s in members):
+        with pytest.raises(ValueError, match=REFUSAL):
+            CodeSet(field, n, k, 0, tuple(members))
         members = [s for s in members if s.dim == k]
     copies = draw(st.lists(st.integers(0, 13), max_size=3)) if members else []
     members += [members[i % len(members)] for i in copies]
     return CodeSet(field, n, k, draw(st.integers(0, 2 * k + 2)), tuple(members))
 
 
-REFUSAL = (r"^distance oracles take constant-dimension codes only: "
-           r"\d+ of \d+ members are not \d+-dimensional$")
-
-
-def assert_refused(code):
-    """Each distance oracle refuses the code in one line."""
-    for oracle in (min_distance_exhaustive, membership_masks,
-                   lambda c: min_distance_sampled(c, 10, seed=0)):
-        with pytest.raises(ValueError, match=REFUSAL):
-            oracle(code)
-
-
-def test_oracles_refuse_a_line_and_a_plane_that_contains_it():
-    # 2 - 2 dim(U cap V) would call them distance 0, while subspace_distance gives 1
+def test_a_codeset_of_a_line_and_a_plane_that_contains_it_is_refused():
+    # 2 - 2 dim(U cap V) would call them distance 0, while subspace_distance
+    # gives 1: no distance oracle is ever given such a code
     field = field_of_order(2)
     line = subspace_from_rows(MatrixGF(field, [[1, 0, 0]]))
     plane = subspace_from_rows(MatrixGF(field, [[1, 0, 0], [0, 1, 0]]))
     assert subspace_distance(line, plane) == 1
-    for dim in (1, 2):
-        code = CodeSet(field, 3, dim, 2, (line, plane))
-        assert_refused(code)
-        assert min_distance_check(validate_codeset(code))["actual"] == "skipped: malformed members"
-
-
-def test_oracles_cut_zero_rows_below_a_constant_dimension_code():
-    # bases taller than k whose extra rows are zero give the same answers
-    code = lifted_mrd_code(2, 2, 1)
-    tall = np.concatenate([code.bases, np.zeros((len(code), 1, 4), code.bases.dtype)], axis=1)
-    padded = CodeSet(code.field, 4, 2, code.claimed_distance, tall)
-    assert min_distance_exhaustive(padded) == min_distance_exhaustive(code)
-    assert min_distance_sampled(padded, 300, seed=1) == min_distance_sampled(code, 300, seed=1)
-    assert np.array_equal(membership_masks(padded)[1], membership_masks(code)[1])
+    for dim, bad in ((1, 1), (2, 0)):
+        with pytest.raises(ValueError, match=f"^member {bad} has dim {3 - dim} in ambient 3"):
+            CodeSet(field, 3, dim, 2, (line, plane))
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-def test_validate_codeset_checks_the_sort_order_once(monkeypatch, mode):
+def test_a_code_is_sorted_once_at_construction(monkeypatch, mode):
     code = lifted_mrd_code(2, 3, 1)
-    reversed_code = CodeSet(code.field, 6, 3, code.claimed_distance, code.bases[::-1],
-                            dict(code.provenance))
     expected = validate_codeset(code, sampled_pairs=2000, mode=mode)
     calls = []
-    sort = verify.sorted_bases
-    monkeypatch.setattr(verify, "sorted_bases", lambda b: calls.append(len(b)) or sort(b))
-    for c in (code, reversed_code):
+    sort = construct.sorted_bases
+    monkeypatch.setattr(construct, "sorted_bases", lambda b: calls.append(len(b)) or sort(b))
+    for members in (code.bases, code.bases[::-1], code.members[::-1]):
+        calls.clear()
+        c = CodeSet(code.field, 6, 3, code.claimed_distance, members, dict(code.provenance))
+        assert calls == [len(code)] and np.array_equal(c.bases, code.bases)
         calls.clear()
         assert validate_codeset(c, sampled_pairs=2000, mode=mode) == expected
-        assert calls == [len(code)]
+        membership_masks(c), min_distance_exhaustive(c), min_distance_sampled(c, 100, seed=1)
+        assert calls == []  # validate_codeset and the oracles take the code's order
 
 
 @given(random_codes())
@@ -400,11 +386,7 @@ def test_validate_codeset_checks_the_sort_order_once(monkeypatch, mode):
 def test_oracle_agrees_with_the_pair_scans_on_random_codes(monkeypatch, code):
     checks = {c["check"]: c for c in validate_codeset(code, mode="exhaustive")["checks"]}
     assert checks["distinct_members"]["actual"] == len(set(code.members))
-    offending = sum(s.dim != code.dim for s in code.members)
-    assert checks["member_dimensions"]["actual"] == f"{offending} offending members"
-    if offending:
-        assert_refused(code)
-        return
+    assert checks["member_dimensions"]["actual"] == "0 offending members"
     if len(code.members) < 2:
         assert min_distance_exhaustive(code) == (math.inf, None)
         return
@@ -417,9 +399,6 @@ def test_oracle_agrees_with_the_pair_scans_on_random_codes(monkeypatch, code):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_sampled_agrees_with_the_masked_reference_on_random_codes(monkeypatch, code, pairs, seed):
-    if any(s.dim != code.dim for s in code.members):
-        assert_refused(code)
-        return
     if len(code.members) < 2:
         assert min_distance_sampled(code, pairs, seed) == (math.inf, None)
         return
@@ -791,20 +770,6 @@ def test_validate_codeset_flags_wrong_cardinality():
     assert not report["pass"]
     failing = {c["check"] for c in report["checks"] if not c["pass"]}
     assert failing == {"cardinality"}
-
-
-def test_validate_codeset_flags_mixed_dimensions():
-    base = lifted_mrd_code(2, 2, 1)
-    field = base.field
-    rogue = subspace_from_rows(MatrixGF(field, [[1, 0, 0, 0]]))
-    mixed = CodeSet(
-        field=field, ambient_dim=4, dim=2, claimed_distance=2,
-        members=base.members + (rogue,),
-    )
-    report = validate_codeset(mixed)
-    assert not report["pass"]
-    failing = {c["check"] for c in report["checks"] if not c["pass"]}
-    assert "member_dimensions" in failing
 
 
 def test_validate_codeset_reports_a_code_without_members():
