@@ -327,9 +327,37 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.commands = {}  # subcommand name -> its parser
+
+    def add_subparsers(self, **kwargs):
+        sub = super().add_subparsers(**kwargs)
+        self.commands = sub.choices
+        return sub
 
     def error(self, message):
         raise UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        try:
+            return super().parse_args(args, namespace)
+        except UsageError as exc:
+            raise UsageError(self.misplaced_option(args) or exc) from None
+
+    def misplaced_option(self, argv) -> str | None:
+        """An error naming the first option before a subcommand name that the
+        parser it comes under does not take, or None if there is none.
+
+        argv is what follows this parser's name on the command line; the
+        search goes on into each subcommand it names.  argparse passes such
+        an option over and blames the token after it.
+        """
+        for at, token in enumerate(argv if self.commands else ()):
+            if token in self.commands:
+                return self.commands[token].misplaced_option(argv[at + 1:])
+            if token.startswith("-") and token not in self._option_string_actions:
+                return f"{token} is not an option of '{self.prog}'"
+        return None
 
 
 def _variant(sub, name: str, summary: str, run, options: str, parents=()) -> _Parser:

@@ -5,8 +5,15 @@ binomials, the Delsarte rank distribution of an MRD code in the space of
 n x n matrices, the closed forms for its first three nonzero counts, the
 sizes of the bounded-rank subsets used by the block constructions, and the
 cardinalities of the multi-block, parallel-linkage and lifted MRD codes.
-Division steps check exact divisibility and raise ArithmeticError
-otherwise; no rounding can occur anywhere.  All functions are pure, so the memo caches are safe for
+
+The Delsarte distribution is the cost of every bound and table row.  It is
+evaluated in O(n^2) big-integer additions and multiplications: the rows
+[r i]_q of Gaussian binomials come one from the next by the q-Pascal rule,
+and the powers of q it needs are built once by repeated multiplication, so
+its double sum multiplies precomputed values only.  It refuses a q that is
+not a prime power before any arithmetic.  Division steps check exact
+divisibility and raise ArithmeticError otherwise; no rounding can occur
+anywhere.  All functions are pure, so the memo caches are safe for
 concurrent readers.
 """
 
@@ -15,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .gf import factor_prime_power
 
 
 @lru_cache(maxsize=None)
@@ -32,11 +41,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     k = min(k, n - k)
     out = 1
     for i in range(k):
-        out *= q ** (n - i) - 1
-        den = q ** (i + 1) - 1
-        if out % den:
+        out, rest = divmod(out * (q ** (n - i) - 1), q ** (i + 1) - 1)
+        if rest:
             raise ArithmeticError("internal error: inexact division in Gaussian binomial")
-        out //= den
     return out
 
 
@@ -70,19 +77,38 @@ def delsarte_distribution(q: int, n: int, d: int) -> RankDistribution:
     A_r = [n r]_q * sum_{i=0}^{r-d} (-1)^i q^binom(i,2) [r i]_q (q^(n(r-i-d+1)) - 1)
     for d <= r <= n, A_0 = 1, and A_r = 0 for 0 < r < d.  The normalization
     sum_r A_r = q^(n(n-d+1)) is checked.
+
+    Evaluation order: q^i for i = 0..n, q^(n e) - 1 for e = 1..n-d+1 and
+    q^binom(i,2) for i = 0..n-d are built once by repeated multiplication.
+    The row [r 0..r]_q follows from row r-1 by the q-Pascal rule
+    [r i] = [r-1 i-1] + q^i [r-1 i]; the inner sum of A_r then uses row r,
+    and [n r]_q comes from row n.  That is O(n^2) big-integer additions and
+    multiplications in all.  Raises ValueError for a q that is not a prime
+    power, before any of it.
     """
+    factor_prime_power(q)
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for r in range(d, n + 1):
-        acc = 0
-        for i in range(r - d + 1):
-            exponent = n * (r - i - d + 1)
-            term = gaussian_binomial(r, i, q) * (q ** exponent - 1)
-            term *= q ** (i * (i - 1) // 2)
-            acc += -term if i % 2 else term
-        counts[r] = gaussian_binomial(n, r, q) * acc
+    q_pow = [1]  # q^i
+    for _ in range(n):
+        q_pow.append(q_pow[-1] * q)
+    minus_one = [0]  # entry e is q^(n e) - 1
+    power = 1
+    for _ in range(n - d + 1):
+        power *= q_pow[n]
+        minus_one.append(power - 1)
+    signed_q_tri = [1]  # (-1)^i q^binom(i,2), as binom(i+1,2) = binom(i,2) + i
+    for i in range(n - d):
+        signed_q_tri.append(-signed_q_tri[-1] * q_pow[i])
+    row = [1]  # [r 0..r]_q, for r = 0 so far
+    sums = [0] * (n + 1)  # the inner sum of A_r
+    for r in range(1, n + 1):
+        row = [1] + [row[i - 1] + q_pow[i] * row[i] for i in range(1, r)] + [1]
+        if r >= d:
+            top = r - d + 1
+            sums[r] = sum(signed_q_tri[i] * row[i] * minus_one[top - i]
+                          for i in range(top))
+    counts = [1] + [0] * (d - 1) + [row[r] * sums[r] for r in range(d, n + 1)]
     dist = RankDistribution(q, n, d, tuple(counts))
     if dist.total() != q ** (n * (n - d + 1)):
         raise ArithmeticError("internal error: rank distribution does not sum to the code size")

@@ -280,6 +280,9 @@ def test_construct_bad_parameters_are_named(capsys, argv, message):
     "table 2 --best-known x.csv",  # table 2 takes no inputs
     "table 2 --check -o t.csv",  # --check writes no file
     "",
+    "--bogus 1 table 2",  # an unknown option before the command
+    "construct --q 2 lifted --n 2 --t 1",  # an option before the construction name
+    "--he",  # not read as --help
 ])
 def test_usage_errors_are_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -287,6 +290,19 @@ def test_usage_errors_are_one_line_and_exit_2(tmp_path, monkeypatch, capsys, arg
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--bogus 1 table 2", "--bogus is not an option of 'cdc'"),
+    ("construct --q 2 lifted --n 2 --t 1", "--q is not an option of 'cdc construct'"),
+    ("--he", "--he is not an option of 'cdc'"),
+    ("bound --s=1 multiblock --q 2 --n 4 --t 2", "--s=1 is not an option of 'cdc bound'"),
+    ("construct lifted --q 2 --n 2 --t 1 --h 1", "unrecognized arguments: --h 1"),
+    ("construct grassmannian --q 2 --n -1", "the following arguments are required: --k"),
+    ("bound multiblock --q 1 --n 4 --t 2 --s 1", "not a prime power: 1"),
+])
+def test_usage_errors_name_the_token_at_fault(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 def test_help_exits_0(capsys):

@@ -45,6 +45,21 @@ def test_gaussian_binomial_symmetry_and_recurrence():
                     )
 
 
+def q_pascal_rows(q, n_max):
+    """Rows [n 0..n]_q for n = 0..n_max by [n k] = [n-1 k-1] + q^k [n-1 k]."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        rows.append([1] + [prev[k - 1] + q ** k * prev[k] for k in range(1, n)] + [1])
+    return rows
+
+
+def test_gaussian_binomial_matches_q_pascal_rows():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n, row in enumerate(q_pascal_rows(q, 40)):
+            assert [gaussian_binomial(n, k, q) for k in range(n + 1)] == row
+
+
 def rank_histogram_brute(q, n, t):
     """Histogram of ranks over all matrices of the maps x -> sum a_i x^(q^i)."""
     from cdcodes.qpoly import enumerate_mrd
@@ -75,6 +90,36 @@ def test_delsarte_rejects_bad_parameters():
         delsarte_distribution(2, 3, 0)
     with pytest.raises(ValueError):
         delsarte_distribution(2, 3, 4)
+
+
+@pytest.mark.parametrize("q", [-3, 0, 1, 6, 10, 12, 36])
+def test_delsarte_refuses_q_not_a_prime_power(q):
+    # no field GF(q) exists, so no MRD code either
+    with pytest.raises(ValueError, match=f"^not a prime power: {q}$"):
+        delsarte_distribution(q, 3, 2)
+    with pytest.raises(ValueError, match="^not a prime power"):
+        filtration_size(q, 4, 2, 2)
+
+
+def delsarte_per_term(q, n, d):
+    """The distribution's formula evaluated term by term, as a reference."""
+    counts = [1] + [0] * n
+    for r in range(d, n + 1):
+        acc = 0
+        for i in range(r - d + 1):
+            term = gaussian_binomial(r, i, q) * (q ** (n * (r - i - d + 1)) - 1)
+            term *= q ** (i * (i - 1) // 2)
+            acc += -term if i % 2 else term
+        counts[r] = gaussian_binomial(n, r, q) * acc
+    return tuple(counts)
+
+
+def test_delsarte_matches_per_term_formula():
+    # every q and n of the bound grids, every rank distance
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(1, 33):
+            for d in range(1, n + 1):
+                assert delsarte_distribution(q, n, d).counts == delsarte_per_term(q, n, d)
 
 
 def test_delsarte_normalization_grid():
