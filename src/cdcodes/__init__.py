@@ -40,7 +40,6 @@ from .construct import (
     CodeSet,
     ConstructionError,
     grassmannian_code,
-    intersection_bound_pairwise,
     lifted_mrd_code,
     linkage,
     multiblock_generators,
@@ -80,9 +79,8 @@ __all__ = [
     "filtration_size", "gaussian_binomial", "lifted_mrd_size", "multiblock_size",
     "parallel_linkage_size",
     "BlockGenerator", "CodeSet", "ConstructionError", "grassmannian_code",
-    "intersection_bound_pairwise", "lifted_mrd_code", "linkage",
-    "multiblock_generators", "multiblock_parallel_mrd", "parallel_linkage",
-    "rect_lifted_mrd_code",
+    "lifted_mrd_code", "linkage", "multiblock_generators", "multiblock_parallel_mrd",
+    "parallel_linkage", "rect_lifted_mrd_code",
     "empirical_rank_distribution", "min_distance_exhaustive", "min_distance_sampled",
     "pairwise_min_rank_distance", "validate_codeset",
     "BoundRecord", "anticode_upper", "bound_johnson_halving",

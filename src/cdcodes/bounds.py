@@ -83,6 +83,7 @@ def bound_parallel_linkage(q: int, k: int, h: int, d: int, input_value: int,
 
 def anticode_upper(q: int, n: int, delta: int, k: int) -> BoundRecord:
     """Anticode upper bound on A_q(n, 2*delta, k): a floored Gaussian-binomial ratio."""
+    factor_prime_power(q)  # before the Gaussian binomials, which take long for large n
     if not 1 <= delta <= k <= n:
         raise ValueError(f"need 1 <= delta <= k <= n, got delta={delta}, k={k}, n={n}")
     num = gaussian_binomial(n, k - delta + 1, q)

@@ -15,19 +15,17 @@ Four constructions, all returning a CodeSet of canonical subspaces:
   dimension at least n-t (zero map excluded), blocks after it are free.
 
 A CodeSet holds its members as one sorted (M, k, N) array of canonical bases.
-Every build but the Grassmannian is a block product: the bases of all
-concatenations (S_0[i_0] | S_1[i_1] | ...) of blocks drawn from
-(count, k, n_j) arrays: MRD codewords from qpoly.mrd_array, an identity,
-or the bases of a smaller code.  (A | B) is canonical when A is, so only
-products whose first block is not canonical go through linalg.rref_batch.
-multiblock_generators and enumerate_mrd remain the per-member reference.
-_collect sorts every code with sorted_bases, by its flattened entries, and
-drops equal neighbours; CodeSet, which sorts any array it is given, finds
-them in order.
-
-Every build checks its predicted cardinality after deduplication, so a
-silent collision would surface as a count mismatch.  Members are sorted
-canonically, making the output independent of enumeration schedule.
+Every build but the Grassmannian fills one such array in one _block_product
+call: the bases of all concatenations (S_0[i_0] | S_1[i_1] | ...) of each of
+its terms, blocks drawn from (count, k, n_j) arrays: MRD codewords from
+qpoly.mrd_array, an identity, or the bases of a smaller code.  (A | B) is
+canonical when A is, so only terms whose first block is not canonical go
+through linalg.rref_batch.  multiblock_generators and enumerate_mrd remain
+the per-member reference.  _collect hands the array to CodeSet, whose
+sorted_bases call is the build's only sort, drops equal neighbours (copying
+only if there are any) and checks the count against the formula, so a
+silent collision surfaces as a count mismatch.  Every build checks its
+budget before it builds.
 """
 
 from __future__ import annotations
@@ -69,15 +67,25 @@ def sorted_bases(bases: np.ndarray) -> np.ndarray:
     return bases
 
 
+def distinct_neighbours(bases: np.ndarray) -> np.ndarray:
+    """Mask of the members unequal to the one before them (member 0 always is), each
+    compared as one byte string where entries are not objects: no temporary outgrows it."""
+    flat = np.ascontiguousarray(bases).reshape(len(bases), math.prod(bases.shape[1:]))
+    if flat.shape[1] and not flat.dtype.hasobject:
+        flat = flat.view(f"V{flat.shape[1] * flat.itemsize}")
+    return np.concatenate([[True], (flat[1:] != flat[:-1]).any(axis=1)])[:len(flat)]
+
+
 class CodeSet:
     """A finite set of dim-dimensional subspaces of GF(q)^N, with provenance.
 
     `bases` is one (M, dim, N) array of the members' canonical bases, of
     bases_dtype (one byte per entry for q <= 256), in sorted_bases order,
     which is Subspace.sort_key order; duplicates stay.  It is made here, from
-    Subspace values with canonical bases or from such an array; a member of
-    another dimension or an array of another shape is refused in one line.
-    `members` makes Subspace values anew on each access.
+    Subspace values with canonical bases or from such an integer array; a
+    member of another dimension, an array of another shape or an entry outside
+    [0, q) is refused in one line.  `members` makes Subspace values anew on
+    each access.
     """
 
     __slots__ = ("field", "ambient_dim", "dim", "claimed_distance", "bases", "provenance")
@@ -106,7 +114,14 @@ class CodeSet:
                                                                           ambient_dim)
         if members.shape[1:] != (dim, ambient_dim):
             raise ValueError(f"bases array of shape {members.shape}, not (M, {dim}, {ambient_dim})")
-        self.bases = sorted_bases(members)
+        # an object array is an integer array where q - 1 needs more than 64 bits
+        integer = members.dtype.kind in "iu" or members.dtype == bases_dtype(field)
+        if members.size and (not integer or members.min() < 0):
+            bad = int(members.min()) if integer else members.flat[:1].tolist()[0]
+            raise ValueError(f"member entry {bad!r} is not a non-negative int")
+        if members.size and members.max() >= field.order:
+            raise ValueError(f"member entry {members.max()} is not below q={field.order}")
+        self.bases = sorted_bases(members.astype(bases_dtype(field), copy=False))
         self.provenance = {} if provenance is None else provenance
 
     @property
@@ -133,9 +148,8 @@ def _check_budget(predicted: int, budget: int | None) -> None:
 
 
 def _collect(field, ambient_dim, dim, distance, bases, provenance, predicted, budget):
-    """The CodeSet of the distinct bases, sorted, once their count is the predicted one;
-    bases is a (count, dim, ambient_dim) array, or an iterable of bases."""
-    _check_budget(predicted, budget)
+    """The CodeSet of the distinct bases once their count is the predicted one; bases is a
+    (count, dim, ambient_dim) array, or an iterable of bases.  Callers check the budget."""
     if not isinstance(bases, np.ndarray):
         bases = list(bases)
         short = next((b for b in bases if len(b) != dim), None)
@@ -143,38 +157,37 @@ def _collect(field, ambient_dim, dim, distance, bases, provenance, predicted, bu
             raise ConstructionError(f"member with dim {len(short)} in ambient {ambient_dim}, "
                                     f"expected dim {dim} in ambient {ambient_dim}")
         bases = np.array(bases, dtype=bases_dtype(field)).reshape(len(bases), dim, ambient_dim)
-    flat = sorted_bases(bases).reshape(len(bases), dim * ambient_dim)
-    keep = np.ones(len(flat), dtype=bool)
-    keep[1:] = (flat[1:] != flat[:-1]).any(axis=1)
-    flat = flat[keep]
-    if len(flat) != predicted:
-        raise ConstructionError(
-            f"built {len(flat)} distinct members but the formula predicts {predicted}"
-        )
-    return CodeSet(field, ambient_dim, dim, distance, flat.reshape(len(flat), dim, ambient_dim),
+    code = CodeSet(field, ambient_dim, dim, distance, bases,
                    dict(provenance, predicted_size=predicted))
+    keep = distinct_neighbours(code.bases)
+    code.bases = code.bases if keep.all() else code.bases[keep]  # a copy only to drop some
+    if len(code) != predicted:
+        raise ConstructionError(
+            f"built {len(code)} distinct members but the formula predicts {predicted}"
+        )
+    return code
 
 
-def _block_product(field, sources) -> np.ndarray:
-    """The canonical bases of every (S_0[i_0] | S_1[i_1] | ...), sources the (count, k, n_j)
-    arrays S_j, as one array of bases_dtype entries in odometer order, the last block fastest.
-
-    (A | B) is canonical when A is, so chunks of _CHUNK_BYTES of int64 digits
-    go through rref_batch only when a member of S_0 is not a canonical basis.
+def _block_product(field, terms) -> np.ndarray:
+    """The canonical bases of every (S_0[i_0] | S_1[i_1] | ...) of each term, a list of
+    (count, k, n_j) arrays S_j, in one bases_dtype array: term after term, each in odometer
+    order, the last block fastest.  (A | B) is canonical when A is, so chunks of
+    _CHUNK_BYTES of int64 digits go through rref_batch only in terms whose S_0 is not.
     """
-    k, width = sources[0].shape[1], sum(s.shape[2] for s in sources)
-    total = math.prod(map(len, sources))
-    canonical = all(is_canonical_basis(b, field.order) for b in sources[0].tolist())
-    out = np.empty((total, k, width), dtype=bases_dtype(field))
+    k, width = terms[0][0].shape[1], sum(s.shape[2] for s in terms[0])
+    sizes = [math.prod(map(len, sources)) for sources in terms]
+    out = np.empty((sum(sizes), k, width), dtype=bases_dtype(field))
     step = max(1, _CHUNK_BYTES // (8 * field.m * k * width))
-    for lo in range(0, total, step):
-        idx = np.arange(lo, min(lo + step, total))
-        blocks = [None] * len(sources)
-        for j in reversed(range(len(sources))):
-            idx, digit = np.divmod(idx, len(sources[j]))
-            blocks[j] = sources[j][digit]
-        mats = np.concatenate(blocks, axis=2)
-        out[lo:lo + len(mats)] = mats if canonical else rref_batch(field, mats)[0]
+    for sources, part in zip(terms, np.split(out, np.cumsum(sizes[:-1]))):
+        canonical = all(is_canonical_basis(b, field.order) for b in sources[0].tolist())
+        for lo in range(0, len(part), step):
+            idx = np.arange(lo, min(lo + step, len(part)))
+            blocks = [None] * len(sources)
+            for j in reversed(range(len(sources))):
+                idx, digit = np.divmod(idx, len(sources[j]))
+                blocks[j] = sources[j][digit]
+            mats = np.concatenate(blocks, axis=2)
+            part[lo:lo + len(mats)] = mats if canonical else rref_batch(field, mats)[0]
     return out
 
 
@@ -184,8 +197,8 @@ def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None
     field = field_of_order(q)
     predicted = lifted_mrd_size(q, k, k - t) * q ** (h * (t + 1))
     _check_budget(predicted, budget)
-    mrd = mrd_array(q, k, t, h=h, budget=budget)
-    bases = _block_product(field, [np.eye(k, dtype=mrd.dtype)[None], mrd])
+    bases = _block_product(field, [[np.eye(k, dtype=bases_dtype(field))[None],
+                                    mrd_array(q, k, t, h=h, budget=budget)]])
     return _collect(field, 2 * k + h, k, 2 * (k - t), bases, provenance, predicted, budget)
 
 
@@ -212,6 +225,7 @@ def grassmannian_code(q: int, ambient_dim: int, dim: int, *,
         raise ValueError(f"need 0 <= k <= N, got k={dim}, N={ambient_dim}")
     field = field_of_order(q)
     predicted = gaussian_binomial(ambient_dim, dim, q)
+    _check_budget(predicted, budget)
     return _collect(
         field, ambient_dim, dim, 2, enumerate_bases(field, ambient_dim, dim),
         {"construction": "grassmannian", "q": q, "N": ambient_dim, "k": dim},
@@ -241,7 +255,7 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
     q_array = np.array([m.rows for m in q_matrices], dtype=bases_dtype(field))
     return _collect(
         field, u_code.ambient_dim + n2, k, min(d1, 2 * d2),
-        _block_product(field, [u_code.bases, q_array]),
+        _block_product(field, [[u_code.bases, q_array]]),
         {"construction": "linkage", "q": u_code.q, "n1": u_code.ambient_dim,
          "n2": n2, "d1": d1, "d2": d2},
         predicted, budget,
@@ -276,11 +290,10 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
         raise ValueError(f"v_code distance {v_code.claimed_distance} is below {d}")
 
     square = mrd_array(q, k, t, budget=budget)
-    bases = np.concatenate([
-        _block_product(field, [np.eye(k, dtype=square.dtype)[None],
-                               mrd_array(q, k, t, h=h, budget=budget), square]),
+    bases = _block_product(field, [
+        [np.eye(k, dtype=square.dtype)[None], mrd_array(q, k, t, h=h, budget=budget), square],
         # nonzero maps have rank >= k - t = d/2
-        _block_product(field, [_bounded_rank(field, square, t), v_code.bases]),
+        [_bounded_rank(field, square, t), v_code.bases],
     ])
     return _collect(
         field, 3 * k + h, k, d, bases,
@@ -335,33 +348,20 @@ def multiblock_parallel_mrd(q: int, n: int, t: int, s: int, *,
                             budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """The (s+1)-block parallel code: ((s+1)n, sum_j q^((s-j)n(t+1)) F^j, 2(n-t), n).
 
-    Built as one block product per identity position, of multiblock_generators' members.
+    Built as one block product with a term per identity position, of
+    multiblock_generators' members.
     """
     predicted = multiblock_size(q, n, t, s)
     _check_budget(predicted, budget)
     field = field_of_order(q)
     full = mrd_array(q, n, t, budget=budget)
     restricted = _bounded_rank(field, full, t)  # kernel dim >= n - t, nonzero
-    bases = np.concatenate([
-        _block_product(field, [restricted] * pos + [np.eye(n, dtype=full.dtype)[None]]
-                       + [full] * (s - pos)) for pos in range(s + 1)])
+    bases = _block_product(field, [[restricted] * pos + [np.eye(n, dtype=full.dtype)[None]]
+                                   + [full] * (s - pos) for pos in range(s + 1)])
+    del full, restricted  # before the sort
     return _collect(
         field, (s + 1) * n, n, 2 * (n - t), bases,
         {"construction": "multiblock", "q": q, "n": n, "t": t, "s": s},
         predicted, budget,
     )
 
-
-def intersection_bound_pairwise(g1: BlockGenerator, g2: BlockGenerator) -> int:
-    """Intersection-dimension bound n - rank(I - A_j B_i) for members whose
-    identity blocks sit at different positions, i in g1 and j in g2."""
-    if len(g1.blocks) != len(g2.blocks):
-        raise ValueError("generator tuples have different block counts")
-    i, j = g1.position, g2.position
-    if i == j:
-        raise ValueError("the bound applies to distinct identity positions only")
-    a_j = g1.blocks[j]
-    b_i = g2.blocks[i]
-    n = a_j.nrows
-    ident = MatrixGF.identity(a_j.field, n)
-    return n - ident.sub(a_j @ b_i).rank()

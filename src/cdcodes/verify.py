@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 
 from ._numpy import np
-from .construct import CodeSet, bases_dtype
+from .construct import CodeSet, bases_dtype, distinct_neighbours
 from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, span
 from .rankdist import gaussian_binomial
 
@@ -527,7 +527,7 @@ def validate_codeset(code, sampled_pairs: int = SAMPLED_PAIRS, seed: int = SAMPL
     add("member_dimensions", True,  # a CodeSet holds no other members
         f"all members {code.dim}-dim in ambient {code.ambient_dim}", "0 offending members")
 
-    distinct = m and 1 + int((bases[1:] != bases[:-1]).any(axis=(1, 2)).sum())
+    distinct = int(distinct_neighbours(bases).sum())
     add("distinct_members", distinct == m, m, distinct)
 
     predicted = code.provenance.get("predicted_size")

@@ -25,7 +25,6 @@ from cdcodes.construct import (
     multiblock_generators,
     multiblock_parallel_mrd,
     parallel_linkage,
-    intersection_bound_pairwise,
 )
 from cdcodes.gf import extension_field, field_of_order
 from cdcodes.linalg import (
@@ -41,6 +40,7 @@ from cdcodes.verify import (
     min_distance_sampled,
     pairwise_min_rank_distance,
 )
+from block_bound import intersection_bound_pairwise
 from vector_oracle import subspace_vectors
 
 

@@ -300,6 +300,8 @@ def test_usage_errors_are_one_line_and_exit_2(tmp_path, monkeypatch, capsys, arg
     ("construct lifted --q 2 --n 2 --t 1 --h 1", "unrecognized arguments: --h 1"),
     ("construct grassmannian --q 2 --n -1", "the following arguments are required: --k"),
     ("bound multiblock --q 1 --n 4 --t 2 --s 1", "not a prime power: 1"),
+    ("bound anticode --q 1 --n 4 --delta 1 --k 2", "not a prime power: 1"),
+    ("bound anticode --q 6 --n 1200 --delta 1 --k 600", "not a prime power: 6"),  # no arithmetic
 ])
 def test_usage_errors_name_the_token_at_fault(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")

@@ -11,7 +11,6 @@ from cdcodes.construct import (
     CodeSet,
     ConstructionError,
     grassmannian_code,
-    intersection_bound_pairwise,
     lifted_mrd_code,
     linkage,
     multiblock_generators,
@@ -24,6 +23,7 @@ from cdcodes.linalg import (MatrixGF, Subspace, intersection_dim, subspace_dista
                             subspace_from_rows)
 from cdcodes.qpoly import BudgetError, enumerate_filtration, enumerate_mrd
 from cdcodes.bounds import bound_multiblock, bound_parallel_linkage
+from block_bound import intersection_bound_pairwise
 
 
 def exhaustive_min_distance(code):
@@ -133,6 +133,22 @@ def test_codeset_refuses_subspace_values_whose_bases_are_not_canonical():
     deficient = Subspace(first.field, 4, [(1, 0, 1, 1), (1, 0, 1, 1)])
     with pytest.raises(ValueError, match="member 0: basis is not a canonical full-rank RREF"):
         CodeSet(code.field, 4, 2, 2, (deficient,) + code.members)
+
+
+def test_codeset_checks_array_entries_like_subspace_values():
+    # an entry of q or more used to pass validate_codeset and reach a file the reader refuses
+    field = field_of_order(2)
+    for members, message in [
+        (np.array([[[1, 0, 0]], [[0, 1, 7]]]), "member entry 7 is not below q=2"),
+        (np.array([[[1, 0, 0]], [[0, 1, -1]]]), "member entry -1 is not a non-negative int"),
+        (np.array([[[1, 0, 0]], [[0, 1, 0]]], dtype=float),
+         "member entry 1.0 is not a non-negative int"),
+        (np.array([[[True, False, False]]]), "member entry True is not a non-negative int"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CodeSet(field, 3, 1, 2, members)
+    code = CodeSet(field, 3, 1, 2, np.array([[[1, 0, 0]], [[0, 1, 0]]], dtype=np.int64))
+    assert code.bases.dtype == np.uint8 and code.bases.tolist() == [[[0, 1, 0]], [[1, 0, 0]]]
 
 
 def test_linkage_rejects_bad_inputs():
@@ -458,13 +474,31 @@ def test_array_members_come_out_sorted():
     field = field_of_order(3)
     right = np.random.default_rng(7).integers(0, 3, size=(120, 2, 3))
     right[80:85] = right[:5]  # five duplicates
-    bases = construct._block_product(field, [np.eye(2, dtype=np.uint8)[None], right])
+    bases = construct._block_product(field, [[np.eye(2, dtype=np.uint8)[None], right]])
     assert bases.dtype == np.uint8 and bases.shape == (120, 2, 5)
     products = [((1, 0, *r0), (0, 1, *r1)) for r0, r1 in right.tolist()]
     assert [tuple(map(tuple, b)) for b in bases.tolist()] == products
     expected = sorted(set(products))
     code = construct._collect(field, 5, 2, 0, bases, {}, len(expected), None)
     assert [tuple(map(tuple, b)) for b in code.bases.tolist()] == expected
+
+
+@pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
+def test_block_product_fills_one_array_term_after_term(chunk_bytes, monkeypatch):
+    # the first term's first block is canonical, the second's is not
+    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    u_code, q_matrices = LINKAGE["q3-rect"]()
+    shuffled = shuffled_rows(u_code)
+    right = np.array([m.rows for m in q_matrices], dtype=np.uint8)
+    bases = construct._block_product(u_code.field, [[u_code.bases, right],
+                                                    [shuffled.bases, right]])
+    assert bases.dtype == np.uint8 and bases.shape == (2 * 81 * 27, 2, 7)
+    per_member = [subspace_from_rows(MatrixGF(u_code.field, u).hstack(m)).basis
+                  for code in (u_code, shuffled) for u in code.bases.tolist() for m in q_matrices]
+    assert bases.tolist() == [[list(row) for row in basis] for basis in per_member]
+    for part, code in zip(np.split(bases, 2), (u_code, shuffled)):
+        built = CodeSet(code.field, 7, 2, 2, part)
+        assert list(built.members) == linkage_reference(code, q_matrices)
 
 
 def test_array_builds_drop_duplicates_before_the_count_check(monkeypatch):
@@ -500,7 +534,7 @@ def test_budget_errors_come_before_any_array(monkeypatch):
     v_code = grassmannian_code(2, 4, 2)
     for owner, name in [(construct, "mrd_array"), (construct, "rref_batch"), (qpoly, "span"),
                         (qpoly, "rref_batch"), (linalg, "span"), (np, "empty"),
-                        (np, "concatenate"), (np, "array")]:
+                        (np, "concatenate"), (np, "array"), (construct, "enumerate_bases")]:
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(BudgetError, match="construction would produce 4096 members"):
         lifted_mrd_code(2, 4, 2, budget=4095)
@@ -511,6 +545,8 @@ def test_budget_errors_come_before_any_array(monkeypatch):
         linkage(u_code, q_matrices, 2, 1, budget=255)
     with pytest.raises(BudgetError, match="construction would produce 571 members"):
         parallel_linkage(2, 2, 0, 2, v_code, budget=570)
+    with pytest.raises(BudgetError, match="construction would produce 35 members"):
+        grassmannian_code(2, 4, 2, budget=34)
 
 
 def test_construction_parameters_are_checked_by_name():

@@ -12,7 +12,9 @@ from cdcodes.construct import (
     CodeSet,
     grassmannian_code,
     lifted_mrd_code,
+    linkage,
     multiblock_parallel_mrd,
+    parallel_linkage,
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
@@ -367,6 +369,8 @@ def test_a_codeset_of_a_line_and_a_plane_that_contains_it_is_refused():
 def test_a_code_is_sorted_once_at_construction(monkeypatch, mode):
     code = lifted_mrd_code(2, 3, 1)
     expected = validate_codeset(code, sampled_pairs=2000, mode=mode)
+    u_code, v_code = lifted_mrd_code(2, 2, 1), grassmannian_code(2, 4, 2)
+    q_matrices = list(enumerate_mrd(2, 2, 1))
     calls = []
     sort = construct.sorted_bases
     monkeypatch.setattr(construct, "sorted_bases", lambda b: calls.append(len(b)) or sort(b))
@@ -378,6 +382,15 @@ def test_a_code_is_sorted_once_at_construction(monkeypatch, mode):
         assert validate_codeset(c, sampled_pairs=2000, mode=mode) == expected
         membership_masks(c), min_distance_exhaustive(c), min_distance_sampled(c, 100, seed=1)
         assert calls == []  # validate_codeset and the oracles take the code's order
+    # a build's CodeSet sorts its one array; _collect neither sorts nor checks the order
+    for build in (lambda: lifted_mrd_code(2, 3, 1), lambda: rect_lifted_mrd_code(3, 2, 1, 1),
+                  lambda: multiblock_parallel_mrd(2, 3, 2, 1),
+                  lambda: linkage(u_code, q_matrices, 2, 1),
+                  lambda: parallel_linkage(2, 2, 0, 2, v_code),
+                  lambda: grassmannian_code(2, 5, 2)):
+        calls.clear()
+        built = build()
+        assert calls == [len(built)]
 
 
 @given(random_codes())
