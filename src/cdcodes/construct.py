@@ -14,18 +14,18 @@ Four constructions, all returning a CodeSet of canonical subspaces:
   position; blocks before the identity are restricted to maps of kernel
   dimension at least n-t (zero map excluded), blocks after it are free.
 
-A CodeSet holds its members as one sorted (M, k, N) array of canonical bases.
-Every build but the Grassmannian fills one such array in one _block_product
-call: the bases of all concatenations (S_0[i_0] | S_1[i_1] | ...) of each of
-its terms, blocks drawn from (count, k, n_j) arrays: MRD codewords from
-qpoly.mrd_array, an identity, or the bases of a smaller code.  (A | B) is
-canonical when A is, so only terms whose first block is not canonical go
-through linalg.rref_batch.  multiblock_generators and enumerate_mrd remain
-the per-member reference.  _collect hands the array to CodeSet, whose
-sorted_bases call is the build's only sort, drops equal neighbours (copying
-only if there are any) and checks the count against the formula, so a
-silent collision surfaces as a count mismatch.  Every build checks its
-budget before it builds.
+A CodeSet holds its members as one sorted (M, k, N) array of bases, and
+refuses a basis that linalg.canonical_batch finds not canonical.  Every build
+but the Grassmannian fills one such array in one _block_product call: the
+bases of all (S_0[i_0] | S_1[i_1] | ...) of each of its terms, blocks drawn
+from (count, k, n_j) arrays: MRD codewords from qpoly.mrd_array, an
+identity, or the bases of a smaller code.  (A | B) is canonical when A is,
+so only terms whose first block is not go through linalg.rref_batch.
+multiblock_generators and enumerate_mrd remain the per-member reference.
+_collect hands the array to CodeSet, whose sorted_bases call is the build's
+only sort, drops equal neighbours (copying only if any) and checks the count
+against the formula, so a silent collision surfaces as a count mismatch.
+Every build checks its budget before it builds.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .gf import GF, field_of_order
-from .linalg import (MatrixGF, Subspace, enumerate_bases, is_canonical_basis, rref_batch,
+from .linalg import (MatrixGF, Subspace, canonical_batch, enumerate_bases, rref_batch,
                      subspace_from_rows)
-from .qpoly import (DEFAULT_BUDGET, BudgetError, _bounded_rank, _ranks, check_degree,
+from .qpoly import (DEFAULT_BUDGET, BudgetError, _bounded_rank, check_degree,
                     enumerate_filtration, enumerate_mrd, mrd_array)
 from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, parallel_linkage_size
 
@@ -55,15 +55,22 @@ def bases_dtype(field) -> np.dtype:
     return np.min_scalar_type(field.order - 1)
 
 
+def _chunk(entries: int) -> int:
+    """Members per chunk when each member takes this many int64 digits: _CHUNK_BYTES in all."""
+    return max(1, _CHUNK_BYTES // (8 * entries or 1))
+
+
 def sorted_bases(bases: np.ndarray) -> np.ndarray:
     """bases in the order of their flattened entries, sorted only if out of
-    it: Subspace.sort_key order for members of one dimension."""
+    it: Subspace.sort_key order for members of one dimension.  The order is
+    checked a chunk of neighbours at a time, so no temporary outgrows a chunk."""
     flat = bases.reshape(len(bases), math.prod(bases.shape[1:]))
-    if flat.shape[1]:  # else every member is 0-dimensional
-        before, after = flat[:-1], flat[1:]
-        at = (before != after).argmax(axis=1)[:, None]  # first differing entry, 0 if none
-        if (np.take_along_axis(before, at, 1) > np.take_along_axis(after, at, 1)).any():
-            bases = bases[np.lexsort(flat.T[::-1])]
+    before, after, step = flat[:-1], flat[1:], _chunk(flat.shape[1])
+    for lo in range(0, len(before) if flat.shape[1] else 0, step):  # else all are 0-dimensional
+        b, a = before[lo:lo + step], after[lo:lo + step]
+        at = (b != a).argmax(axis=1)[:, None]  # first differing entry, 0 if none
+        if (np.take_along_axis(b, at, 1) > np.take_along_axis(a, at, 1)).any():
+            return bases[np.lexsort(flat.T[::-1])]
     return bases
 
 
@@ -81,47 +88,36 @@ class CodeSet:
 
     `bases` is one (M, dim, N) array of the members' canonical bases, of
     bases_dtype (one byte per entry for q <= 256), in sorted_bases order,
-    which is Subspace.sort_key order; duplicates stay.  It is made here, from
-    Subspace values with canonical bases or from such an integer array; a
-    member of another dimension, an array of another shape or an entry outside
-    [0, q) is refused in one line.  `members` makes Subspace values anew on
-    each access.
+    which is Subspace.sort_key order; duplicates stay.  It is made here from
+    such an integer array and nothing else; another shape, an entry outside
+    [0, q) and a basis that linalg.canonical_batch finds not canonical are
+    each refused in one line, so no subspace is held under two bases.
+    `members` makes Subspace values anew on each access.
     """
 
     __slots__ = ("field", "ambient_dim", "dim", "claimed_distance", "bases", "provenance")
 
     def __init__(self, field: GF, ambient_dim: int, dim: int, claimed_distance: int,
-                 members, provenance: dict | None = None):
+                 bases: np.ndarray, provenance: dict | None = None):
         self.field, self.ambient_dim, self.dim = field, ambient_dim, dim
         self.claimed_distance = claimed_distance
-        if not isinstance(members, np.ndarray):  # Subspace values, not the bases array
-            members = list(members)
-            entries = [x for s in members for row in s.basis for x in row]
-            if not {int}.issuperset(map(type, entries)) or min(entries, default=0) < 0:
-                bad = next(x for x in entries if type(x) is not int or x < 0)
-                raise ValueError(f"member entry {bad!r} is not a non-negative int")
-            if max(entries, default=0) >= field.order:
-                raise ValueError(f"member entry {max(entries)} is not below q={field.order}")
-            bad = [i for i, s in enumerate(members) if not is_canonical_basis(s.basis, field.order)]
-            if bad:  # else one subspace could be held under two bases
-                raise ValueError(f"member {bad[0]}: basis is not a canonical full-rank RREF")
-            bad = [i for i, s in enumerate(members) if (s.dim, s.ambient_dim) != (dim, ambient_dim)]
-            if bad:
-                s = members[bad[0]]
-                raise ValueError(f"member {bad[0]} has dim {s.dim} in ambient {s.ambient_dim}, "
-                                 f"not dim {dim} in ambient {ambient_dim}")
-            members = np.array(entries, dtype=bases_dtype(field)).reshape(len(members), dim,
-                                                                          ambient_dim)
-        if members.shape[1:] != (dim, ambient_dim):
-            raise ValueError(f"bases array of shape {members.shape}, not (M, {dim}, {ambient_dim})")
+        if not isinstance(bases, np.ndarray):
+            raise TypeError(f"a CodeSet takes an (M, k, N) bases array, not {type(bases).__name__}")
+        if bases.shape[1:] != (dim, ambient_dim):
+            raise ValueError(f"bases array of shape {bases.shape}, not (M, {dim}, {ambient_dim})")
         # an object array is an integer array where q - 1 needs more than 64 bits
-        integer = members.dtype.kind in "iu" or members.dtype == bases_dtype(field)
-        if members.size and (not integer or members.min() < 0):
-            bad = int(members.min()) if integer else members.flat[:1].tolist()[0]
+        integer = bases.dtype.kind in "iu" or bases.dtype == bases_dtype(field)
+        if bases.size and (not integer or bases.min() < 0):
+            bad = int(bases.min()) if integer else bases.flat[:1].tolist()[0]
             raise ValueError(f"member entry {bad!r} is not a non-negative int")
-        if members.size and members.max() >= field.order:
-            raise ValueError(f"member entry {members.max()} is not below q={field.order}")
-        self.bases = sorted_bases(members.astype(bases_dtype(field), copy=False))
+        if bases.size and bases.max() >= field.order:
+            raise ValueError(f"member entry {bases.max()} is not below q={field.order}")
+        bases, step = bases.astype(bases_dtype(field), copy=False), _chunk(dim * ambient_dim)
+        for lo in range(0, len(bases), step):
+            if not (canonical := canonical_batch(bases[lo:lo + step])).all():
+                raise ValueError(f"member {lo + int(canonical.argmin())}: "
+                                 "basis is not a canonical full-rank RREF")
+        self.bases = sorted_bases(bases)
         self.provenance = {} if provenance is None else provenance
 
     @property
@@ -177,9 +173,9 @@ def _block_product(field, terms) -> np.ndarray:
     k, width = terms[0][0].shape[1], sum(s.shape[2] for s in terms[0])
     sizes = [math.prod(map(len, sources)) for sources in terms]
     out = np.empty((sum(sizes), k, width), dtype=bases_dtype(field))
-    step = max(1, _CHUNK_BYTES // (8 * field.m * k * width))
+    step = _chunk(field.m * k * width)
     for sources, part in zip(terms, np.split(out, np.cumsum(sizes[:-1]))):
-        canonical = all(is_canonical_basis(b, field.order) for b in sources[0].tolist())
+        canonical = canonical_batch(sources[0]).all()
         for lo in range(0, len(part), step):
             idx = np.arange(lo, min(lo + step, len(part)))
             blocks = [None] * len(sources)
@@ -237,8 +233,8 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
             budget: int | None = DEFAULT_BUDGET) -> CodeSet:
     """Row spaces of (U | Q): a (n1+n2, N1*N2, min(d1, 2*d2), k) code.
 
-    u_code supplies the SC-representation (its canonical bases); q_matrices
-    must be a rank-metric code of k x n2 matrices with rank distance >= d2.
+    U runs over u_code's bases, canonical and of rank k like every CodeSet's (the
+    SC-representation), Q over q_matrices, k x n2 matrices of rank distance >= d2.
     """
     q_matrices = list(q_matrices)
     if not q_matrices:
@@ -250,8 +246,6 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
             raise ValueError("rank-metric codewords must be k x n2 over the same field")
     predicted = len(u_code) * len(q_matrices)
     _check_budget(predicted, budget)
-    if (_ranks(field, u_code.bases) != k).any():
-        raise ConstructionError("SC-representation matrix with deficient row rank")
     q_array = np.array([m.rows for m in q_matrices], dtype=bases_dtype(field))
     return _collect(
         field, u_code.ambient_dim + n2, k, min(d1, 2 * d2),
@@ -283,8 +277,7 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
             v_code = rect_lifted_mrd_code(q, k, h, t, budget=budget)
     predicted = parallel_linkage_size(q, k, h, d, len(v_code))
     _check_budget(predicted, budget)
-    if (v_code.dim != k or v_code.ambient_dim != 2 * k + h or v_code.field != field
-            or (_ranks(field, v_code.bases) != k).any()):
+    if v_code.dim != k or v_code.ambient_dim != 2 * k + h or v_code.field != field:
         raise ValueError("v_code must consist of k-dim subspaces of GF(q)^(2k+h)")
     if v_code.claimed_distance < d:
         raise ValueError(f"v_code distance {v_code.claimed_distance} is below {d}")

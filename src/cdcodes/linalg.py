@@ -5,8 +5,9 @@ row space, which makes equality, hashing and set membership exact integer
 comparisons.  Elimination has two kernels that agree entry for entry:
 rref_batch runs on arrays of matrices in numpy, and _rref_generic runs on
 one matrix of Python ints, behind MatrixGF.rref/rank and intersection_dim,
-and is the reference rref_batch is tested against.  All values are
-immutable after construction and every operation here is pure.
+and is the reference rref_batch is tested against.  So do the two checks
+of canonical form: canonical_batch on arrays, is_canonical_basis per matrix.
+All values are immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -265,15 +266,10 @@ def subspace_from_rows(m: MatrixGF) -> Subspace:
 
 
 def is_canonical_basis(rows, q: int) -> bool:
-    """True iff the rows are the canonical full-rank RREF basis of their row space.
-
-    That is exactly when elimination would leave them unchanged: every
-    entry lies in [0, q), every row is nonzero, every leading entry is 1,
-    pivot columns strictly increase and every pivot column is zero in the
-    other rows.  Checked directly, without elimination, in one pass over the
-    rows; then the pivot columns are zero in the other rows exactly when
-    the entries of all rows at all pivot columns sum to the number of rows,
-    as entries are non-negative and each row holds 1 at its own pivot.
+    """True iff elimination would leave the rows unchanged, a canonical full-rank RREF basis:
+    entries in [0, q), nonzero rows with leading entry 1, pivot columns rising strictly and
+    zero in the other rows.  Without elimination, in one pass: the last holds exactly when
+    the entries of all rows at all pivot columns, non-negative, sum to the number of rows.
     """
     last = -1
     leads = []
@@ -286,6 +282,20 @@ def is_canonical_basis(rows, q: int) -> bool:
         leads.append(lead)
         last = lead
     return sum([row[c] for row in rows for c in leads]) == len(rows)
+
+
+def canonical_batch(bases) -> np.ndarray:
+    """Mask over an (M, k, N) array of element codes in [0, q): True where is_canonical_basis
+    holds.  Each row's first nonzero column is its pivot; the columns at the k pivots
+    must be the identity's, and the pivots must rise strictly."""
+    bases = np.asarray(bases)
+    m, k, n = bases.shape
+    if not n:  # no column to hold a pivot: canonical iff k = 0
+        return np.full(m, not k)
+    lead = (bases != 0).argmax(axis=2)  # (M, k)
+    columns = bases.transpose(0, 2, 1)[np.arange(m)[:, None], lead]  # [m, j]: column lead[m, j]
+    return ((columns == np.eye(k, dtype=bases.dtype)).reshape(m, k * k).all(axis=1)
+            & (lead[:, :-1] < lead[:, 1:]).all(axis=1))
 
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:

@@ -149,15 +149,11 @@ def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, budget: int | None = DE
             for block in blocks for rows in block.tolist())
 
 
-def _ranks(field: GF, mats: np.ndarray) -> np.ndarray:
-    """The ranks of a (count, r, c) array of matrices, by rref_batch on _CHUNK at a time."""
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        rref_batch(field, mats[lo:lo + _CHUNK])[1] for lo in range(0, len(mats), _CHUNK)])
-
-
 def _bounded_rank(field: GF, words: np.ndarray, r: int) -> np.ndarray:
-    """The nonzero matrices of words, a (count, n, n) array, of rank at most r, in order."""
-    rank = _ranks(field, words)
+    """The nonzero matrices of words, a (count, n, n) array, of rank at most r, in order;
+    their ranks come from rref_batch on _CHUNK matrices at a time."""
+    rank = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        rref_batch(field, words[lo:lo + _CHUNK])[1] for lo in range(0, len(words), _CHUNK)])
     return words[(rank > 0) & (rank <= r)]
 
 

@@ -418,7 +418,7 @@ def json_lines(code):
 def reversed_planes(q):
     """Every plane of GF(q)^3, given to CodeSet in reverse order."""
     planes = grassmannian_code(q, 3, 2)
-    return CodeSet(planes.field, 3, 2, 2, planes.members[::-1])
+    return CodeSet(planes.field, 3, 2, 2, planes.bases[::-1])
 
 
 @pytest.mark.parametrize("build, args", [
@@ -427,7 +427,7 @@ def reversed_planes(q):
     (lifted_mrd_code, (251, 1, 0)),  # entries up to 250: three digits, one byte each
     (lifted_mrd_code, (257, 1, 0)),  # entries up to 256: two bytes each
     (grassmannian_code, (2, 3, 0)),  # one 0-dimensional member
-    (lambda: CodeSet(field_of_order(2), 4, 2, 2, ()), ()),  # no members
+    (lambda: CodeSet(field_of_order(2), 4, 2, 2, np.zeros((0, 2, 4), np.uint8)), ()),  # none
     (reversed_planes, (3,)),  # written in sorted order
 ])
 def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
@@ -442,17 +442,22 @@ def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
 
 
 @pytest.mark.parametrize("convert, shown", [
-    (bool, "True"), (np.int64, "np.int64(1)"), (lambda x: -x, "-1"),
+    (lambda b: b.astype(bool), "True"), (lambda b: b.astype(float), "1.0"),
+    (lambda b: -b.astype(np.int64), "-1"),
 ])
 def test_writer_refuses_entries_that_are_not_plain_ints(convert, shown):
     # the reader accepts only plain non-negative ints, so a code holds nothing else to write
     code = lifted_mrd_code(2, 2, 1)
-    member = code.members[0]
-    odd = Subspace(member.field, 4, [[convert(x) if x else x for x in row] for row in member.basis])
     buf = io.StringIO()
     with pytest.raises(ValueError, match=rf"member entry {re.escape(shown)} is not a non-negative int"):
-        write_codeset(CodeSet(code.field, 4, 2, 2, code.members[1:] + (odd,)), buf)
+        write_codeset(CodeSet(code.field, 4, 2, 2, convert(code.bases)), buf)
     assert buf.getvalue() == ""  # nothing written: the code is refused where its array is made
+    # an int64 array is cast to the code's entry type, whose entries are written as plain ints
+    expected = io.StringIO()
+    write_codeset(code, expected)
+    write_codeset(CodeSet(code.field, 4, 2, 2, code.bases.astype(np.int64), code.provenance),
+                  buf)
+    assert buf.getvalue() == expected.getvalue()
 
 
 def test_construct_budget_exit_3(capsys):

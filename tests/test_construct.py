@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import re
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from cdcodes import construct, linalg, qpoly
+from cdcodes.cli import read_codeset, write_codeset
 from cdcodes.construct import (
     BlockGenerator,
     CodeSet,
@@ -96,14 +98,8 @@ def test_rect_lifted_code():
 
 
 def test_linkage_reduces_to_lifted():
-    field = field_of_order(2)
     # U = {I_2} as a 1-member code on ambient 2
-    from cdcodes.linalg import subspace_from_rows
-
-    u = CodeSet(
-        field=field, ambient_dim=2, dim=2, claimed_distance=4,
-        members=(subspace_from_rows(MatrixGF.identity(field, 2)),),
-    )
+    u = CodeSet(field_of_order(2), 2, 2, 4, np.eye(2, dtype=np.uint8)[None])
     q_mats = list(enumerate_mrd(2, 2, 1))
     linked = linkage(u, q_mats, d1=4, d2=1, )
     assert len(linked) == 16
@@ -122,20 +118,49 @@ def test_linkage_product_size_and_distance():
     assert exhaustive_min_distance(linked) >= 2
 
 
-def test_codeset_refuses_subspace_values_whose_bases_are_not_canonical():
-    # one subspace under two bases would pass validate_codeset's distinct_members twice
+def test_codeset_refuses_bases_that_are_not_canonical_in_one_line():
+    # one subspace under two bases would pass validate_codeset's distinct_members twice,
+    # and the writer would write a file the reader refuses
     code = lifted_mrd_code(2, 2, 1)
     first = code.members[0]
-    swapped = Subspace(first.field, 4, first.basis[::-1])
-    assert subspace_from_rows(MatrixGF(first.field, swapped.basis)) == first
-    with pytest.raises(ValueError, match="member 16: basis is not a canonical full-rank RREF"):
-        CodeSet(code.field, 4, 2, 2, code.members + (swapped,))
-    deficient = Subspace(first.field, 4, [(1, 0, 1, 1), (1, 0, 1, 1)])
-    with pytest.raises(ValueError, match="member 0: basis is not a canonical full-rank RREF"):
-        CodeSet(code.field, 4, 2, 2, (deficient,) + code.members)
+    swapped = code.bases[:1, ::-1]
+    assert subspace_from_rows(MatrixGF(first.field, swapped[0].tolist())) == first
+    with pytest.raises(ValueError, match="^member 16: basis is not a canonical full-rank RREF$"):
+        CodeSet(code.field, 4, 2, 2, np.concatenate([code.bases, swapped]))
+    deficient = np.array([[[1, 0, 1, 1], [1, 0, 1, 1]]])
+    with pytest.raises(ValueError, match="^member 0: basis is not a canonical full-rank RREF$"):
+        CodeSet(code.field, 4, 2, 2, np.concatenate([deficient, code.bases]))
+    # a line as a plane with a zero row, and the two bases of one plane: members are named
+    # in input order, before the sort
+    field = field_of_order(2)
+    for bases, bad in [([[[1, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 1]]], 0),
+                       ([[[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1]], [[1, 1, 1], [0, 1, 1]],
+                         [[1, 1, 0], [0, 0, 1]]], 2)]:
+        with pytest.raises(ValueError,
+                           match=f"^member {bad}: basis is not a canonical full-rank RREF$"):
+            CodeSet(field, 3, 2, 2, np.array(bases))
+    with pytest.raises(TypeError, match="^a CodeSet takes an \\(M, k, N\\) bases array, not tuple$"):
+        CodeSet(code.field, 4, 2, 2, code.members)
 
 
-def test_codeset_checks_array_entries_like_subspace_values():
+@pytest.mark.parametrize("q", [2, 3])
+def test_any_codeset_that_constructs_survives_a_write_and_a_read(q):
+    # every 2 x 3 array over GF(q) as a one-member code: what CodeSet accepts, the reader does
+    field = field_of_order(q)
+    accepted = 0
+    for bases in np.array(list(itertools.product(range(q), repeat=6))).reshape(-1, 1, 2, 3):
+        try:
+            code = CodeSet(field, 3, 2, 2, bases)
+        except ValueError:
+            continue
+        buf = io.StringIO()
+        write_codeset(code, buf)
+        assert read_codeset(io.StringIO(buf.getvalue())).members == code.members
+        accepted += 1
+    assert accepted == len(grassmannian_code(q, 3, 2))
+
+
+def test_codeset_refuses_entries_outside_the_field_in_one_line():
     # an entry of q or more used to pass validate_codeset and reach a file the reader refuses
     field = field_of_order(2)
     for members, message in [
@@ -158,22 +183,17 @@ def test_linkage_rejects_bad_inputs():
     wrong_shape = [MatrixGF.zeros(field_of_order(2), 3, 2)]
     with pytest.raises(ValueError):
         linkage(u, wrong_shape, d1=2, d2=1)
-    q_mats = list(enumerate_mrd(2, 2, 1))
-    # an array member: CodeSet refuses a Subspace value whose basis is not canonical
+    # a rank-deficient SC-representation: CodeSet refuses it before linkage could see it
     deficient = np.array([[[1, 0, 1, 1], [1, 0, 1, 1]]], dtype=u.bases.dtype)
-    u_short = CodeSet(u.field, 4, 2, 2, np.concatenate([u.bases[1:], deficient]))
-    with pytest.raises(ConstructionError, match="deficient row rank"):
-        linkage(u_short, q_mats, d1=2, d2=1)
+    with pytest.raises(ValueError, match="^member 15: basis is not a canonical full-rank RREF$"):
+        CodeSet(u.field, 4, 2, 2, np.concatenate([u.bases[1:], deficient]))
 
 
 def test_codeset_refuses_members_of_another_dimension_in_one_line():
     u = lifted_mrd_code(2, 2, 1)
-    line = grassmannian_code(2, 4, 1).members[0]
-    with pytest.raises(ValueError, match="^member 15 has dim 1 in ambient 4, not dim 2 in ambient 4$"):
-        CodeSet(u.field, 4, 2, 2, u.members[1:] + (line,))
-    wide = grassmannian_code(2, 5, 2).members[0]
-    with pytest.raises(ValueError, match="^member 0 has dim 2 in ambient 5, not dim 2 in ambient 4$"):
-        CodeSet(u.field, 4, 2, 2, (wide,) + u.members)
+    line = np.array([[[0, 0, 0, 1], [0, 0, 0, 0]]], dtype=u.bases.dtype)  # a zero row
+    with pytest.raises(ValueError, match="^member 15: basis is not a canonical full-rank RREF$"):
+        CodeSet(u.field, 4, 2, 2, np.concatenate([u.bases[1:], line]))
     padded = np.concatenate([u.bases, np.zeros((16, 1, 4), u.bases.dtype)], axis=1)  # a zero row
     for bases in (padded, u.bases[:, :1], u.bases[:, :, :3], u.bases[0], u.bases[None]):
         shape = re.escape(str(bases.shape))
@@ -182,16 +202,15 @@ def test_codeset_refuses_members_of_another_dimension_in_one_line():
 
 
 def test_codeset_sorts_its_bases_once_made():
-    # Subspace values and arrays in any order, and duplicates, which stay
+    # arrays in any order, and duplicates, which stay
     code = lifted_mrd_code(3, 2, 1)
     order = np.random.default_rng(5).permutation(len(code))
     twice = np.concatenate([code.bases, code.bases[:3]])
     expected = sorted(code.members + code.members[:3])
-    for members in (code.bases[::-1], code.bases[order], code.members[::-1],
-                    tuple(code.members[i] for i in order)):
-        assert CodeSet(code.field, 4, 2, 2, members).members == code.members
-    for members in (twice[::-1], tuple(expected[::-1])):
-        assert list(CodeSet(code.field, 4, 2, 2, members).members) == expected
+    for bases in (code.bases[::-1], code.bases[order]):
+        assert CodeSet(code.field, 4, 2, 2, bases).members == code.members
+    for bases in (twice[::-1], twice[np.random.default_rng(6).permutation(len(twice))]):
+        assert list(CodeSet(code.field, 4, 2, 2, bases).members) == expected
 
 
 def test_parallel_linkage_acceptance_shape():
@@ -231,10 +250,12 @@ def test_parallel_linkage_validates_v_code():
     with pytest.raises(ValueError):
         parallel_linkage(2, 2, 0, 2, v_bad_dim)
     # a code that claims k = 2 holds no member of another dimension
-    planes = grassmannian_code(2, 4, 2).members
-    for odd in (grassmannian_code(2, 4, 1).members[0], grassmannian_code(2, 4, 3).members[0]):
-        with pytest.raises(ValueError, match=f"^member 34 has dim {odd.dim} in ambient 4, not dim 2"):
-            CodeSet(field_of_order(2), 4, 2, 2, planes[1:] + (odd,))
+    planes = grassmannian_code(2, 4, 2).bases
+    line = np.array([[[1, 0, 0, 0], [0, 0, 0, 0]]], dtype=planes.dtype)
+    with pytest.raises(ValueError, match="^member 34: basis is not a canonical full-rank RREF$"):
+        CodeSet(field_of_order(2), 4, 2, 2, np.concatenate([planes[1:], line]))
+    with pytest.raises(ValueError, match=r"^bases array of shape \(1, 3, 4\), not \(M, 2, 4\)$"):
+        CodeSet(field_of_order(2), 4, 2, 2, grassmannian_code(2, 4, 3).bases[:1])
     v_bad_ambient = grassmannian_code(2, 5, 2)
     with pytest.raises(ValueError):
         parallel_linkage(2, 2, 0, 2, v_bad_ambient)
@@ -407,17 +428,10 @@ def parallel_linkage_reference(q, k, h, d, v_code=None):
     return sorted(set(one + two), key=Subspace.sort_key)
 
 
-def shuffled_rows(code):
-    """The members of code with their basis rows reversed: bases that are not in RREF."""
-    return CodeSet(code.field, code.ambient_dim, code.dim, code.claimed_distance,
-                   code.bases[:, ::-1])
-
-
 LINKAGE = {
     "q2-n2": lambda: (lifted_mrd_code(2, 2, 1), list(enumerate_mrd(2, 2, 1))),
     "q2-n3": lambda: (lifted_mrd_code(2, 3, 1), list(enumerate_mrd(2, 3, 1))),
     "q3-rect": lambda: (lifted_mrd_code(3, 2, 1), list(enumerate_mrd(3, 2, 0, h=1))),
-    "non-rref": lambda: (shuffled_rows(lifted_mrd_code(3, 2, 1)), list(enumerate_mrd(3, 2, 0))),
 }
 PARALLEL_LINKAGE = {
     "2-2-0-2": (2, 2, 0, 2), "2-2-1-2": (2, 2, 1, 2), "3-2-0-2": (3, 2, 0, 2),
@@ -488,17 +502,18 @@ def test_block_product_fills_one_array_term_after_term(chunk_bytes, monkeypatch)
     # the first term's first block is canonical, the second's is not
     monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
     u_code, q_matrices = LINKAGE["q3-rect"]()
-    shuffled = shuffled_rows(u_code)
+    shuffled = u_code.bases[:, ::-1]  # basis rows reversed: not in RREF
     right = np.array([m.rows for m in q_matrices], dtype=np.uint8)
-    bases = construct._block_product(u_code.field, [[u_code.bases, right],
-                                                    [shuffled.bases, right]])
+    bases = construct._block_product(u_code.field, [[u_code.bases, right], [shuffled, right]])
     assert bases.dtype == np.uint8 and bases.shape == (2 * 81 * 27, 2, 7)
     per_member = [subspace_from_rows(MatrixGF(u_code.field, u).hstack(m)).basis
-                  for code in (u_code, shuffled) for u in code.bases.tolist() for m in q_matrices]
+                  for first in (u_code.bases, shuffled) for u in first.tolist() for m in q_matrices]
     assert bases.tolist() == [[list(row) for row in basis] for basis in per_member]
-    for part, code in zip(np.split(bases, 2), (u_code, shuffled)):
-        built = CodeSet(code.field, 7, 2, 2, part)
-        assert list(built.members) == linkage_reference(code, q_matrices)
+    unshuffled = CodeSet(u_code.field, 7, 2, 2, bases[:len(bases) // 2])
+    assert list(unshuffled.members) == linkage_reference(u_code, q_matrices)
+    built = CodeSet(u_code.field, 7, 2, 2, bases[len(bases) // 2:])
+    expected = {Subspace(u_code.field, 7, basis) for basis in per_member[len(bases) // 2:]}
+    assert list(built.members) == sorted(expected)
 
 
 def test_array_builds_drop_duplicates_before_the_count_check(monkeypatch):
@@ -512,7 +527,7 @@ def test_array_builds_drop_duplicates_before_the_count_check(monkeypatch):
 
 
 def test_linkage_builds_make_no_per_member_matrix(monkeypatch):
-    u_code, q_matrices = LINKAGE["non-rref"]()
+    u_code, q_matrices = LINKAGE["q3-rect"]()
     v_code = grassmannian_code(2, 4, 2)
 
     def refuse(*args, **kwargs):
@@ -522,8 +537,14 @@ def test_linkage_builds_make_no_per_member_matrix(monkeypatch):
                         (construct, "enumerate_filtration"), (qpoly, "enumerate_mrd"),
                         (MatrixGF, "rank"), (MatrixGF, "hstack")]:
         monkeypatch.setattr(owner, name, refuse)
-    assert len(linkage(u_code, q_matrices, 2, 1)) == 81 * 9
-    assert len(parallel_linkage(2, 2, 0, 2, v_code)) == 571
+    calls = []
+    rref = construct.rref_batch
+    monkeypatch.setattr(construct, "rref_batch", lambda *args: calls.append(1) or rref(*args))
+    assert len(linkage(u_code, q_matrices, 2, 1)) == 81 * 27 and not calls  # (I | A | Q)
+    # terms whose first block is a bounded-rank map, not canonical, go through rref_batch
+    assert len(parallel_linkage(2, 2, 0, 2, v_code)) == 571 and calls
+    calls.clear()
+    assert len(multiblock_parallel_mrd(3, 2, 1, 1)) == 81 + 32 and calls  # 32: (R | I), R bounded
 
 
 def test_budget_errors_come_before_any_array(monkeypatch):

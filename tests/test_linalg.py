@@ -12,6 +12,8 @@ from cdcodes.gf import GF, field_of_order
 from cdcodes.linalg import (
     MatrixGF,
     Subspace,
+    canonical_batch,
+    enumerate_bases,
     enumerate_subspaces,
     intersection_dim,
     is_canonical_basis,
@@ -228,6 +230,71 @@ def test_canonical_basis_check_matches_elimination(case):
     assert is_canonical_basis(rows, field.order) == (eliminated == basis)
     if in_range and rows:  # the fast path of subspace_from_rows agrees with elimination
         assert subspace_from_rows(MatrixGF(field, rows)) == Subspace(field, n, eliminated)
+
+
+@st.composite
+def basis_batches(draw, field=None):
+    """A batch of k x N arrays over GF(q), k in 0..3 and N in 0..5: each member a random
+    matrix or a canonical basis (its pivots and free entries drawn), then at most one
+    entry of one member changed; entries are held as a CodeSet holds them.  The field is
+    GF(2), GF(3), GF(4), GF(5) or GF(9) unless one is given."""
+    field = field or field_of_order(draw(st.sampled_from([2, 3, 4, 5, 9])))
+    q = field.order
+    k, n = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    entry = st.integers(0, q - 1) | st.sampled_from([0, 1, q - 1])
+    mats = []
+    for _ in range(draw(st.integers(0, 6))):
+        if 0 < k <= n and draw(st.booleans()):
+            pivots = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                                          unique=True)))
+            mats.append([[int(c == p) if c in pivots or c < p else draw(entry) for c in range(n)]
+                         for p in pivots])
+        else:
+            mats.append([[draw(entry) for _ in range(n)] for _ in range(k)])
+    if mats and k and n and draw(st.booleans()):
+        draw(st.sampled_from(mats))[draw(st.integers(0, k - 1))][draw(st.integers(0, n - 1))] = (
+            draw(entry))
+    return field, np.array(mats, dtype=bases_dtype(field)).reshape(len(mats), k, n)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(basis_batches())
+@example((F3, np.array([[[1, 0, 2], [0, 1, 1]], [[0, 1, 1], [1, 0, 2]], [[2, 0, 1], [0, 1, 1]],
+                        [[1, 1, 2], [0, 1, 1]], [[1, 0, 2], [1, 0, 2]], [[1, 0, 2], [0, 0, 0]],
+                        [[1, 2, 0], [0, 0, 1]], [[1, 0, 1], [0, 0, 1]]], dtype=np.uint8)))
+def test_canonical_batch_matches_the_per_matrix_check(case):
+    field, bases = case
+    assert canonical_batch(bases).tolist() == [is_canonical_basis(b, field.order)
+                                               for b in bases.tolist()]
+
+
+@pytest.mark.parametrize("q, k, n", [(2, 2, 4), (3, 2, 3), (4, 1, 4), (5, 2, 2), (2, 3, 3),
+                                     (9, 1, 3), (2, 0, 3), (3, 2, 0), (2, 0, 0), (3, 3, 2)])
+def test_canonical_batch_finds_exactly_the_grassmannian(q, k, n):
+    # every k x n array over GF(q): the canonical ones are the bases enumerate_bases walks
+    field = field_of_order(q)
+    everything = np.array(list(itertools.product(range(q), repeat=k * n)),
+                          dtype=bases_dtype(field)).reshape(q ** (k * n), k, n)
+    mask = canonical_batch(everything)
+    assert mask.tolist() == [is_canonical_basis(b, q) for b in everything.tolist()]
+    assert sorted(everything[mask].tolist()) == sorted(enumerate_bases(field, n, k))
+    assert canonical_batch(everything[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 2**64 + 13])
+def test_canonical_batch_matches_the_per_matrix_check_beyond_int64(p, monkeypatch):
+    # entries held as uint64 below 2^64 and as Python ints in an object array above
+    monkeypatch.setattr(gf, "is_prime", lambda n: n == p)
+    field = gf.GF(p)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(basis_batches(field))
+    def check(case):
+        _, bases = case
+        assert bases.dtype == (object if p > 2**64 else np.uint64)
+        assert canonical_batch(bases).tolist() == [is_canonical_basis(b, p) for b in bases.tolist()]
+
+    check()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25])

@@ -16,6 +16,7 @@ from cdcodes.cli import read_codeset, write_codeset
 from cdcodes.construct import CodeSet, lifted_mrd_code, multiblock_parallel_mrd
 from cdcodes.gf import GF
 from cdcodes.linalg import MatrixGF, Subspace, subspace_from_rows
+from subspace_codes import code_of
 
 
 def _all_ints(values) -> bool:
@@ -66,14 +67,8 @@ def reference_read_codeset(fh) -> CodeSet:
         raise ValueError(
             f"header count {header['count']} does not match {len(members)} member lines"
         )
-    return CodeSet(
-        field=field,
-        ambient_dim=header["N"],
-        dim=header["k"],
-        claimed_distance=header["claimed_distance"],
-        members=tuple(members),
-        provenance=header.get("provenance", {}),
-    )
+    return code_of(field, header["N"], header["k"], header["claimed_distance"], members,
+                   header.get("provenance", {}))
 
 
 def outcome(reader, text):

@@ -31,6 +31,7 @@ from cdcodes.verify import (
 import cdcodes.construct as construct
 import cdcodes.gf as gf
 import cdcodes.verify as verify
+from subspace_codes import code_of
 from vector_oracle import subspace_vectors
 
 
@@ -67,10 +68,7 @@ def test_exhaustive_matches_brute_q3():
 
 def test_exhaustive_singleton_sentinel():
     field = field_of_order(2)
-    single = CodeSet(
-        field=field, ambient_dim=2, dim=2, claimed_distance=2,
-        members=(subspace_from_rows(MatrixGF.identity(field, 2)),),
-    )
+    single = CodeSet(field, 2, 2, 2, np.eye(2, dtype=np.uint8)[None])
     dist, witness = min_distance_exhaustive(single)
     assert dist == math.inf and witness is None
 
@@ -169,7 +167,7 @@ def masked_pair_scan(code):
 def sorted_bases(code):
     """The code's members sorted as Subspace values, and their CodeSet bases array."""
     members = sorted(code.members)
-    return members, CodeSet(code.field, code.ambient_dim, code.dim, 0, members).bases
+    return members, code_of(code.field, code.ambient_dim, code.dim, 0, members).bases
 
 
 def stacked_rank_scan(code):
@@ -250,7 +248,7 @@ def mask_test_codes(q):
     planes = grassmannian_code(q, 3, 2)
     return [lifted_mrd_code(q, 2, 0), rect_lifted_mrd_code(q, 2, 1, 0),
             multiblock_parallel_mrd(q, 2, 1, 1), grassmannian_code(q, 3, 1),
-            CodeSet(planes.field, 3, 2, 2, planes.members[::-1])]
+            CodeSet(planes.field, 3, 2, 2, planes.bases[::-1])]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -302,7 +300,7 @@ def shared_row_code(rng, q, n, k):
         rows = rng.sample(pool, rng.randint(0, k))
         matrices.append(rows + [vector() for _ in range(k - len(rows))])
     members = [subspace_from_rows(MatrixGF(field, m)) for m in matrices]
-    return CodeSet(field, n, k, 2, tuple(s for s in members if s.dim == k))
+    return code_of(field, n, k, 2, [s for s in members if s.dim == k])
 
 
 def test_oracle_agrees_with_the_stacked_rank_scan_on_wide_keys(monkeypatch):
@@ -326,7 +324,7 @@ def test_oracle_agrees_with_the_stacked_rank_scan_on_wide_keys(monkeypatch):
         monkeypatch.undo()
 
 
-REFUSAL = r"^member \d+ has dim \d+ in ambient \d+, not dim \d+ in ambient \d+$"
+REFUSAL = r"^member \d+: basis is not a canonical full-rank RREF$"
 
 
 @st.composite
@@ -334,8 +332,8 @@ def random_codes(draw):
     """The k-dimensional row spaces of drawn k x n matrices over GF(q), q in
     {2, 3, 4}, some repeated.
 
-    When a drawn matrix falls short of rank k, CodeSet first refuses all the
-    row spaces, which mix dimensions, in one line.
+    When a drawn matrix is not its row space's canonical basis, CodeSet first
+    refuses the drawn matrices in one line; the code holds the row spaces of rank k.
     """
     q = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(2, 4))
@@ -344,13 +342,13 @@ def random_codes(draw):
     row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     matrices = draw(st.lists(st.lists(row, min_size=k, max_size=k), min_size=2, max_size=14))
     members = [subspace_from_rows(MatrixGF(field, m)) for m in matrices]
-    if any(s.dim != k for s in members):
+    if any(s.basis != tuple(map(tuple, m)) for s, m in zip(members, matrices)):
         with pytest.raises(ValueError, match=REFUSAL):
-            CodeSet(field, n, k, 0, tuple(members))
+            CodeSet(field, n, k, 0, np.array(matrices))
         members = [s for s in members if s.dim == k]
     copies = draw(st.lists(st.integers(0, 13), max_size=3)) if members else []
     members += [members[i % len(members)] for i in copies]
-    return CodeSet(field, n, k, draw(st.integers(0, 2 * k + 2)), tuple(members))
+    return code_of(field, n, k, draw(st.integers(0, 2 * k + 2)), members)
 
 
 def test_a_codeset_of_a_line_and_a_plane_that_contains_it_is_refused():
@@ -360,9 +358,11 @@ def test_a_codeset_of_a_line_and_a_plane_that_contains_it_is_refused():
     line = subspace_from_rows(MatrixGF(field, [[1, 0, 0]]))
     plane = subspace_from_rows(MatrixGF(field, [[1, 0, 0], [0, 1, 0]]))
     assert subspace_distance(line, plane) == 1
-    for dim, bad in ((1, 1), (2, 0)):
-        with pytest.raises(ValueError, match=f"^member {bad} has dim {3 - dim} in ambient 3"):
-            CodeSet(field, 3, dim, 2, (line, plane))
+    # the line given as a plane with a zero row, and the plane among lines
+    with pytest.raises(ValueError, match="^member 0: basis is not a canonical full-rank RREF$"):
+        CodeSet(field, 3, 2, 2, np.array([[[1, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0]]]))
+    with pytest.raises(ValueError, match=r"^bases array of shape \(1, 2, 3\), not \(M, 1, 3\)$"):
+        CodeSet(field, 3, 1, 2, np.array([plane.basis]))
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -374,9 +374,10 @@ def test_a_code_is_sorted_once_at_construction(monkeypatch, mode):
     calls = []
     sort = construct.sorted_bases
     monkeypatch.setattr(construct, "sorted_bases", lambda b: calls.append(len(b)) or sort(b))
-    for members in (code.bases, code.bases[::-1], code.members[::-1]):
+    order = np.random.default_rng(3).permutation(len(code))
+    for bases in (code.bases, code.bases[::-1], code.bases[order]):
         calls.clear()
-        c = CodeSet(code.field, 6, 3, code.claimed_distance, members, dict(code.provenance))
+        c = CodeSet(code.field, 6, 3, code.claimed_distance, bases, dict(code.provenance))
         assert calls == [len(code)] and np.array_equal(c.bases, code.bases)
         calls.clear()
         assert validate_codeset(c, sampled_pairs=2000, mode=mode) == expected
@@ -436,7 +437,7 @@ def test_codes_beyond_int64_vector_codes_take_the_stacked_rank_path(monkeypatch)
     field = field_of_order(2)
     for n, oracle in ((63, True), (64, False)):  # codes reach 2^63 - 1, then 2^64 - 1
         rows = ([1] + [0] * (n - 1), [0] * (n - 1) + [1], [1] + [0] * (n - 2) + [1])
-        code = CodeSet(field, n, 1, 2, tuple(subspace_from_rows(MatrixGF(field, [r])) for r in rows))
+        code = code_of(field, n, 1, 2, [subspace_from_rows(MatrixGF(field, [r])) for r in rows])
         calls.clear()
         assert min_distance_exhaustive(code) == stacked_rank_scan(code)
         assert stacked_rank_scan(code)[0] == 2
@@ -448,8 +449,8 @@ def lifted_pair(q, k, rank, claimed):
     field = field_of_order(q)
     rows = [[int(r == c) for c in range(2 * k)] for r in range(k)]
     other = [row[:k] + [int(r == c < rank) for c in range(k)] for r, row in enumerate(rows)]
-    members = tuple(subspace_from_rows(MatrixGF(field, m)) for m in (rows, other))
-    return CodeSet(field, 2 * k, k, claimed, members)
+    members = [subspace_from_rows(MatrixGF(field, m)) for m in (rows, other)]
+    return code_of(field, 2 * k, k, claimed, members)
 
 
 def test_codes_costlier_than_their_pair_scan_take_the_stacked_rank_path(monkeypatch):
@@ -476,7 +477,7 @@ def test_codes_beyond_the_byte_allowance_take_the_stacked_rank_path(monkeypatch)
         assert bool(calls) == oracle
     # claiming more than 2k starts the scan at level 0, which needs no keys:
     # only the vector table's bytes decide whether it is built
-    low = CodeSet(code.field, code.ambient_dim, code.dim, 2 * code.dim + 2, code.members)
+    low = CodeSet(code.field, code.ambient_dim, code.dim, 2 * code.dim + 2, code.bases)
     table_bytes = 64 * 2 ** 3 * 1  # uint8 entries hold the codes below 2^6
     for allowance, oracle in ((table_bytes, True), (table_bytes - 1, False)):
         monkeypatch.setattr(verify, "_ORACLE_BYTES", allowance)
@@ -622,7 +623,7 @@ def test_sampled_generic_path(monkeypatch):
     field = field_of_order(2)
     for n, table in ((63, True), (64, False)):
         rows = ([1] + [0] * (n - 1), [0] * (n - 1) + [1], [1] + [0] * (n - 2) + [1])
-        code = CodeSet(field, n, 1, 2, tuple(subspace_from_rows(MatrixGF(field, [r])) for r in rows))
+        code = code_of(field, n, 1, 2, [subspace_from_rows(MatrixGF(field, [r])) for r in rows])
         calls.clear()
         assert min_distance_sampled(code, 50, seed=3) == generator_sampled(code, 50, 3)
         assert bool(calls) == table
@@ -705,7 +706,7 @@ def big_prime_code(field, n, k, seed):
         line, c = rng.choice(lines), rng.randrange(1, p)
         matrices.append([[c * x % p for x in line]] + [vector() for _ in range(k - 1)])
     members = [subspace_from_rows(MatrixGF(field, m)) for m in matrices]
-    return CodeSet(field, n, k, 2, tuple(s for s in members if s.dim == k))
+    return code_of(field, n, k, 2, [s for s in members if s.dim == k])
 
 
 def per_pair_rank_scan(code, pairs):
@@ -759,11 +760,8 @@ def test_validate_codeset_passes_on_fresh_build():
 
 def test_validate_codeset_flags_overclaimed_distance():
     base = multiblock_parallel_mrd(2, 2, 1, 1)
-    bragging = CodeSet(
-        field=base.field, ambient_dim=base.ambient_dim, dim=base.dim,
-        claimed_distance=base.claimed_distance + 2, members=base.members,
-        provenance=dict(base.provenance),
-    )
+    bragging = CodeSet(base.field, base.ambient_dim, base.dim, base.claimed_distance + 2,
+                       base.bases, dict(base.provenance))
     report = validate_codeset(bragging)
     assert not report["pass"]
     failing = {c["check"] for c in report["checks"] if not c["pass"]}
@@ -774,11 +772,8 @@ def test_validate_codeset_flags_overclaimed_distance():
 
 def test_validate_codeset_flags_wrong_cardinality():
     base = lifted_mrd_code(2, 2, 1)
-    trimmed = CodeSet(
-        field=base.field, ambient_dim=base.ambient_dim, dim=base.dim,
-        claimed_distance=base.claimed_distance, members=base.members[:-1],
-        provenance=dict(base.provenance),  # still predicts 16
-    )
+    trimmed = CodeSet(base.field, base.ambient_dim, base.dim, base.claimed_distance,
+                      base.bases[:-1], dict(base.provenance))  # still predicts 16
     report = validate_codeset(trimmed)
     assert not report["pass"]
     failing = {c["check"] for c in report["checks"] if not c["pass"]}
