@@ -7,6 +7,13 @@ rref_batch runs on arrays of matrices in numpy, and _rref_generic runs on
 one matrix of Python ints, behind MatrixGF.rref/rank and intersection_dim,
 and is the reference rref_batch is tested against.  So do the two checks
 of canonical form: canonical_batch on arrays, is_canonical_basis per matrix.
+Spans have one kernel, span_blocks, which only adds: the q^r combinations
+of r rows are filled digit l of the index at a time, combination c q^l + i
+being combination i plus c row_l, into a preallocated output.  Addition is
+carry-free, digit-wise mod p: XOR for p = 2, which also adds whole packed
+vector codes, and for odd p a sum and a conditional subtract on small
+unsigned digits.  It builds verify's vector tables and qpoly's MRD
+codewords.
 All values are immutable after construction and every operation is pure.
 """
 
@@ -27,26 +34,108 @@ def _digit_products(field: GF) -> np.ndarray:
     return times[..., None] // powers % p
 
 
-def span(field: GF, rows, idx) -> np.ndarray:
-    """The combinations sum_i c_i row_i of rows (..., r, L) for each index in idx.
+def _add(p: int, a, b, out):
+    """a + b into out, digit-wise mod p.  For p = 2 that is XOR, which adds every
+    digit of packed codes at once.  For odd p it is a sum and a conditional subtract:
+    out's unsigned dtype holds 2p - 2, so x - p wraps to above x exactly when x < p."""
+    if p == 2:
+        return np.bitwise_xor(a, b, out=out)
+    np.add(a, b, out=out)
+    return np.minimum(out, out - p, out=out)
 
-    c_i is base-q digit i of the index, c_0 least significant, and the
-    result is an int64 array (..., len(idx), L) of element codes.  The sum
-    is taken over the prime field: the m base-p digits of a code are its
-    coordinates over GF(p), and multiplication by the code p^e is the
-    m x m map over GF(p) whose row j holds the digits of p^e * p^j, so
-    rows times digits is one integer matrix product mod p for any q.
+
+def _pack(digits, p: int, width: int, dtype):
+    """The base-p codes (..., width) of digits (..., width g), g digits a code,
+    the first least significant, by Horner's rule."""
+    g = digits.shape[-1] // width if width else 0
+    digits = digits.reshape(*digits.shape[:-1], width, g)
+    codes = np.zeros(digits.shape[:-1], dtype)
+    for e in range(g - 1, -1, -1):
+        codes *= p
+        codes += digits[..., e]
+    return codes
+
+
+def span_blocks(field: GF, rows, block: int, out=None):
+    """Yield the q^r combinations sum_l c_l row_l of rows (..., r, L), c_l being
+    base-q digit l of the index (c_0 least significant), in index order, a block
+    (..., n, W) of n consecutive combinations at a time, n a power of p at most
+    max(block, 1).  Entry j of a combination packs its coordinates j g, ...,
+    j g + g - 1 (g = L / W) into one base-q code, the first least significant:
+    W = L gives element codes, W = 1 the code of the whole vector.  With out,
+    (..., q^r, W), each block is written into its place in out and is a view of
+    it; without, each is a new array of element codes in the smallest unsigned
+    dtype.
+
+    Its only field arithmetic is carry-free addition (_add).  Over GF(p) the
+    rows span what the r m rows p^e row_l, e < m, span, with base-p digit
+    l m + e of the index as the scalar of p^e row_l; their digits come from
+    the (m, m, m) table _digit_products.  The first w of those rows,
+    p^w <= block, fill a low table by doubling: combination c p^j + i is
+    combination i plus c row_j, the multiples c row_j taken by doubling c.
+    Block h is the low table plus combination h of the other rows, its
+    offset: from h to h + 1 the offset gains the sum of those rows 0..t, t
+    the number of trailing digits p - 1 of h (each wraps to 0, and
+    -(p - 1) row = row).  For p = 2 the rows are packed into codes before
+    the doubling; odd p packs each block's digits after it.
     """
     p, m = field.p, field.m
-    powers = p ** np.arange(m, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
-    *batch, r, width = rows.shape
-    scaled = np.einsum("...rlj,ejk->...relk", rows[..., None] // powers % p,
-                       _digit_products(field)) % p  # digits of p^e * row_r
-    scaled = scaled.reshape(*batch, r * m, width * m)
-    digits = np.asarray(idx, dtype=np.int64)[:, None] // p ** np.arange(r * m, dtype=np.int64)
-    out = digits % p @ scaled % p
-    return out.reshape(*out.shape[:-1], width, m) @ powers
+    *batch, r, length = rows.shape
+    width = length if out is None else out.shape[-1]
+    dtype = np.min_scalar_type(field.order - 1) if out is None else out.dtype
+    if m > 1:  # digits of p^e row_l
+        rows = np.einsum("...rlj,ejk->...relk", rows[..., None] // p ** np.arange(m) % p,
+                         _digit_products(field)) % p
+    # combinations lead the working arrays, so each step adds contiguous runs
+    prime = np.moveaxis(rows.reshape(*batch, r * m, length * m), -2, 0).astype(
+        np.min_scalar_type(2 * p - 2), order="C")
+    if p == 2:
+        prime = _pack(prime, 2, width, dtype)
+    s, wide = r * m, prime.shape[-1]
+    w = 0
+    while w < s and p ** (w + 1) <= block:
+        w += 1
+    low = np.zeros((p ** w, *batch, wide), prime.dtype)
+    for j in range(w):
+        part = low[:p ** (j + 1)].reshape(p, p ** j, *batch, wide)
+        step, c = prime[j], 1  # step = c row_j
+        while c < p:
+            _add(p, part[:min(c, p - c)], step, part[c:2 * c])
+            c *= 2
+            if c < p:
+                step = _add(p, step, step, np.empty_like(step))
+    prefix = prime[w:].copy()  # prefix[t]: the sum of the other rows 0..t
+    for t in range(1, s - w):
+        _add(p, prefix[t - 1], prefix[t], prefix[t])
+    offset = np.zeros(prime.shape[1:], prime.dtype)
+    digits = None if p == 2 else np.empty_like(low)
+    n = p ** w
+    lead = None if out is None else np.moveaxis(out, -2, 0)
+    for h in range(p ** (s - w)):
+        if out is None:
+            dest = np.empty((*batch, n, width), dtype)
+            place = np.moveaxis(dest, -2, 0)
+        else:
+            dest, place = out[..., h * n:(h + 1) * n, :], lead[h * n:(h + 1) * n]
+        if p == 2:
+            _add(2, low, offset, place)
+        else:
+            np.copyto(place, _pack(_add(p, low, offset, digits) if h else low, p, width, dtype))
+        yield dest
+        t = 0
+        while h % p == p - 1:
+            h, t = h // p, t + 1
+        if t < s - w:
+            _add(p, offset, prefix[t], offset)
+
+
+def span_into(field: GF, rows, out, block: int):
+    """Fill out, (..., q^r, W), with the combinations of rows (span_blocks), a
+    block of at most max(block, 1) of them at a time, and return it."""
+    for _ in span_blocks(field, rows, block, out):
+        pass
+    return out
 
 
 def _digit_mul(x, y, table, p):
@@ -65,7 +154,7 @@ def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
     runs column by column on all matrices at once, pivoting on the first
     nonzero entry at or below each matrix's current rank.  Entries are
     held as their m base-p digits, so a product is one contraction with
-    the (m, m, m) digit table of span and an inverse is x^(q-2) by
+    the (m, m, m) table _digit_products and an inverse is x^(q-2) by
     square-and-multiply; no table of q entries is built.  Memory is a few
     copies of the input's digits, so callers pass bounded chunks.  Digits
     are int64, or Python ints when a product of two (p^2 >= 2^63) would

@@ -11,10 +11,14 @@ element code unchanged.  The square code is h = 0.
 The code is GF(q)-linear (Gabidulin 1985): the matrix of a map is linear
 in the base-q digits of its coefficients, so the codeword with odometer
 index idx is sum_d digit_d(idx) B_d over the (n+h)(t+1) basis matrices
-B_d, each computed once with QPolynomial.to_matrix.  enumerate_mrd yields
-these codeword matrices from linalg.span, mrd_array returns them as one
-array, and _bounded_rank keeps its nonzero codewords of rank at most r,
-which enumerate_filtration yields as matrices.
+B_d, each computed once with QPolynomial.to_matrix.  The span kernel of
+linalg adds them in, one basis matrix at a time: codeword c q^d + i is
+codeword i plus c B_d, added carry-free (XOR for p = 2, digit-wise mod p
+for odd p).  mrd_array has it fill one preallocated array in place, and
+enumerate_mrd yields the matrices of its blocks, each a table of the low
+digits built once plus one offset of the high digits.  _bounded_rank
+keeps the nonzero codewords of rank at most r, which enumerate_filtration
+yields as matrices.
 
 Enumeration order is an odometer over the integer codes of
 (a_0, ..., a_t) with a_0 varying fastest.
@@ -24,10 +28,10 @@ from __future__ import annotations
 
 from ._numpy import np
 from .gf import GF, extension_field, field_of_order
-from .linalg import MatrixGF, rref_batch, span
+from .linalg import MatrixGF, rref_batch, span_blocks, span_into
 
 DEFAULT_BUDGET = 1 << 24  # elements an enumeration or a construction may produce
-_CHUNK = 1 << 9  # codewords per span or rref_batch call
+_CHUNK = 1 << 9  # codewords per span block or rref_batch call
 
 
 class BudgetError(Exception):
@@ -106,9 +110,9 @@ def check_degree(n: int, t: int, h: int = 0) -> None:
         raise ValueError("h must be non-negative")
 
 
-def _mrd_blocks(q: int, n: int, t: int, h: int, budget: int | None):
-    """Validate, then (field, count, blocks): blocks yields the codewords
-    as int64 arrays of at most _CHUNK codewords each."""
+def _mrd_basis(q: int, n: int, t: int, h: int, budget: int | None):
+    """Validate, then (field, count, basis): the (n+h)(t+1) basis matrices, each
+    flattened to a row of n(n+h) element codes, in index digit order."""
     check_degree(n, t, h)
     ext = extension_field(q, n)
     big = extension_field(q, n + h)
@@ -119,20 +123,17 @@ def _mrd_blocks(q: int, n: int, t: int, h: int, budget: int | None):
     # basis matrix i*(n+h) + d is the map alpha^d x^(q^i): index digit order
     basis = [QPolynomial(ext, [0] * i + [q ** d], big).to_matrix().rows
              for i in range(t + 1) for d in range(n + h)]
-    basis = np.reshape(basis, (len(basis), -1))
-    blocks = (span(ext.base, basis, np.arange(lo, min(lo + _CHUNK, total))).reshape(-1, n, n + h)
-              for lo in range(0, total, _CHUNK))
-    return ext.base, total, blocks
+    return ext.base, total, np.reshape(basis, (len(basis), -1))
 
 
 def mrd_array(q: int, n: int, t: int, *, h: int = 0,
               budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
     """The codewords of enumerate_mrd, with its checks and order, as one
-    (count, n, n+h) array of element codes in the smallest unsigned dtype."""
-    _field, count, blocks = _mrd_blocks(q, n, t, h, budget)
+    (count, n, n+h) array of element codes in the smallest unsigned dtype,
+    filled in place by linalg.span_into."""
+    field, count, basis = _mrd_basis(q, n, t, h, budget)
     out = np.empty((count, n, n + h), dtype=np.min_scalar_type(q - 1))
-    for lo, block in zip(range(0, count, _CHUNK), blocks):
-        out[lo:lo + len(block)] = block
+    span_into(field, basis, out.reshape(count, n * (n + h)), _CHUNK)
     return out
 
 
@@ -142,11 +143,13 @@ def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, budget: int | None = DE
     The q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) form an MRD code with
     rank distance n - t; h = 0 is the square code.  Validation (including the budget check) happens at call time;
     indices are int64, so a code of more than 2^62 codewords is refused.
+    The codewords come from linalg.span_blocks, at most _CHUNK at a time.
     """
-    field, _count, blocks = _mrd_blocks(q, n, t, h, budget)
-    # span's entries are in range by construction: no per-entry check
+    field, _count, basis = _mrd_basis(q, n, t, h, budget)
+    # the kernel's entries are in range by construction: no per-entry check
     return (MatrixGF._of(field, tuple(map(tuple, rows)))
-            for block in blocks for rows in block.tolist())
+            for block in span_blocks(field, basis, _CHUNK)
+            for rows in block.reshape(-1, n, n + h).tolist())
 
 
 def _bounded_rank(field: GF, words: np.ndarray, r: int) -> np.ndarray:

@@ -8,10 +8,13 @@ CodeSet holds.  They read the code's sorted array of canonical bases
 (CodeSet.bases), and make Subspace values only for a witness.  Both read
 one table of each member's q^k vector codes, built in numpy the same way
 for every q: for a chunk of members, the vectors of each row space are its
-combinations sum_i c_i row_i, computed by linalg.span, the kernel that
-also enumerates MRD codewords, each encoded as its base-q code (coordinate
-c is digit c), in chunks of _CHUNK_BYTES.  Its entries take the smallest
-unsigned dtype that holds q^N - 1.
+combinations sum_i c_i row_i, each encoded as its base-q code (coordinate
+c is digit c).  linalg.span_into, the kernel that also builds MRD
+codewords, writes them into the table by doubling, one row at a time:
+vector c q^l + i is vector i plus c row_l, added carry-free (XOR of whole
+codes for p = 2, digit-wise mod p for odd p), with temporaries of about
+_CHUNK_BYTES.  Its entries take the smallest unsigned dtype that holds
+q^N - 1.
 
 The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
 meet in dimension at least j exactly when some j-subspace lies in both, so
@@ -61,7 +64,7 @@ import math
 
 from ._numpy import np
 from .construct import CodeSet, bases_dtype, distinct_neighbours
-from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, span
+from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, span_into
 from .rankdist import gaussian_binomial
 
 SAMPLED_PAIRS = 1_000_000
@@ -81,37 +84,24 @@ def _witness(field, bases, pair):
 _CHUNK_BYTES = 1 << 18
 
 
-def _member_vectors(field, ambient_dim, bases):
-    """Yield (lo, c, codes) for chunks of the members of the (M, k, N) bases.
-
-    codes[i, c'] is the base-q code of sum_l c_l row_l over the basis of
-    member lo + i, c_l being base-q digit l of c + c' (combination 0 is the
-    zero vector).  A member whose q^k combinations overflow one chunk
-    spreads them over several.
-    """
-    q, n, k = field.order, ambient_dim, bases.shape[1]
-    place = q ** np.arange(n, dtype=np.int64)  # coordinate c is base-q digit c
-    per_vector = 8 * (2 * n * field.m + n + 1)
-    width = min(q ** k, max(1, _CHUNK_BYTES // per_vector))  # combinations per chunk
-    step = max(1, _CHUNK_BYTES // (per_vector * width))  # members per chunk
-    for lo in range(0, len(bases), step):
-        for c in range(0, q ** k, width):
-            combos = np.arange(c, min(c + width, q ** k))
-            yield lo, c, span(field, bases[lo:lo + step], combos) @ place
-
-
 def _table_bytes(q, ambient_dim, members, dim):
     """Bytes of the _vector_table of that many dim-dimensional members (q^N <= 2^63)."""
     return members * q ** dim * np.min_scalar_type(q ** ambient_dim - 1).itemsize
 
 
 def _vector_table(field, ambient_dim, bases):
-    """Row i: the q^k vector codes of member i of the (M, k, N) bases (see
-    _member_vectors), in the smallest unsigned dtype holding q^N - 1."""
-    table = np.empty((len(bases), field.order ** bases.shape[1]),
-                     dtype=np.min_scalar_type(field.order ** ambient_dim - 1))
-    for lo, c, codes in _member_vectors(field, ambient_dim, bases):
-        table[lo:lo + len(codes), c:c + codes.shape[1]] = codes
+    """Row i: the q^k vector codes of member i of the (M, k, N) bases, in the
+    smallest unsigned dtype holding q^N - 1.  Entry c is the base-q code of
+    sum_l c_l row_l, c_l being base-q digit l of c (entry 0 is the zero
+    vector).  linalg.span_into writes them into the table, a chunk of members
+    and a block of combinations at a time."""
+    q, n, k = field.order, ambient_dim, bases.shape[1]
+    table = np.empty((len(bases), q ** k), dtype=np.min_scalar_type(q ** n - 1))
+    per_vector = 3 * n * field.m + 8  # bytes of the kernel's temporaries, p < 128
+    width = min(q ** k, max(1, _CHUNK_BYTES // per_vector))  # combinations per block
+    step = max(1, _CHUNK_BYTES // (per_vector * width))  # members per chunk
+    for lo in range(0, len(bases), step):
+        span_into(field, bases[lo:lo + step], table[lo:lo + step, :, None], width)
     return table
 
 
@@ -148,7 +138,7 @@ def _subspace_indices(field, dim: int, j: int) -> np.ndarray:
     s-th canonical j x dim basis C, in enumerate_bases order.
 
     Read as coefficient indices into a member's vector codes (see
-    _member_vectors), they pick the rows of C B, B the member's canonical
+    _vector_table), they pick the rows of C B, B the member's canonical
     basis; B's pivot columns carry C, so C B is canonical too.
     """
     out = _INDEX_CACHE.get((field, dim, j))

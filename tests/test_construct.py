@@ -553,8 +553,8 @@ def test_budget_errors_come_before_any_array(monkeypatch):
 
     u_code, q_matrices = LINKAGE["q2-n2"]()
     v_code = grassmannian_code(2, 4, 2)
-    for owner, name in [(construct, "mrd_array"), (construct, "rref_batch"), (qpoly, "span"),
-                        (qpoly, "rref_batch"), (linalg, "span"), (np, "empty"),
+    for owner, name in [(construct, "mrd_array"), (construct, "rref_batch"), (qpoly, "span_into"),
+                        (qpoly, "span_blocks"), (qpoly, "rref_batch"), (linalg, "span_blocks"), (np, "empty"),
                         (np, "concatenate"), (np, "array"), (construct, "enumerate_bases")]:
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(BudgetError, match="construction would produce 4096 members"):

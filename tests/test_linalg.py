@@ -18,10 +18,12 @@ from cdcodes.linalg import (
     intersection_dim,
     is_canonical_basis,
     rref_batch,
-    span,
+    span_blocks,
+    span_into,
     subspace_distance,
     subspace_from_rows,
 )
+from span_reference import span_product
 from vector_oracle import encode_vector, subspace_vectors
 
 F2 = GF(2)
@@ -297,6 +299,9 @@ def test_canonical_batch_matches_the_per_matrix_check_beyond_int64(p, monkeypatc
     check()
 
 
+SPAN_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25])
 def test_span_matches_a_fold_through_the_field(q):
     # sum_i c_i row_i with c_i base-q digit i of the index, against field.add/mul
@@ -304,15 +309,67 @@ def test_span_matches_a_fold_through_the_field(q):
     rng = np.random.default_rng(q)
     for r in (0, 1, 3):
         rows = rng.integers(0, q, size=(2, r, 5))  # a batch of two row sets
-        idx = rng.permutation(q ** r)[:7][::-1]  # non-contiguous, unsorted
-        out = span(field, rows, idx)
-        assert out.shape == (2, len(idx), 5)
-        for b, i in itertools.product(range(2), range(len(idx))):
+        out = span_into(field, rows, np.empty((2, q ** r, 5), np.min_scalar_type(q - 1)), 7)
+        idx = rng.permutation(q ** r)[:7]
+        for b, i in itertools.product(range(2), idx.tolist()):
             acc = [0] * 5
             for digit, row in enumerate(rows[b].tolist()):
-                c = int(idx[i]) // q ** digit % q
+                c = i // q ** digit % q
                 acc = [field.add(a, field.mul(c, x)) for a, x in zip(acc, row)]
             assert out[b, i].tolist() == acc
+
+
+def check_span_kernel(field, rows, block):
+    """span_into and span_blocks against the product reference: element codes,
+    codes of coordinate groups, and whole-vector codes."""
+    q, (*batch, r, length) = field.order, rows.shape
+    expected = span_product(field, rows, np.arange(q ** r))
+    dtype = np.min_scalar_type(q - 1)
+    out = np.empty((*batch, q ** r, length), dtype)
+    assert span_into(field, rows, out, block) is out and np.array_equal(out, expected)
+    blocks = list(span_blocks(field, rows, block))
+    assert all(b.dtype == dtype and b.shape[-2] <= max(block, 1) for b in blocks)
+    assert np.array_equal(np.concatenate(blocks, axis=-2), expected)
+    for width in [w for w in (1, 2) if length % w == 0]:
+        g = length // width
+        place = q ** np.arange(g, dtype=np.int64)
+        codes = expected.reshape(*batch, q ** r, width, g) @ place
+        out = np.empty((*batch, q ** r, width), np.min_scalar_type(q ** g - 1))
+        assert np.array_equal(span_into(field, rows, out, block), codes)
+
+
+@pytest.mark.parametrize("q", SPAN_QS)
+def test_span_kernel_matches_the_product_reference(q):
+    field = field_of_order(q)
+    rng = np.random.default_rng(100 + q)
+    for r in (0, 1, 3):
+        for batch in ((), (3,), (2, 2)):
+            rows = rng.integers(0, q, size=(*batch, r, 4))
+            if r == 3:  # a repeated row, and zero rows in some row sets
+                rows[..., 1, :] = rows[..., 0, :]
+                rows.reshape(-1, r, 4)[::2, 2] = 0
+            for block in (1, field.p, 10, q ** r):  # one-combination blocks up to 4096 combinations
+                if block > 1 or q ** r <= 4096:
+                    check_span_kernel(field, rows, block)
+
+
+@st.composite
+def row_sets(draw):
+    """A batch of row sets over GF(q), q in SPAN_QS, with zeros often, and a block size."""
+    field = field_of_order(draw(st.sampled_from(SPAN_QS)))
+    q = field.order
+    r = draw(st.integers(0, 3 if q < 16 else 2))
+    length, count = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    entry = st.integers(0, q - 1) | st.just(0)
+    rows = draw(st.lists(st.lists(st.lists(entry, min_size=length, max_size=length),
+                                  min_size=r, max_size=r), min_size=count, max_size=count))
+    return field, np.array(rows, dtype=np.int64).reshape(count, r, length), draw(st.integers(0, 40))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(row_sets())
+def test_span_kernel_agrees_with_the_reference_on_random_row_sets(case):
+    check_span_kernel(*case)
 
 
 @st.composite

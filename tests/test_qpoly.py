@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cdcodes.qpoly import (
     mrd_array,
 )
 from cdcodes.rankdist import filtration_size
+from span_reference import span_product
 
 
 def test_evaluate_identity_and_zero():
@@ -87,14 +89,14 @@ def test_enumerate_mrd_counts_and_order():
                                      (8, 2, 1, 0), (9, 2, 1, 0), (2, 2, 1, 1), (3, 2, 1, 2),
                                      (4, 2, 0, 1)])
 def test_enumerate_mrd_matches_per_map_matrices(q, n, t, h, monkeypatch):
-    # the span stream agrees with evaluating every map of the odometer
+    # the kernel's stream agrees with evaluating every map of the odometer
     ext, big = extension_field(q, n), extension_field(q, n + h)
     whole = list(enumerate_mrd(q, n, t, h=h))
     assert len(whole) == big.order ** (t + 1)
     for idx, m in enumerate(whole):
         coeffs = [idx // big.order ** i % big.order for i in range(t + 1)]
         assert m == QPolynomial(ext, coeffs, big).to_matrix()
-    # a chunk size that divides no code's length: the last chunk is short
+    # a chunk size that is no power of p: blocks of the largest power of p within it
     monkeypatch.setattr(qpoly, "_CHUNK", 7)
     assert list(enumerate_mrd(q, n, t, h=h)) == whole
 
@@ -105,12 +107,41 @@ def test_mrd_array_is_the_enumerate_mrd_stream(q, n, t, h, monkeypatch):
     assert whole.dtype == np.uint8 and whole.shape == (q ** ((n + h) * (t + 1)), n, n + h)
     assert [MatrixGF(field_of_order(q), m) for m in whole.tolist()] == list(
         enumerate_mrd(q, n, t, h=h))
-    monkeypatch.setattr(qpoly, "_CHUNK", 5)  # divides no code's length: the last chunk is short
+    monkeypatch.setattr(qpoly, "_CHUNK", 5)  # no power of p: blocks of the largest within it
     assert (mrd_array(q, n, t, h=h) == whole).all()
 
 
+@pytest.mark.parametrize("q,n,t,h", [(2, 3, 2, 0), (3, 3, 1, 0), (4, 2, 1, 0), (5, 2, 1, 0),
+                                     (7, 2, 0, 1), (8, 2, 1, 0), (9, 2, 0, 1), (16, 2, 0, 1),
+                                     (25, 1, 0, 1), (3, 2, 1, 1), (2, 2, 1, 2)])
+def test_mrd_codewords_match_the_product_reference(q, n, t, h, monkeypatch):
+    # codeword idx is sum_d digit_d(idx) B_d over the basis matrices B_d
+    field, count, basis = qpoly._mrd_basis(q, n, t, h, None)
+    expected = span_product(field, basis, np.arange(count)).reshape(count, n, n + h)
+    for chunk in (qpoly._CHUNK, 100, 3, 1):  # 1: every codeword is a block of its own
+        monkeypatch.setattr(qpoly, "_CHUNK", chunk)
+        assert np.array_equal(mrd_array(q, n, t, h=h), expected)
+        assert [m.rows for m in enumerate_mrd(q, n, t, h=h)] == [
+            tuple(map(tuple, m)) for m in expected.tolist()]
+
+
+@pytest.mark.parametrize("q,n,t,h", [(2, 5, 2, 0), (4, 3, 2, 0), (3, 3, 2, 0), (5, 2, 1, 1)])
+def test_mrd_array_peaks_within_its_output_and_one_chunk(q, n, t, h):
+    # the codewords are written into the output a block at a time: beside it
+    # the build holds less than _CHUNK codewords of int64 entries
+    mrd_array(q, n, t, h=h)  # fields and their tables are cached outside the trace
+    tracemalloc.start()
+    try:
+        out = mrd_array(q, n, t, h=h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes >= 16 * qpoly._CHUNK * n * (n + h)  # the output outweighs a chunk
+    assert peak < out.nbytes + 8 * qpoly._CHUNK * n * (n + h)
+
+
 def test_enumerate_mrd_skips_the_entry_checks(monkeypatch):
-    # span's entries are in range by construction; MatrixGF(field, rows) still checks
+    # the kernel's entries are in range by construction; MatrixGF(field, rows) still checks
     def checked(self, field, rows):
         raise AssertionError("codeword entries re-checked")
 

@@ -32,6 +32,7 @@ import cdcodes.construct as construct
 import cdcodes.gf as gf
 import cdcodes.verify as verify
 from subspace_codes import code_of
+from span_reference import span_product
 from vector_oracle import subspace_vectors
 
 
@@ -272,6 +273,23 @@ def test_masks_match_the_vectors_reference(q, monkeypatch):
         assert fast == (masked_pair_scan(code), masked_sampled(code, 2000, q))  # witnesses too
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
+def test_vector_table_matches_the_product_reference(q, monkeypatch):
+    # entry c of row i is combination c of member i's rows, as a base-q vector code
+    field = field_of_order(q)
+    rng = np.random.default_rng(q)
+    for n, k in ((0, 0), (3, 0), (3, 1), (4, 2), (5, 3)):
+        bases = rng.integers(0, q, size=(6, k, n)).astype(np.uint8)
+        bases[::3] = 0  # zero rows
+        expected = span_product(field, bases, np.arange(q ** k)) @ q ** np.arange(n, dtype=np.int64)
+        for chunk_bytes in (verify._CHUNK_BYTES, 3000, 1):  # chunks of members, of combinations
+            if chunk_bytes == 1 and q ** k > 4096:
+                continue  # one combination a block: 15,625 blocks a member
+            monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
+            table = verify._vector_table(field, n, bases)
+            assert table.dtype == np.min_scalar_type(q ** n - 1) and np.array_equal(table, expected)
+
+
 def fixture_codes():
     codes = [lifted_mrd_code(2, 2, 1), grassmannian_code(2, 4, 2), grassmannian_code(3, 3, 1),
              multiblock_parallel_mrd(2, 2, 1, 1), multiblock_parallel_mrd(2, 2, 1, 2),
@@ -426,8 +444,8 @@ def test_sampled_agrees_with_the_masked_reference_on_random_codes(monkeypatch, c
 
 def record_vector_builds(monkeypatch):
     calls = []
-    vectors = verify._member_vectors
-    monkeypatch.setattr(verify, "_member_vectors", lambda *a: calls.append(a) or vectors(*a))
+    kernel = verify.span_into
+    monkeypatch.setattr(verify, "span_into", lambda *a: calls.append(a) or kernel(*a))
     return calls
 
 
