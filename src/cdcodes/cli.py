@@ -15,17 +15,24 @@ Code files are JSON lines (UTF-8).  The first line is a header::
      "claimed_distance": ..., "provenance": {...}, "count": ...}
 
 followed by one line per member: the RREF basis as an array of rows, each
-row an array of integer element codes.  The writer prints the code's
-bases array, which CodeSet keeps in canonical sorted order, one %-template
-per chunk of lines, so identical codes produce identical files.  The reader
-skips blank lines and checks, for each member line in this order, that it
-is JSON, a list of rows of length N, made of integers (not floats or
-booleans) in [0, q), the canonical full-rank RREF basis of its row space
-(``[]`` for the zero subspace), and k rows long; then that the header
-count matches.
-The first failing line is reported as "line L: <check>".  Lines are checked
-a chunk at a time, and one at a time only to find which line of a chunk
-failed.
+row an array of integer element codes.  The writer prints the code's bases
+array, which CodeSet keeps in canonical sorted order, so identical codes
+produce identical files.  It renders a chunk of lines at once: the line's
+byte template, with as many slots per entry as q - 1 has digits, is tiled
+over the members, each entry's decimal digits fill its slots, and the slots
+of leading zeros are dropped.  The reader skips blank lines and checks, for
+each member line in this order, that it is JSON, a list of rows of length
+N, made of integers (not floats or booleans) in [0, q), the canonical
+full-rank RREF basis of its row space (``[]`` for the zero subspace), and k
+rows long; then that the header count matches.
+The first failing line is reported as "line L: <check>".  Lines are read a
+chunk at a time.  A chunk equal to the rendering of its own digit runs is
+the writer's bytes for that array, and is read as one: its entries are
+checked against q on the array, and each member's canonical form and k
+rows one member at a time.  Any other chunk (valid JSON spaced otherwise,
+CRLF line ends, no final newline, members of no entries as k * N = 0) is
+checked as a whole after one JSON parse, and one line at a time only to
+find which line failed.
 
 Numeric tables are CSV with columns ``A_q(n,d,k), new, old, formula``; the
 best-known registry is CSV with header ``q,n,d,k,value,source``.
@@ -74,7 +81,10 @@ _chain = itertools.chain.from_iterable
 # ----------------------------------------------------------------------
 
 _WRITE_CHUNK = 4096  # member lines per write
-_READ_CHUNK = 64  # member lines per parse when reading; larger chunks read no faster
+# Member lines per read.  On the 729- and 855-member bench files, 64 lines read
+# 4-6 % slower, and 256 or more read at most 3 % faster but peak 60 % higher
+# in tracemalloc.
+_READ_CHUNK = 128
 # Non-blank lines that each hold one JSON list of lists of integer tokens.  Every
 # member line the per-line checks accept has this form, and a line of this form
 # that parses as JSON within its chunk parses alone to the same value.  Each
@@ -88,7 +98,43 @@ _MEMBER_LINES = re.compile(rf"(?:{_LINE}\n)*(?:{_LINE})?")
 @functools.cache
 def _line_format(dim: int, n: int) -> str:
     """One member line's JSON text with %d for each entry."""
-    return "[" + ", ".join(["[" + ", ".join(["%d"] * n) + "]"] * dim) + "]\n"
+    row = "[" + ", ".join(["%d"] * n) + "]" if dim else ""  # dim = 0: "[]" whatever n is
+    return "[" + ", ".join([row] * dim) + "]\n"
+
+
+@functools.cache
+def _line_template(dim: int, n: int, width: int) -> tuple:
+    """The bytes of _line_format(dim, n) with width NUL slots in place of each
+    %d, as a uint8 array, and the offsets of those slots."""
+    line = np.frombuffer(_line_format(dim, n).replace("%d", "\0" * width).encode(), np.uint8)
+    return line, np.flatnonzero(line == 0)
+
+
+def _entry_width(q: int) -> int:
+    """Digits of the widest entry, q - 1."""
+    return len(str(q - 1))
+
+
+def _render(bases, width: int) -> bytes:
+    """The member lines of bases, an (M, k, N) array of entries of at most
+    width digits: _line_format's text with each entry in decimal.
+
+    The line template is tiled over the members and each entry's digits fill
+    its width slots, most significant first.  The slots of leading zeros stay
+    NUL and are dropped with the rest.  The digits come from integer division,
+    which serves every entry type, uint64 and an object array's Python ints.
+    """
+    count, dim, n = bases.shape
+    line, slots = _line_template(dim, n, width)
+    lines = np.tile(line, (count, 1))
+    digits = np.empty((count, dim * n, width), np.uint8)
+    rest = bases.reshape(count, dim * n)
+    for j in reversed(range(width)):
+        digit = rest % 10 + 48
+        digits[..., j] = digit if j == width - 1 else digit * (rest > 0)
+        rest = rest // 10
+    lines[:, slots] = digits.reshape(count, dim * n * width)
+    return lines.tobytes().replace(b"\0", b"")
 
 
 def write_codeset(code: CodeSet, fh) -> None:
@@ -104,10 +150,9 @@ def write_codeset(code: CodeSet, fh) -> None:
         "count": len(code),
     }
     fh.write(json.dumps(header, sort_keys=True) + "\n")
+    width = _entry_width(code.q)
     for lo in range(0, len(code), _WRITE_CHUNK):
-        chunk = code.bases[lo:lo + _WRITE_CHUNK]
-        template = _line_format(code.dim, code.ambient_dim) * len(chunk)
-        fh.write(template % tuple(chunk.ravel().tolist()))
+        fh.write(_render(code.bases[lo:lo + _WRITE_CHUNK], width).decode("ascii"))
 
 
 def _all_ints(values) -> bool:
@@ -140,15 +185,25 @@ def _line_error(field: GF, n: int, k: int, line: str) -> str | None:
     return None
 
 
+def _canonical_members(field: GF, k: int, members: list) -> bool:
+    """True if each member, a list of rows of entries in [0, q), is a canonical
+    basis of k rows: subspace_from_rows keeps a canonical basis as it is, so a
+    basis that comes back changed is not canonical."""
+    for member in members:
+        basis = tuple(map(tuple, member))
+        s = subspace_from_rows(MatrixGF._of(field, basis))
+        if s.basis != basis or len(basis) != k:
+            return False
+    return True
+
+
 def _chunk_members(field: GF, n: int, k: int, texts: list[str]) -> list | None:
     """The members on the non-blank lines in texts, each a list of its k rows,
     or None if any line fails a check.
 
     The lines are checked together: one pattern match for their form, one
-    json.loads of them joined, one pass over all rows for length n and one
-    over their distinct entries for the range [0, q).  subspace_from_rows
-    then keeps each canonical basis as it is, so a basis that comes back
-    changed is not canonical.
+    json.loads of them joined, one pass over all rows for length n, one over
+    their distinct entries for the range [0, q) and _canonical_members.
     """
     if not _MEMBER_LINES.fullmatch("".join(texts)):
         return None
@@ -161,23 +216,69 @@ def _chunk_members(field: GF, n: int, k: int, texts: list[str]) -> list | None:
     if not ({n}.issuperset(map(len, rows))
             and 0 <= min(entries, default=0) and max(entries, default=0) < field.order):
         return None
-    for member in parsed:
-        basis = tuple(map(tuple, member))
-        s = subspace_from_rows(MatrixGF._of(field, basis))
-        if s.basis != basis or len(basis) != k:
-            return None
-    return parsed
+    return parsed if _canonical_members(field, k, parsed) else None
 
 
-def _read_members(field: GF, n: int, k: int, lines: list[str], lineno: int) -> list:
-    """_chunk_members of a chunk of lines, the first numbered lineno; blank lines are skipped.
+def _digit_runs(data: bytes, count: int, dtype, width: int):
+    """The count runs of decimal digits in data as a flat array of dtype, each
+    read from its last width digits; None if data holds another number of runs.
 
-    The chunk is checked as a whole, and line by line only to name the
+    A run of more digits, or of a value past dtype, reads as some other value
+    (the sum wraps), which the caller's comparison with the rendering refuses.
+    """
+    digit = np.empty(width + len(data), np.uint8)
+    digit[:width] = 10  # not a digit: every run starts inside data
+    np.subtract(np.frombuffer(data, np.uint8), 48, out=digit[width:])  # other bytes wrap past 9
+    run = digit < 10
+    end = run[:-1] > run[1:]  # the last digit of each run; member lines end in "]"
+    if np.count_nonzero(end) != count:
+        return None
+    values, inside = digit[:-1][end].astype(dtype), True
+    for j in range(1, width):  # the digit j places before each run's last
+        inside = inside & run[:-1 - j][end[j:]]
+        values += (digit[:-1 - j][end[j:]] * inside).astype(dtype) * 10 ** j
+    return values
+
+
+def _writer_array(field: GF, n: int, k: int, texts: list[str]):
+    """The members on the lines in texts as one (len(texts), k, n) array of
+    entries in [0, q), if the lines are the writer's bytes for it; None if not.
+
+    The lines' digit runs are parsed in one pass and the array is rendered
+    back: only text equal to that rendering is taken, and its JSON parse is
+    that array by construction, so a misread can only send the lines on to
+    _chunk_members.
+    """
+    if not texts or k * n == 0:
+        # the line template is as long as the header's k and n say, and a line
+        # of no entries cannot bound them; such a code has at most one member
+        return None
+    data = "".join(texts).encode("ascii", "replace")  # the writer's bytes are ASCII
+    width, shape = _entry_width(field.order), (len(texts), k, n)
+    values = _digit_runs(data, len(texts) * k * n, bases_dtype(field), width)
+    if (values is None or _render(values.reshape(shape), width) != data
+            or values.max(initial=0) >= field.order):
+        return None
+    return values.reshape(shape)
+
+
+def _read_members(field: GF, n: int, k: int, lines: list[str], lineno: int):
+    """The members on a chunk of lines, the first numbered lineno, as one
+    (M, k, n) array of bases_dtype(field); blank lines are skipped.
+
+    Lines in the writer's bytes are read as an array, whose members then pass
+    the canonical-form and k-row checks of _canonical_members.  Other lines are
+    checked as a whole by _chunk_members, and line by line only to name the
     first line that fails.
     """
-    members = _chunk_members(field, n, k, [line for line in lines if line.strip()])
+    texts = list(filter(str.strip, lines))
+    bases = _writer_array(field, n, k, texts)
+    if bases is not None and _canonical_members(field, k, bases.tolist()):
+        return bases
+    members = _chunk_members(field, n, k, texts)
     if members is not None:
-        return members
+        flat = np.fromiter(_chain(_chain(members)), bases_dtype(field), count=len(members) * k * n)
+        return flat.reshape(len(members), k, n)
     for at, line in enumerate(lines, start=lineno):
         error = line.strip() and _line_error(field, n, k, line)
         if error:
@@ -210,17 +311,14 @@ def read_codeset(fh) -> CodeSet:
     field = GF(header["p"], header["m"], tuple(header["moduli"]))
     if field.order != header["q"]:
         raise ValueError("header q does not match p^m")
-    n, k, dtype = header["N"], header["k"], bases_dtype(field)
-    parts, count = [], 0
-    lineno = 2
+    n, k = header["N"], header["k"]
+    parts, lineno = [np.zeros((0, k, n), bases_dtype(field))], 2
     while lines := list(itertools.islice(fh, _READ_CHUNK)):
-        members = _read_members(field, n, k, lines, lineno)
-        parts.append(np.fromiter(_chain(_chain(members)), dtype, count=len(members) * k * n))
-        count += len(members)
+        parts.append(_read_members(field, n, k, lines, lineno))
         lineno += len(lines)
-    if count != header["count"]:
-        raise ValueError(f"header count {header['count']} does not match {count} member lines")
-    bases = np.concatenate([np.zeros(0, dtype)] + parts).reshape(count, k, n)
+    bases = np.concatenate(parts)
+    if len(bases) != header["count"]:
+        raise ValueError(f"header count {header['count']} does not match {len(bases)} member lines")
     return CodeSet(field, n, k, header["claimed_distance"], bases, provenance)
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cdcodes import bounds, cli, tables, verify
+from cdcodes import bounds, cli, construct, gf, tables, verify
 from cdcodes.cli import main, read_codeset, write_codeset
-from cdcodes.construct import CodeSet, grassmannian_code, lifted_mrd_code, multiblock_parallel_mrd
+from cdcodes.construct import (CodeSet, bases_dtype, grassmannian_code, lifted_mrd_code,
+                               multiblock_parallel_mrd)
 from cdcodes.gf import field_of_order
 from cdcodes.linalg import Subspace
+from codefile_reference import percent_member_lines
 
 
 def run_cli(capsys, *argv):
@@ -429,16 +432,20 @@ def reversed_planes(q):
     (grassmannian_code, (2, 3, 0)),  # one 0-dimensional member
     (lambda: CodeSet(field_of_order(2), 4, 2, 2, np.zeros((0, 2, 4), np.uint8)), ()),  # none
     (reversed_planes, (3,)),  # written in sorted order
+    (lifted_mrd_code, (4, 2, 0)),
+    (grassmannian_code, (2, 0, 0)),  # one member of no rows in an ambient space of none
 ])
 def test_written_member_lines_are_the_json_text(monkeypatch, build, args):
     code = build(*args)
-    buf = io.StringIO()
-    monkeypatch.setattr(cli, "_WRITE_CHUNK", 10)  # several chunks
-    write_codeset(code, buf)
-    header, members = buf.getvalue().split("\n", 1)
-    assert members == json_lines(code) and list(code.members) == sorted(code.members)
-    assert json.loads(header)["count"] == len(code)
-    assert read_codeset(io.StringIO(buf.getvalue())).members == code.members
+    assert list(code.members) == sorted(code.members)
+    for chunk in (1, 7, 10, 4096):  # one member a chunk, several chunks, one chunk
+        buf = io.StringIO()
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+        write_codeset(code, buf)
+        header, members = buf.getvalue().split("\n", 1)
+        assert members == json_lines(code) == percent_member_lines(code.bases, chunk)
+        assert json.loads(header)["count"] == len(code)
+        assert read_codeset(io.StringIO(buf.getvalue())).members == code.members
 
 
 @pytest.mark.parametrize("convert, shown", [
@@ -458,6 +465,97 @@ def test_writer_refuses_entries_that_are_not_plain_ints(convert, shown):
     write_codeset(CodeSet(code.field, 4, 2, 2, code.bases.astype(np.int64), code.provenance),
                   buf)
     assert buf.getvalue() == expected.getvalue()
+
+
+def large_prime_code(p, monkeypatch):
+    """Two planes of GF(p)^4, p a prime near 2^64, with entries up to p - 1;
+    is_prime is trial division and would take about 2^31 steps to confirm p."""
+    monkeypatch.setattr(gf, "is_prime", lambda n: n == p)
+    field = gf.GF(p)
+    bases = [[[1, 0, 0, 9], [0, 1, 2 ** 63, 1]], [[1, 0, p - 1, 10 ** 19], [0, 1, 0, p - 2]]]
+    return CodeSet(field, 4, 2, 2, np.array(bases, dtype=bases_dtype(field)))
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 2**64 + 13])
+def test_codes_beyond_int64_write_as_the_reference_and_read_back(monkeypatch, p):
+    # entries held as uint64 below 2^64 and as Python ints in an object array above
+    code = large_prime_code(p, monkeypatch)
+    assert code.bases.dtype == (object if p > 2**64 else np.uint64)
+    for chunk in (1, 4096):
+        buf = io.StringIO()
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+        write_codeset(code, buf)
+        members = buf.getvalue().split("\n", 1)[1]
+        assert members == json_lines(code) == percent_member_lines(code.bases, chunk)
+    back = read_codeset(io.StringIO(buf.getvalue()))
+    assert back.bases.dtype == code.bases.dtype and back.bases.tolist() == code.bases.tolist()
+
+
+class LengthOnly:
+    """A text file that keeps only the length of what is written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def traced_peak(fn) -> int:
+    """The most memory fn's allocations held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k, n, line, result", [
+    (0, 10**7, "[]", 1),
+    (10**7, 0, "[[]]", "line 2: basis is not a canonical full-rank RREF"),
+], ids=["k0", "N0"])
+def test_a_header_of_many_rows_or_columns_and_no_entries_costs_the_reader_nothing(k, n, line, result):
+    # a member of k rows of n entries, with k * n = 0, is written without entries,
+    # so the size of the header's k or N must not set the size of what a read builds
+    header = {"q": 2, "p": 2, "m": 1, "moduli": [1, 1], "N": n, "k": k, "claimed_distance": 2, "count": 1}
+    text = json.dumps(header) + "\n" + line + "\n"
+    found = []
+
+    def read():
+        try:
+            found.append(len(read_codeset(io.StringIO(text))))
+        except ValueError as exc:
+            found.append(str(exc))
+
+    assert traced_peak(read) < 1 << 20 and found == [result]
+
+
+def test_code_file_io_peaks_within_the_bases_and_one_chunk(tmp_path, monkeypatch):
+    # a 2 MB file of 53 chunks: a whole-file temporary is over each bound, and
+    # so is one of 8 bytes for each digit of a chunk
+    code = lifted_mrd_code(16, 2, 1)
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 1024)
+    monkeypatch.setattr(cli, "_READ_CHUNK", 1024)
+    chunk = 1024 * len(cli._line_format(2, 4) % ((15,) * 8))  # 1,024 of the widest member lines
+    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk)  # CodeSet checks the array in chunks too
+    path = tmp_path / "code.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_codeset(code, fh)
+    assert path.stat().st_size > 50 * chunk
+    write_codeset(code, LengthOnly())  # line templates are cached outside the trace
+
+    def read():
+        with open(path, encoding="utf-8") as fh:
+            return read_codeset(fh)
+
+    read()
+    assert traced_peak(lambda: write_codeset(code, LengthOnly())) < 5 * chunk
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:1025]
+    assert traced_peak(lambda: cli._writer_array(code.field, 4, 2, lines)) < 6 * chunk
+    # beside the array pass, a read holds a chunk's members as Python lists for
+    # the per-member check, and CodeSet takes the chunks' arrays stacked into one
+    assert traced_peak(read) < 2 * code.bases.nbytes + 12 * chunk
 
 
 def test_construct_budget_exit_3(capsys):

@@ -7,13 +7,14 @@ import json
 import signal
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cdcodes import cli
 from cdcodes.cli import read_codeset, write_codeset
-from cdcodes.construct import CodeSet, lifted_mrd_code, multiblock_parallel_mrd
+from cdcodes.construct import CodeSet, grassmannian_code, lifted_mrd_code, multiblock_parallel_mrd
 from cdcodes.gf import GF
 from cdcodes.linalg import MatrixGF, Subspace, subspace_from_rows
 from subspace_codes import code_of
@@ -239,6 +240,55 @@ def test_valid_file_never_takes_the_per_line_checks(monkeypatch):
     monkeypatch.setattr(cli, "_READ_CHUNK", 7)
     code = read_codeset(io.StringIO(CODES["multiblock(2,2,1,1)"]))
     assert len(code) == 25 and calls == []
+
+
+WRITTEN = dict(CODES, **{  # more entry widths, a code of the zero subspace and an empty one
+    "lifted(16,2,0)": code_text(lifted_mrd_code(16, 2, 0)),
+    "lifted(251,1,0)": code_text(lifted_mrd_code(251, 1, 0)),
+    "grassmannian(2,3,0)": code_text(grassmannian_code(2, 3, 0)),
+    "empty": code_text(CodeSet(GF(3), 4, 2, 2, np.zeros((0, 2, 4), np.uint8))),
+})
+
+
+def chunk_members_calls(monkeypatch):
+    calls = []
+    chunk_members = cli._chunk_members
+    monkeypatch.setattr(cli, "_chunk_members", lambda *args: calls.append(args) or chunk_members(*args))
+    return calls
+
+
+def entries_per_member(text):
+    header = json.loads(text.split("\n", 1)[0])
+    return header["k"] * header["N"]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli._READ_CHUNK])
+@pytest.mark.parametrize("name", sorted(name for name in WRITTEN if entries_per_member(WRITTEN[name])))
+def test_files_in_the_writer_bytes_never_take_the_chunk_checks(monkeypatch, name, chunk):
+    # the writer's own bytes are read as an array: its rendering equals them.
+    # A member of no entries always takes the chunk checks (a code of one member)
+    def refuse(*args):
+        raise AssertionError("a chunk of the writer's bytes went to _chunk_members")
+
+    monkeypatch.setattr(cli, "_chunk_members", refuse)
+    monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+    code = read_codeset(io.StringIO(WRITTEN[name]))
+    assert code_text(code) == WRITTEN[name]
+
+
+@pytest.mark.parametrize("respell", [
+    lambda body: body.replace(", ", ","),
+    lambda body: body.replace("\n", "\r\n"),
+    lambda body: body[:-1],  # no final newline
+], ids=["respaced", "crlf", "no-final-newline"])
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_other_spellings_of_a_file_read_to_the_same_code_through_the_chunk_checks(
+        monkeypatch, name, respell):
+    header, body = WRITTEN[name].split("\n", 1)
+    text = header + "\n" + respell(body)
+    calls = chunk_members_calls(monkeypatch)
+    assert outcome(read_codeset, text) == outcome(read_codeset, WRITTEN[name])
+    assert bool(calls) == (text != WRITTEN[name] or not entries_per_member(text))
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
