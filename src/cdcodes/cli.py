@@ -26,13 +26,13 @@ N, made of integers (not floats or booleans) in [0, q), the canonical
 full-rank RREF basis of its row space (``[]`` for the zero subspace), and k
 rows long; then that the header count matches.
 The first failing line is reported as "line L: <check>".  Lines are read a
-chunk at a time.  A chunk equal to the rendering of its own digit runs is
-the writer's bytes for that array, and is read as one: its entries are
-checked against q on the array, and each member's canonical form and k
-rows one member at a time.  Any other chunk (valid JSON spaced otherwise,
-CRLF line ends, no final newline, members of no entries as k * N = 0) is
-checked as a whole after one JSON parse, and one line at a time only to
-find which line failed.
+chunk at a time, on one of two paths.  A chunk equal to the rendering of its
+own digit runs, or equal to it once space, tab and CR are left out of both,
+is the writer's bytes for that array in some JSON whitespace, and is read as
+one: its entries are checked against q on the array, and each member's
+canonical form and k rows one member at a time.  Every other chunk (a bad
+line, a ``-0``, members of no entries as k * N = 0) is read one line at a
+time by the checks above, which name the first line that fails.
 
 Numeric tables are CSV with columns ``A_q(n,d,k), new, old, formula``; the
 best-known registry is CSV with header ``q,n,d,k,value,source``.
@@ -50,7 +50,6 @@ import argparse
 import functools
 import itertools
 import json
-import re
 import sys
 
 from . import bounds as bounds_mod
@@ -85,16 +84,6 @@ _WRITE_CHUNK = 4096  # member lines per write
 # 4-6 % slower, and 256 or more read at most 3 % faster but peak 60 % higher
 # in tracemalloc.
 _READ_CHUNK = 128
-# Non-blank lines that each hold one JSON list of lists of integer tokens.  Every
-# member line the per-line checks accept has this form, and a line of this form
-# that parses as JSON within its chunk parses alone to the same value.  Each
-# whitespace run sits between two fixed tokens, so a line matches in one way
-# only and a failed match backtracks through each earlier line once.
-_ROW = r"\[[-0-9, \t\r]*\]"
-_LINE = rf"[ \t\r]*\[[ \t\r]*(?:{_ROW}(?:[ \t\r]*,[ \t\r]*{_ROW})*[ \t\r]*)?\][ \t\r]*"
-_MEMBER_LINES = re.compile(rf"(?:{_LINE}\n)*(?:{_LINE})?")
-
-
 @functools.cache
 def _line_format(dim: int, n: int) -> str:
     """One member line's JSON text with %d for each entry."""
@@ -160,29 +149,26 @@ def _all_ints(values) -> bool:
     return isinstance(values, list) and {int}.issuperset(map(type, values))
 
 
-def _line_error(field: GF, n: int, k: int, line: str) -> str | None:
-    """The first check one member line fails, in the order JSON, shape, integers,
-    range, canonical form, k rows; None if it passes them all."""
+def _line_member(field: GF, n: int, k: int, line: str) -> list:
+    """One member line's rows once they pass the checks in the order JSON,
+    shape, integers, range, canonical form, k rows; a ValueError names the
+    first check the line fails."""
     try:
-        rows = json.loads(line.rstrip("\r\n"))
+        rows = json.loads(line.rstrip("\r\n"))  # an int past str()'s digit limit is a ValueError
     except json.JSONDecodeError as exc:
-        return f"{exc.msg} (column {exc.pos + 1})"
+        raise ValueError(f"{exc.msg} (column {exc.pos + 1})") from None
     except RecursionError:
-        return "member is nested too deeply"
+        raise ValueError("member is nested too deeply") from None
     if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == n for r in rows):
-        return f"member is not a list of rows of length N={n}"
+        raise ValueError(f"member is not a list of rows of length N={n}")
     if not all(map(_all_ints, rows)):
-        return "member entries are not all integers"
-    try:
-        matrix = MatrixGF(field, rows)
-    except ValueError as exc:
-        return str(exc)
-    s = subspace_from_rows(matrix)
-    if s.basis != matrix.rows:
-        return "basis is not a canonical full-rank RREF"
+        raise ValueError("member entries are not all integers")
+    matrix = MatrixGF(field, rows)  # a ValueError for an entry outside [0, q)
+    if subspace_from_rows(matrix).basis != matrix.rows:
+        raise ValueError("basis is not a canonical full-rank RREF")
     if len(rows) != k:
-        return f"member has {len(rows)} rows, not k={k}"
-    return None
+        raise ValueError(f"member has {len(rows)} rows, not k={k}")
+    return rows
 
 
 def _canonical_members(field: GF, k: int, members: list) -> bool:
@@ -195,28 +181,6 @@ def _canonical_members(field: GF, k: int, members: list) -> bool:
         if s.basis != basis or len(basis) != k:
             return False
     return True
-
-
-def _chunk_members(field: GF, n: int, k: int, texts: list[str]) -> list | None:
-    """The members on the non-blank lines in texts, each a list of its k rows,
-    or None if any line fails a check.
-
-    The lines are checked together: one pattern match for their form, one
-    json.loads of them joined, one pass over all rows for length n, one over
-    their distinct entries for the range [0, q) and _canonical_members.
-    """
-    if not _MEMBER_LINES.fullmatch("".join(texts)):
-        return None
-    try:
-        parsed = json.loads("[" + ",".join(texts) + "]")
-    except ValueError:  # JSONDecodeError, or an int of more digits than str() allows
-        return None
-    rows = list(_chain(parsed))
-    entries = set(_chain(rows))
-    if not ({n}.issuperset(map(len, rows))
-            and 0 <= min(entries, default=0) and max(entries, default=0) < field.order):
-        return None
-    return parsed if _canonical_members(field, k, parsed) else None
 
 
 def _digit_runs(data: bytes, count: int, dtype, width: int):
@@ -242,22 +206,29 @@ def _digit_runs(data: bytes, count: int, dtype, width: int):
 
 def _writer_array(field: GF, n: int, k: int, texts: list[str]):
     """The members on the lines in texts as one (len(texts), k, n) array of
-    entries in [0, q), if the lines are the writer's bytes for it; None if not.
+    entries in [0, q), if the lines are the writer's bytes for it up to JSON
+    whitespace; None if not.
 
     The lines' digit runs are parsed in one pass and the array is rendered
-    back: only text equal to that rendering is taken, and its JSON parse is
-    that array by construction, so a misread can only send the lines on to
-    _chunk_members.
+    back.  The text is taken if it equals that rendering, or equals it once
+    space, tab and CR are removed from both.  Whitespace inside a number
+    splits its digit run, so every run is one number of the rendering, and
+    the text's JSON parse is that array by construction: a misread can only
+    send the lines on to the per-line checks.
     """
     if not texts or k * n == 0:
         # the line template is as long as the header's k and n say, and a line
         # of no entries cannot bound them; such a code has at most one member
         return None
     data = "".join(texts).encode("ascii", "replace")  # the writer's bytes are ASCII
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the last line of a file without a final newline
     width, shape = _entry_width(field.order), (len(texts), k, n)
     values = _digit_runs(data, len(texts) * k * n, bases_dtype(field), width)
-    if (values is None or _render(values.reshape(shape), width) != data
-            or values.max(initial=0) >= field.order):
+    if values is None or values.max(initial=0) >= field.order:
+        return None
+    rendered = _render(values.reshape(shape), width)
+    if rendered != data and rendered.translate(None, b" \t\r") != data.translate(None, b" \t\r"):
         return None
     return values.reshape(shape)
 
@@ -266,24 +237,23 @@ def _read_members(field: GF, n: int, k: int, lines: list[str], lineno: int):
     """The members on a chunk of lines, the first numbered lineno, as one
     (M, k, n) array of bases_dtype(field); blank lines are skipped.
 
-    Lines in the writer's bytes are read as an array, whose members then pass
-    the canonical-form and k-row checks of _canonical_members.  Other lines are
-    checked as a whole by _chunk_members, and line by line only to name the
-    first line that fails.
+    Lines in the writer's bytes, in any JSON whitespace, are read as an array,
+    whose members then pass the canonical-form and k-row checks of
+    _canonical_members.  Any other chunk is read one line at a time by
+    _line_member, which names the first line that fails.
     """
-    texts = list(filter(str.strip, lines))
-    bases = _writer_array(field, n, k, texts)
+    bases = _writer_array(field, n, k, list(filter(str.strip, lines)))
     if bases is not None and _canonical_members(field, k, bases.tolist()):
         return bases
-    members = _chunk_members(field, n, k, texts)
-    if members is not None:
-        flat = np.fromiter(_chain(_chain(members)), bases_dtype(field), count=len(members) * k * n)
-        return flat.reshape(len(members), k, n)
+    members = []
     for at, line in enumerate(lines, start=lineno):
-        error = line.strip() and _line_error(field, n, k, line)
-        if error:
-            raise ValueError(f"line {at}: {error}")
-    raise RuntimeError(f"lines {lineno}-{lineno + len(lines) - 1} fail a chunk check but no line check")
+        if line.strip():
+            try:
+                members.append(_line_member(field, n, k, line))
+            except ValueError as exc:
+                raise ValueError(f"line {at}: {exc}") from None
+    flat = np.fromiter(_chain(_chain(members)), bases_dtype(field), count=len(members) * k * n)
+    return flat.reshape(len(members), k, n)
 
 
 def read_codeset(fh) -> CodeSet:

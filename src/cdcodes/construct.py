@@ -147,12 +147,8 @@ def _collect(field, ambient_dim, dim, distance, bases, provenance, predicted, bu
     """The CodeSet of the distinct bases once their count is the predicted one; bases is a
     (count, dim, ambient_dim) array, or an iterable of bases.  Callers check the budget."""
     if not isinstance(bases, np.ndarray):
-        bases = list(bases)
-        short = next((b for b in bases if len(b) != dim), None)
-        if short is not None:
-            raise ConstructionError(f"member with dim {len(short)} in ambient {ambient_dim}, "
-                                    f"expected dim {dim} in ambient {ambient_dim}")
-        bases = np.array(bases, dtype=bases_dtype(field)).reshape(len(bases), dim, ambient_dim)
+        bases = np.array(list(bases), dtype=bases_dtype(field))
+        bases = bases.reshape(len(bases), dim, ambient_dim)
     code = CodeSet(field, ambient_dim, dim, distance, bases,
                    dict(provenance, predicted_size=predicted))
     keep = distinct_neighbours(code.bases)

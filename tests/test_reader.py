@@ -49,6 +49,8 @@ def reference_read_codeset(fh) -> CodeSet:
             rows = json.loads(line.rstrip("\r\n"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: {exc.msg} (column {exc.pos + 1})") from None
+        except ValueError as exc:  # an int past str()'s digit limit
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not isinstance(rows, list) or not all(
                 isinstance(r, list) and len(r) == header["N"] for r in rows):
             raise ValueError(f"line {lineno}: member is not a list of rows of length N={header['N']}")
@@ -88,13 +90,14 @@ def code_text(code):
     return buf.getvalue()
 
 
-CODES = {  # small files: N = 4 over GF(2) and GF(3), N = 6 over GF(2)
+CODES = {  # small files: N = 4 over GF(2) and GF(3), N = 6 over GF(2), two-digit entries
     "lifted(2,2,1)": code_text(lifted_mrd_code(2, 2, 1)),
+    "lifted(16,1,0)": code_text(lifted_mrd_code(16, 1, 0)),
     "lifted(3,2,1)": code_text(lifted_mrd_code(3, 2, 1)),
     "multiblock(2,2,1,1)": code_text(multiblock_parallel_mrd(2, 2, 1, 1)),
 }
 MUTATIONS = ["truncate", "split", "two_then_split", "entry", "blank", "delete", "swap_rows",
-             "drop_row", "widen_row", "empty_member", "not_a_list", "crlf"]
+             "drop_row", "widen_row", "empty_member", "not_a_list", "crlf", "space"]
 
 
 @st.composite
@@ -151,6 +154,9 @@ def mutated_files(draw):
                                              "[{}]\n"]))
         elif kind == "crlf":
             lines[i] = line.rstrip("\n") + draw(st.sampled_from(["\r\n", " \t\n", "\r"]))
+        elif kind == "space":  # between two tokens or inside a number
+            j = draw(st.integers(0, len(line.rstrip("\n"))))
+            lines[i] = line[:j] + draw(st.sampled_from([" ", "\t", "\r"])) + line[j:]
     if lines and draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\n")  # no final newline
     return header + "".join(lines)
@@ -194,6 +200,14 @@ def test_verify_answers_any_mutated_file_or_refuses_it_in_one_line(tmp_path, cap
         assert json.loads(out)["checks"][0]["actual"] == "0 offending members"
 
 
+def int_limit_error(digits):
+    """The message of the ValueError that parsing an int of that many digits raises."""
+    try:
+        int("1" * digits)
+    except ValueError as exc:
+        return str(exc)
+
+
 def two_members_then_a_split_member(lines):
     first, rest = lines[3].split(", [", 1)
     return lines[:1] + [lines[1].rstrip("\n") + "," + lines[2], first + "\n", "[" + rest] + lines[4:]
@@ -219,6 +233,9 @@ def two_members_then_a_split_member(lines):
     ("lifted(3,2,1)", lambda lines: [lines[0], "[[1, 0, 0, 5], [0, 1, 0, 0]]\n",
                                      f"[[{'1' * 5000}, 0, 0, 0], [0, 1, 0, 0]]\n"] + lines[3:],
      "line 2: entry 5 outside field of order 3"),  # line 3 is past the int digit limit
+    ("lifted(3,2,1)", lambda lines: [lines[0], f"[[{'1' * 5000}, 0, 0, 0], [0, 1, 0, 0]]\n",
+                                     "[[1, 0, 0, 5], [0, 1, 0, 0]]\n"] + lines[3:],
+     "line 2: " + int_limit_error(5000)),
 ])
 def test_reader_agrees_on_chosen_files(name, edit, result):
     text = "".join(edit(CODES[name].splitlines(keepends=True)))
@@ -233,10 +250,16 @@ def test_a_file_in_reverse_order_reads_as_the_sorted_code():
     assert code.members == lifted_mrd_code(3, 2, 1).members
 
 
-def test_valid_file_never_takes_the_per_line_checks(monkeypatch):
-    # the per-line checks run only to name the line of an error a chunk check found
+def line_member_calls(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "_line_error", lambda *args: calls.append(args))
+    line_member = cli._line_member
+    monkeypatch.setattr(cli, "_line_member", lambda *args: calls.append(args) or line_member(*args))
+    return calls
+
+
+def test_valid_file_never_takes_the_per_line_checks(monkeypatch):
+    # the per-line checks run only on a chunk that the array pass refuses
+    calls = line_member_calls(monkeypatch)
     monkeypatch.setattr(cli, "_READ_CHUNK", 7)
     code = read_codeset(io.StringIO(CODES["multiblock(2,2,1,1)"]))
     assert len(code) == 25 and calls == []
@@ -250,13 +273,6 @@ WRITTEN = dict(CODES, **{  # more entry widths, a code of the zero subspace and 
 })
 
 
-def chunk_members_calls(monkeypatch):
-    calls = []
-    chunk_members = cli._chunk_members
-    monkeypatch.setattr(cli, "_chunk_members", lambda *args: calls.append(args) or chunk_members(*args))
-    return calls
-
-
 def entries_per_member(text):
     header = json.loads(text.split("\n", 1)[0])
     return header["k"] * header["N"]
@@ -264,13 +280,13 @@ def entries_per_member(text):
 
 @pytest.mark.parametrize("chunk", [1, 7, cli._READ_CHUNK])
 @pytest.mark.parametrize("name", sorted(name for name in WRITTEN if entries_per_member(WRITTEN[name])))
-def test_files_in_the_writer_bytes_never_take_the_chunk_checks(monkeypatch, name, chunk):
+def test_files_in_the_writer_bytes_never_take_the_per_line_checks(monkeypatch, name, chunk):
     # the writer's own bytes are read as an array: its rendering equals them.
-    # A member of no entries always takes the chunk checks (a code of one member)
+    # A member of no entries always takes the per-line checks (a code of one member)
     def refuse(*args):
-        raise AssertionError("a chunk of the writer's bytes went to _chunk_members")
+        raise AssertionError("a line of the writer's bytes went to _line_member")
 
-    monkeypatch.setattr(cli, "_chunk_members", refuse)
+    monkeypatch.setattr(cli, "_line_member", refuse)
     monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
     code = read_codeset(io.StringIO(WRITTEN[name]))
     assert code_text(code) == WRITTEN[name]
@@ -278,17 +294,20 @@ def test_files_in_the_writer_bytes_never_take_the_chunk_checks(monkeypatch, name
 
 @pytest.mark.parametrize("respell", [
     lambda body: body.replace(", ", ","),
+    lambda body: body.replace(", ", ",\t").replace("[[", " [ [").replace("\n", " \r\n"),
     lambda body: body.replace("\n", "\r\n"),
     lambda body: body[:-1],  # no final newline
-], ids=["respaced", "crlf", "no-final-newline"])
+], ids=["respaced", "tabs", "crlf", "no-final-newline"])
 @pytest.mark.parametrize("name", sorted(WRITTEN))
-def test_other_spellings_of_a_file_read_to_the_same_code_through_the_chunk_checks(
+def test_other_spellings_of_a_file_read_to_the_same_code_through_the_array_pass(
         monkeypatch, name, respell):
+    # they differ from the writer's bytes in JSON whitespace only, so only a
+    # member of no entries takes the per-line checks
     header, body = WRITTEN[name].split("\n", 1)
     text = header + "\n" + respell(body)
-    calls = chunk_members_calls(monkeypatch)
+    calls = line_member_calls(monkeypatch)
     assert outcome(read_codeset, text) == outcome(read_codeset, WRITTEN[name])
-    assert bool(calls) == (text != WRITTEN[name] or not entries_per_member(text))
+    assert bool(calls) == (not entries_per_member(text))
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
