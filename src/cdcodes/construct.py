@@ -20,7 +20,9 @@ but the Grassmannian fills one such array in one _block_product call: the
 bases of all (S_0[i_0] | S_1[i_1] | ...) of each of its terms, blocks drawn
 from (count, k, n_j) arrays: MRD codewords from qpoly.mrd_array, an
 identity, or the bases of a smaller code.  (A | B) is canonical when A is,
-so only terms whose first block is not go through linalg.rref_batch.
+so only terms whose first block is not go through linalg.rref_batch, whose
+swap-free elimination packs GF(2) rows into words and holds other fields'
+entries as small unsigned digits; chunks are priced by linalg.rref_chunk.
 multiblock_generators and enumerate_mrd remain the per-member reference.
 _collect hands the array to CodeSet, whose sorted_bases call is the build's
 only sort, drops equal neighbours (copying only if any) and checks the count
@@ -37,13 +39,13 @@ from dataclasses import dataclass
 from ._numpy import np
 from .gf import GF, field_of_order
 from .linalg import (MatrixGF, Subspace, canonical_batch, enumerate_bases, rref_batch,
-                     subspace_from_rows)
+                     rref_chunk, subspace_from_rows)
 from .qpoly import (DEFAULT_BUDGET, BudgetError, _bounded_rank, check_degree,
                     enumerate_filtration, enumerate_mrd, mrd_array)
 from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, parallel_linkage_size
 
 
-_CHUNK_BYTES = 1 << 22  # int64 element digits of one chunk of member matrices
+_CHUNK_BYTES = 1 << 22  # bytes of one chunk of member matrices, checked or eliminated
 
 
 class ConstructionError(ValueError):
@@ -63,14 +65,18 @@ def _chunk(entries: int) -> int:
 def sorted_bases(bases: np.ndarray) -> np.ndarray:
     """bases in the order of their flattened entries, sorted only if out of
     it: Subspace.sort_key order for members of one dimension.  The order is
-    checked a chunk of neighbours at a time, so no temporary outgrows a chunk."""
+    checked a chunk of neighbours at a time, the first 64 of them, then twice
+    as many each time up to _chunk, so unsorted input, as every multi-term
+    build hands in, is found out early and no temporary outgrows a chunk."""
     flat = bases.reshape(len(bases), math.prod(bases.shape[1:]))
-    before, after, step = flat[:-1], flat[1:], _chunk(flat.shape[1])
-    for lo in range(0, len(before) if flat.shape[1] else 0, step):  # else all are 0-dimensional
+    before, after, most = flat[:-1], flat[1:], _chunk(flat.shape[1])
+    lo, step = 0, min(64, most)
+    while lo < (len(before) if flat.shape[1] else 0):  # else all are 0-dimensional
         b, a = before[lo:lo + step], after[lo:lo + step]
         at = (b != a).argmax(axis=1)[:, None]  # first differing entry, 0 if none
         if (np.take_along_axis(b, at, 1) > np.take_along_axis(a, at, 1)).any():
             return bases[np.lexsort(flat.T[::-1])]
+        lo, step = lo + step, min(2 * step, most)
     return bases
 
 
@@ -164,12 +170,13 @@ def _block_product(field, terms) -> np.ndarray:
     """The canonical bases of every (S_0[i_0] | S_1[i_1] | ...) of each term, a list of
     (count, k, n_j) arrays S_j, in one bases_dtype array: term after term, each in odometer
     order, the last block fastest.  (A | B) is canonical when A is, so chunks of
-    _CHUNK_BYTES of int64 digits go through rref_batch only in terms whose S_0 is not.
+    members that rref_batch holds in about _CHUNK_BYTES (linalg.rref_chunk) go
+    through it only in terms whose S_0 is not.
     """
     k, width = terms[0][0].shape[1], sum(s.shape[2] for s in terms[0])
     sizes = [math.prod(map(len, sources)) for sources in terms]
     out = np.empty((sum(sizes), k, width), dtype=bases_dtype(field))
-    step = _chunk(field.m * k * width)
+    step = rref_chunk(field, k, width, _CHUNK_BYTES)
     for sources, part in zip(terms, np.split(out, np.cumsum(sizes[:-1]))):
         canonical = canonical_batch(sources[0]).all()
         for lo in range(0, len(part), step):

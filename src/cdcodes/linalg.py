@@ -5,7 +5,17 @@ row space, which makes equality, hashing and set membership exact integer
 comparisons.  Elimination has two kernels that agree entry for entry:
 rref_batch runs on arrays of matrices in numpy, and _rref_generic runs on
 one matrix of Python ints, behind MatrixGF.rref/rank and intersection_dim,
-and is the reference rref_batch is tested against.  So do the two checks
+and is the reference rref_batch is tested against.  rref_batch's one loop,
+_eliminate, swaps no rows and copies no matrix: in each column every matrix
+scales its first row of no pivot yet with a nonzero entry there and clears
+the column from its other rows, in place, and at the end each pivot row
+moves to its place; rank_batch stops before that.  Over GF(2) a row is
+packed into words and a column step is a bit test, an argmax and an XOR;
+over any other field an entry is its m base-p digits (for p = 2 its code,
+whose bits they are), multiplied through one q x q product table (a
+contraction of digits above order 256) and added carry-free.  rref_bytes
+prices the kernel per matrix, so every caller sizes its chunks the same
+way (rref_chunk).  So do the two checks
 of canonical form: canonical_batch on arrays, is_canonical_basis per matrix.
 Spans have one kernel, span_blocks, which only adds: the q^r combinations
 of r rows are filled digit l of the index at a time, combination c q^l + i
@@ -19,6 +29,7 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -37,10 +48,13 @@ def _digit_products(field: GF) -> np.ndarray:
 def _add(p: int, a, b, out):
     """a + b into out, digit-wise mod p.  For p = 2 that is XOR, which adds every
     digit of packed codes at once.  For odd p it is a sum and a conditional subtract:
-    out's unsigned dtype holds 2p - 2, so x - p wraps to above x exactly when x < p."""
+    out's unsigned dtype holds 2p - 2, so x - p wraps to above x exactly when x < p.
+    Python ints (an object out) take the remainder instead."""
     if p == 2:
         return np.bitwise_xor(a, b, out=out)
     np.add(a, b, out=out)
+    if out.dtype == object:
+        return np.remainder(out, p, out=out)
     return np.minimum(out, out - p, out=out)
 
 
@@ -147,48 +161,188 @@ def _digit_mul(x, y, table, p):
     return outer.reshape(*outer.shape[:-2], -1) @ table.reshape(-1, len(table)) % p
 
 
+_TABLE_ORDER = 256  # fields up to this order multiply through one q x q table
+
+
+@functools.cache
+def _product_table(field: GF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, product, neg_inverse) over GF(q), q <= _TABLE_ORDER: digits[x] holds
+    the m base-p digits of x, product[x, y] those of -x y, and neg_inverse[x] is the
+    code of -1/x (0 for x = 0).  For p = 2 they hold the code alone: its bits are
+    its digits, and XOR adds them all at once.  Built on first use, once per field,
+    and read-only."""
+    p, m, q = field.p, field.m, field.order
+    powers = p ** np.arange(m)
+    digits = np.arange(q)[:, None] // powers % p
+    times = np.einsum("xi,ijk->xjk", digits, _digit_products(field)) % p  # x p^j
+    product = -np.einsum("yj,xjk->xyk", digits, times) % p
+    neg_inverse = (product @ powers == 1).argmax(1)
+    if p == 2:
+        digits, product = digits @ powers[:, None], product @ powers[:, None]
+    dtype = np.min_scalar_type(max(q - 1, 2 * p - 2))
+    tables = digits.astype(dtype), product.astype(dtype), neg_inverse
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _pack_bits(mats) -> np.ndarray:
+    """The rows of (N, r, c) matrices over GF(2) as (N, r, W) words of the smallest
+    unsigned dtype holding c bits (uint64 past 32), column 0 the top bit of word 0."""
+    count, r, c = mats.shape
+    size = next(s for s in (1, 2, 4, 8) if 8 * s >= min(c, 64))
+    dtype, bits = np.dtype(f"u{size}"), 8 * size
+    weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.uint64)).astype(dtype)
+    bools = (mats != 0).view(np.uint8)
+    words = np.empty((count, r, -(-c // bits)), dtype)
+    for w in range(words.shape[2]):
+        block = bools[:, :, w * bits:(w + 1) * bits]
+        words[:, :, w] = block @ weights[:block.shape[2]]
+    return words
+
+
+def _eliminate(field: GF, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(work, slot, rank) of the (N, r, c) element codes mats: work holds their
+    rows reduced in place, in their original order; slot (N, r) gives each pivot
+    row its place in the rref, pivots being found in column order, and r to the
+    rows of no pivot, which end up zero; rank (N,) counts the pivot rows.
+
+    For q = 2 work packs each row into words (_pack_bits).  For every other q
+    it holds each entry's m base-p digits, (N, r, c, m), or for p = 2 up to
+    _TABLE_ORDER the element code, (N, r, c, 1), whose bits are its digits.
+    Products come from _product_table up to _TABLE_ORDER and from _digit_mul
+    above it, inverses then by square-and-multiply."""
+    p, m, q = field.p, field.m, field.order
+    count, r, c = mats.shape
+    at, slot, rank = np.arange(count), np.full((count, r), r), np.zeros(count, np.int64)
+    if q == 2:
+        work = _pack_bits(mats)
+        bits = 8 * work.itemsize
+    elif q <= _TABLE_ORDER:
+        digits, product, neg_inverse = _product_table(field)
+        work = digits[mats]
+
+        def codes(x):
+            return x[..., 0] if x.shape[-1] == 1 else _pack(x, p, 1, np.intp)[..., 0]
+
+        def times(x, y):  # digits of -x y
+            return product[codes(x), codes(y)]
+
+        def neg_inv(x):  # digits of -1/x
+            return digits[neg_inverse[codes(x)]]
+    else:
+        wide = object if p * p >= 1 << 63 else np.uint64
+        table = _digit_products(field).astype(wide) if m > 1 else None
+        work = (mats[..., None].astype(wide) // p ** np.arange(m, dtype=wide) % p).astype(
+            object if wide is object else np.min_scalar_type(2 * p - 2))
+
+        def times(x, y):
+            return (p - _digit_mul(x.astype(wide), y.astype(wide), table, p)) % p
+
+        def neg_inv(x):
+            x, inv, e = x.astype(wide), np.zeros(x.shape, wide), q - 2
+            inv[..., 0] = 1
+            while e:
+                if e & 1:
+                    inv = _digit_mul(inv, x, table, p)
+                x, e = _digit_mul(x, x, table, p), e >> 1
+            return (p - inv) % p
+    if q != 2:
+        minus_one = np.zeros(work.shape[3], work.dtype)
+        minus_one[0] = p - 1
+    for col in range(c if r and count else 0):
+        if rank.min() == r:  # every matrix has its pivots
+            break
+        if q == 2:
+            word, bit = divmod(col, bits)
+            nonzero = work[:, :, word] & work.dtype.type(1 << (bits - 1 - bit)) != 0
+        else:
+            nonzero = (work[:, :, col] != 0).any(-1)
+        free = nonzero & (slot == r)
+        piv = free.argmax(1)
+        has = free[at, piv]
+        if not has.any():
+            continue
+        slot[at, piv] = np.where(has, rank, slot[at, piv])
+        rank += has
+        nonzero[at, piv] = False
+        nonzero &= has[:, None]  # the rows to clear
+        if q == 2:
+            work[:, :, word:] ^= work[at, piv, word:][:, None] * nonzero[..., None]
+            continue
+        row = work[at, piv, col:]  # scaled to a leading 1, or by 1 where no pivot
+        row = times(np.where(has[:, None], neg_inv(row[:, 0]), minus_one)[:, None], row)
+        work[at, piv, col:] = row
+        factor = work[:, :, col] * nonzero[..., None]
+        _add(p, work[:, :, col:], times(factor[:, :, None], row[:, None]), work[:, :, col:])
+    return work, slot, rank
+
+
+def rref_bytes(field: GF, r: int, c: int) -> int:
+    """Bytes rref_batch holds per (r, c) matrix, its int64 rref included: 16 + 4m an
+    entry in packed words or table digits, 16 (m + 1)^2 with _digit_mul's uint64
+    products, five times that as Python ints, and 64 a row of bookkeeping."""
+    p, m, q = field.p, field.m, field.order
+    if q <= _TABLE_ORDER:
+        entry = 16 + 4 * m
+    else:
+        entry = 16 * (m + 1) ** 2 * (5 if p * p >= 1 << 63 else 1)
+    return r * c * entry + 64 * r + 64
+
+
+def rref_chunk(field: GF, r: int, c: int, budget: int) -> int:
+    """Matrices of (r, c) per rref_batch or rank_batch call so that the kernel holds
+    about budget bytes (rref_bytes); at least one."""
+    return max(1, budget // rref_bytes(field, r, c))
+
+
 def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
     """(rref, rank) of every matrix of a (..., r, c) array of element codes.
 
-    Entry for entry the results of MatrixGF.rref() and rank(): elimination
-    runs column by column on all matrices at once, pivoting on the first
-    nonzero entry at or below each matrix's current rank.  Entries are
-    held as their m base-p digits, so a product is one contraction with
-    the (m, m, m) table _digit_products and an inverse is x^(q-2) by
-    square-and-multiply; no table of q entries is built.  Memory is a few
-    copies of the input's digits, so callers pass bounded chunks.  Digits
-    are int64, or Python ints when a product of two (p^2 >= 2^63) would
-    overflow int64.
+    Entry for entry the results of MatrixGF.rref() and rank(), by one
+    swap-free elimination (_eliminate) on all matrices at once: in each
+    column every matrix takes its first row of no pivot yet with a nonzero
+    entry there, scales it to a leading 1 and clears the column from every
+    other row, in place.  That row is zero in every earlier column, so
+    clearing touches only this column and later ones.  Pivots are found in
+    column order, so at the end each pivot row moves to the place its pivot
+    gives it, zero rows last; the rref is unique, so it is _rref_generic's.
+    Over GF(2) a column step is a bit test, an argmax and an XOR of rows
+    packed into words.  Over any other field entries are base-p digits in
+    the smallest unsigned dtype, for p = 2 packed in the element code, which
+    XOR adds whole; a product is one lookup in a q x q table
+    (for q above _TABLE_ORDER a contraction with _digit_products, and an
+    inverse x^(q-2) by square-and-multiply) and a difference is carry-free
+    (_add).  The kernel holds about rref_bytes per matrix, so callers pass
+    chunks of rref_chunk matrices.  The rref is int64, or Python ints where
+    p^2 >= 2^63.
     """
     p, m, q = field.p, field.m, field.order
-    table = _digit_products(field) if m > 1 else None
-    dtype = object if p * p >= 1 << 63 else np.int64
-    powers = p ** np.arange(m, dtype=dtype)
-    mats = np.asarray(mats, dtype=dtype)
+    mats = np.asarray(mats)
     *batch, r, c = mats.shape
-    a = mats.reshape(math.prod(batch), r, c)[..., None] // powers % p
-    rank = np.zeros(len(a), dtype=np.int64)
-    for col in range(c):
-        free = (a[:, :, col] != 0).any(-1) & (np.arange(r) >= rank[:, None])
-        b = np.flatnonzero(free.any(1))
-        if not len(b):
-            continue
-        sub, top, at = a[b], rank[b], np.arange(len(b))
-        piv = free[b].argmax(1)
-        row = sub[at, piv]
-        sub[at, piv] = sub[at, top]
-        inv, x, e = np.zeros_like(row[:, col]), row[:, col], q - 2
-        inv[:, 0] = 1
-        while e:
-            if e & 1:
-                inv = _digit_mul(inv, x, table, p)
-            x, e = _digit_mul(x, x, table, p), e >> 1
-        row = _digit_mul(inv[:, None], row, table, p)
-        sub = (sub - _digit_mul(sub[:, :, col, None], row[:, None], table, p)) % p
-        sub[at, top] = row
-        a[b] = sub
-        rank[b] += 1
-    return (a @ powers).reshape(*batch, r, c), rank.reshape(batch)
+    count = math.prod(batch)
+    work, slot, rank = _eliminate(field, mats.reshape(count, r, c))
+    # each matrix's rows in rref order and one spare place, which takes every row of
+    # no pivot; the places past the rank stay zero
+    tail = work.shape[2:]
+    place = (slot + (r + 1) * np.arange(count)[:, None]).ravel()
+    rows = np.zeros((count, r + 1, *tail), work.dtype)
+    rows.reshape(count * (r + 1), *tail)[place] = work.reshape(count * r, *tail)
+    rows = rows[:, :r]
+    dtype = object if p * p >= 1 << 63 else np.int64
+    if q == 2:
+        bits = np.unpackbits(rows.astype(rows.dtype.newbyteorder(">")).view(np.uint8).ravel())
+        rows = bits.reshape(count, r, 8 * rows.shape[2] * rows.itemsize)[..., :c].astype(dtype)
+    else:
+        rows = _pack(rows.reshape(count, r, c * work.shape[3]), p, c, dtype)
+    return rows.reshape(*batch, r, c), rank.reshape(batch)
+
+
+def rank_batch(field: GF, mats) -> np.ndarray:
+    """The ranks of rref_batch, from the same elimination, its rows left where they are."""
+    mats = np.asarray(mats)
+    *batch, r, c = mats.shape
+    return _eliminate(field, mats.reshape(math.prod(batch), r, c))[2].reshape(batch)
 
 
 class MatrixGF:

@@ -213,6 +213,25 @@ def test_codeset_sorts_its_bases_once_made():
         assert list(CodeSet(code.field, 4, 2, 2, bases).members) == expected
 
 
+@pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
+def test_sorted_bases_finds_every_out_of_order_pair(chunk_bytes, monkeypatch):
+    # the order is checked 64 neighbours first, then in doubling chunks: an unsorted build
+    # and one out-of-order pair, the last, in the last chunk are both sorted
+    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    field = field_of_order(2)
+    restricted = qpoly._bounded_rank(field, qpoly.mrd_array(2, 3, 2), 2)
+    built = construct._block_product(field, [  # the bench's 855-member (6, 855, 2, 3) terms
+        [np.eye(3, dtype=np.uint8)[None], qpoly.mrd_array(2, 3, 2)],
+        [restricted, np.eye(3, dtype=np.uint8)[None]]])
+    flat = built.reshape(len(built), -1)
+    expected = built[np.lexsort(flat.T[::-1])]
+    assert len(built) == 855 and (construct.sorted_bases(built) != built).any()
+    assert (construct.sorted_bases(built) == expected).all()
+    assert construct.sorted_bases(expected) is expected  # sorted input is kept as it is
+    last_swapped = expected[np.r_[:853, 854, 853]]
+    assert (construct.sorted_bases(last_swapped) == expected).all()
+
+
 def test_parallel_linkage_acceptance_shape():
     v = grassmannian_code(2, 4, 2)
     code = parallel_linkage(2, 2, 0, 2, v)
@@ -554,7 +573,7 @@ def test_budget_errors_come_before_any_array(monkeypatch):
     u_code, q_matrices = LINKAGE["q2-n2"]()
     v_code = grassmannian_code(2, 4, 2)
     for owner, name in [(construct, "mrd_array"), (construct, "rref_batch"), (qpoly, "span_into"),
-                        (qpoly, "span_blocks"), (qpoly, "rref_batch"), (linalg, "span_blocks"), (np, "empty"),
+                        (qpoly, "span_blocks"), (qpoly, "rank_batch"), (linalg, "span_blocks"), (np, "empty"),
                         (np, "concatenate"), (np, "array"), (construct, "enumerate_bases")]:
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(BudgetError, match="construction would produce 4096 members"):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import cdcodes.gf as gf
 from cdcodes.construct import bases_dtype
 from cdcodes.gf import GF, field_of_order
 from cdcodes.linalg import (
+    _rref_generic,
     MatrixGF,
     Subspace,
     canonical_batch,
@@ -17,12 +19,15 @@ from cdcodes.linalg import (
     enumerate_subspaces,
     intersection_dim,
     is_canonical_basis,
+    rank_batch,
     rref_batch,
+    rref_chunk,
     span_blocks,
     span_into,
     subspace_distance,
     subspace_from_rows,
 )
+from rref_reference import rref_reference
 from span_reference import span_product
 from vector_oracle import encode_vector, subspace_vectors
 
@@ -375,10 +380,12 @@ def test_span_kernel_agrees_with_the_reference_on_random_row_sets(case):
 @st.composite
 def matrix_batches(draw):
     """A batch of matrices over GF(q), q in {2, 3, 4, 5, 8, 9, 16, BIG}: zero rows
-    or columns, tall and wide shapes, and rows copied or scaled from other rows."""
+    or columns, tall and wide shapes, rows past one packed word (q = 2), and rows
+    copied or scaled from other rows."""
     field = field_of_order(draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, BIG])))
     q = field.order
-    r, c, count = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    width = st.integers(0, 6) | st.integers(60, 130) if q == 2 else st.integers(0, 6)
+    r, c, count = draw(st.integers(0, 5)), draw(width), draw(st.integers(0, 4))
     entry = st.integers(0, q - 1) | st.just(0)  # zeros often, so pivots move around
     mats = draw(st.lists(st.lists(st.lists(entry, min_size=c, max_size=c),
                                   min_size=r, max_size=r), min_size=count, max_size=count))
@@ -423,6 +430,64 @@ def test_batched_rref_matches_the_per_matrix_kernels_beyond_uint64_products(p, m
         assert reduced[i].tolist() == [list(row) for row in m.rref().rows]
         assert rank[i] == m.rank()
     assert sorted(set(rank.tolist())) == [2, 3]
+
+
+def ranked_matrices(field, r, c, rng, per_rank=2):
+    """(per_rank, min(r, c) + 1, r, c) element codes over field: [i, k] a random
+    r x k matrix times a random k x c one, drawn again until its rank is k."""
+    q = field.order
+    out = np.zeros((per_rank, min(r, c) + 1, r, c), dtype=np.int64)
+    for i, k in itertools.product(range(per_rank), range(min(r, c) + 1)):
+        while True:
+            left = [[rng.randrange(q) for _ in range(k)] for _ in range(r)]
+            right = [[rng.randrange(q) for _ in range(c)] for _ in range(k)]
+            rows = [[0] * c for _ in range(r)]
+            for a, b in itertools.product(range(r), range(c)):
+                for j in range(k):
+                    rows[a][b] = field.add(rows[a][b], field.mul(left[a][j], right[j][b]))
+            if _rref_generic(field, rows, c)[1] == k:
+                break
+        out[i, k] = np.reshape(rows, (r, c))
+    return out
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (3, 7), (7, 3), (2, 9), (9, 2)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 251, 257])
+def test_batched_rref_agrees_with_the_reference_and_the_per_matrix_kernel(q):
+    """Every rank from 0 to full, empty, tall and wide shapes, q = 2 rows on the
+    packed-word boundaries, and two leading batch axes."""
+    field, rng = field_of_order(q), random.Random(q)
+    for r, c in SHAPES + ([(3, 63), (4, 64), (4, 65), (3, 130)] if q == 2 else []):
+        mats = ranked_matrices(field, r, c, rng)
+        reduced, rank = rref_batch(field, mats)
+        expected, expected_rank = rref_reference(field, mats)
+        assert reduced.dtype == expected.dtype == np.int64 and reduced.shape == mats.shape
+        assert (reduced == expected).all() and (rank == expected_rank).all()
+        assert (rank_batch(field, mats) == rank).all()
+        assert rank.tolist() == [list(range(min(r, c) + 1))] * len(mats)
+        count = rank.size
+        for m, red, k in zip(mats.reshape(count, r, c).tolist(),
+                             reduced.reshape(count, r, c).tolist(), rank.ravel().tolist()):
+            assert (red, k) == ([list(row) for row in _rref_generic(field, m, c)[0]], k)
+
+
+@pytest.mark.parametrize("q, r, c", [(2, 6, 6), (2, 4, 130), (3, 6, 12), (16, 4, 8), (257, 3, 6),
+                                     (BIG, 3, 6)])
+def test_elimination_peaks_within_its_chunk_allowance(q, r, c):
+    """One call on an rref_chunk of matrices holds at most the chunk's bytes and a
+    fixed slack: no copy of the batch per column, no int64 digits."""
+    field, allowance, slack = field_of_order(q), 1 << 20, 1 << 16
+    count = rref_chunk(field, r, c, allowance)
+    mats = np.random.default_rng(5).integers(0, q, size=(count, r, c)).astype(bases_dtype(field))
+    rref_batch(field, mats[:1])  # a field's product table is built once, on first use
+    for kernel in (rref_batch, rank_batch):
+        tracemalloc.start()
+        kernel(field, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= allowance + slack
 
 
 def test_batched_rref_keeps_leading_batch_axes():

@@ -18,7 +18,8 @@ from cdcodes.construct import (
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import MatrixGF, Subspace, rref_batch, subspace_distance, subspace_from_rows
+from cdcodes.linalg import (MatrixGF, Subspace, rref_batch, rref_bytes, subspace_distance,
+                            subspace_from_rows)
 from cdcodes.qpoly import enumerate_mrd
 from cdcodes.rankdist import delsarte_distribution
 from cdcodes.verify import (
@@ -206,9 +207,9 @@ def test_stacked_rank_scan_takes_every_pair_once_in_bounded_chunks(monkeypatch):
     code = lifted_mrd_code(2, 2, 1)  # 16 members, 120 pairs
     members, bases = sorted_bases(code)
     calls = []
-    batch = verify.rref_batch
-    monkeypatch.setattr(verify, "rref_batch", lambda f, mats: calls.append(mats) or batch(f, mats))
-    pair_bytes = 6 * 16 * bases.shape[1] * bases.shape[2]  # six int64 copies of a pair's digits
+    batch = verify.rank_batch
+    monkeypatch.setattr(verify, "rank_batch", lambda f, mats: calls.append(mats) or batch(f, mats))
+    pair_bytes = rref_bytes(code.field, 2 * bases.shape[1], bases.shape[2])  # a stacked pair
     for pairs_per_chunk in (1, 7, 120, 1000):
         monkeypatch.setattr(verify, "_CHUNK_BYTES", pairs_per_chunk * pair_bytes)
         calls.clear()
