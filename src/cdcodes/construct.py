@@ -45,7 +45,7 @@ from .qpoly import (DEFAULT_BUDGET, BudgetError, _bounded_rank, check_degree,
 from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, parallel_linkage_size
 
 
-_CHUNK_BYTES = 1 << 22  # bytes of one chunk of member matrices, checked or eliminated
+_CHUNK_BYTES = 1 << 22  # int64 element digits of one chunk of member matrices
 
 
 class ConstructionError(ValueError):
@@ -65,9 +65,9 @@ def _chunk(entries: int) -> int:
 def sorted_bases(bases: np.ndarray) -> np.ndarray:
     """bases in the order of their flattened entries, sorted only if out of
     it: Subspace.sort_key order for members of one dimension.  The order is
-    checked a chunk of neighbours at a time, the first 64 of them, then twice
-    as many each time up to _chunk, so unsorted input, as every multi-term
-    build hands in, is found out early and no temporary outgrows a chunk."""
+    checked a chunk of neighbours at a time, the first 64 of them, then _chunk,
+    so unsorted input, as every multi-term build hands in, is found out early
+    and no temporary outgrows a chunk."""
     flat = bases.reshape(len(bases), math.prod(bases.shape[1:]))
     before, after, most = flat[:-1], flat[1:], _chunk(flat.shape[1])
     lo, step = 0, min(64, most)
@@ -76,7 +76,7 @@ def sorted_bases(bases: np.ndarray) -> np.ndarray:
         at = (b != a).argmax(axis=1)[:, None]  # first differing entry, 0 if none
         if (np.take_along_axis(b, at, 1) > np.take_along_axis(a, at, 1)).any():
             return bases[np.lexsort(flat.T[::-1])]
-        lo, step = lo + step, min(2 * step, most)
+        lo, step = lo + step, most
     return bases
 
 
@@ -170,13 +170,13 @@ def _block_product(field, terms) -> np.ndarray:
     """The canonical bases of every (S_0[i_0] | S_1[i_1] | ...) of each term, a list of
     (count, k, n_j) arrays S_j, in one bases_dtype array: term after term, each in odometer
     order, the last block fastest.  (A | B) is canonical when A is, so chunks of
-    members that rref_batch holds in about _CHUNK_BYTES (linalg.rref_chunk) go
-    through it only in terms whose S_0 is not.
+    linalg.rref_chunk members go through rref_batch only in terms whose S_0 is
+    not.
     """
     k, width = terms[0][0].shape[1], sum(s.shape[2] for s in terms[0])
     sizes = [math.prod(map(len, sources)) for sources in terms]
     out = np.empty((sum(sizes), k, width), dtype=bases_dtype(field))
-    step = rref_chunk(field, k, width, _CHUNK_BYTES)
+    step = rref_chunk(field, k, width)
     for sources, part in zip(terms, np.split(out, np.cumsum(sizes[:-1]))):
         canonical = canonical_batch(sources[0]).all()
         for lo in range(0, len(part), step):

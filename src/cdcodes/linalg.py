@@ -5,18 +5,17 @@ row space, which makes equality, hashing and set membership exact integer
 comparisons.  Elimination has two kernels that agree entry for entry:
 rref_batch runs on arrays of matrices in numpy, and _rref_generic runs on
 one matrix of Python ints, behind MatrixGF.rref/rank and intersection_dim,
-and is the reference rref_batch is tested against.  rref_batch's one loop,
-_eliminate, swaps no rows and copies no matrix: in each column every matrix
-scales its first row of no pivot yet with a nonzero entry there and clears
-the column from its other rows, in place, and at the end each pivot row
-moves to its place; rank_batch stops before that.  Over GF(2) a row is
-packed into words and a column step is a bit test, an argmax and an XOR;
-over any other field an entry is its m base-p digits (for p = 2 its code,
-whose bits they are), multiplied through one q x q product table (a
-contraction of digits above order 256) and added carry-free.  rref_bytes
-prices the kernel per matrix, so every caller sizes its chunks the same
-way (rref_chunk).  So do the two checks
+and is the reference rref_batch is tested against.  So do the two checks
 of canonical form: canonical_batch on arrays, is_canonical_basis per matrix.
+rref_batch's one loop, _eliminate, swaps no rows and copies no matrix: in
+each column every matrix scales its first row of no pivot yet with a
+nonzero entry there and clears the column from its other rows, in place,
+and at the end each pivot row moves to its place.  Over GF(2) a row is
+packed into words and a column step is a bit test, an argmax and an XOR;
+over any other field an entry is its m base-p digits in the smallest
+unsigned dtype, multiplied by a contraction (_digit_mul) and added
+carry-free.  rref_chunk sizes every caller's chunks from one price per
+matrix.
 Spans have one kernel, span_blocks, which only adds: the q^r combinations
 of r rows are filled digit l of the index at a time, combination c q^l + i
 being combination i plus c row_l, into a preallocated output.  Addition is
@@ -29,7 +28,6 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -161,29 +159,7 @@ def _digit_mul(x, y, table, p):
     return outer.reshape(*outer.shape[:-2], -1) @ table.reshape(-1, len(table)) % p
 
 
-_TABLE_ORDER = 256  # fields up to this order multiply through one q x q table
-
-
-@functools.cache
-def _product_table(field: GF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(digits, product, neg_inverse) over GF(q), q <= _TABLE_ORDER: digits[x] holds
-    the m base-p digits of x, product[x, y] those of -x y, and neg_inverse[x] is the
-    code of -1/x (0 for x = 0).  For p = 2 they hold the code alone: its bits are
-    its digits, and XOR adds them all at once.  Built on first use, once per field,
-    and read-only."""
-    p, m, q = field.p, field.m, field.order
-    powers = p ** np.arange(m)
-    digits = np.arange(q)[:, None] // powers % p
-    times = np.einsum("xi,ijk->xjk", digits, _digit_products(field)) % p  # x p^j
-    product = -np.einsum("yj,xjk->xyk", digits, times) % p
-    neg_inverse = (product @ powers == 1).argmax(1)
-    if p == 2:
-        digits, product = digits @ powers[:, None], product @ powers[:, None]
-    dtype = np.min_scalar_type(max(q - 1, 2 * p - 2))
-    tables = digits.astype(dtype), product.astype(dtype), neg_inverse
-    for table in tables:  # shared by every call
-        table.flags.writeable = False
-    return tables
+_CHUNK_BYTES = 1 << 22  # bytes one rref_batch call holds, for every caller (rref_chunk)
 
 
 def _pack_bits(mats) -> np.ndarray:
@@ -208,48 +184,22 @@ def _eliminate(field: GF, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows of no pivot, which end up zero; rank (N,) counts the pivot rows.
 
     For q = 2 work packs each row into words (_pack_bits).  For every other q
-    it holds each entry's m base-p digits, (N, r, c, m), or for p = 2 up to
-    _TABLE_ORDER the element code, (N, r, c, 1), whose bits are its digits.
-    Products come from _product_table up to _TABLE_ORDER and from _digit_mul
-    above it, inverses then by square-and-multiply."""
+    it holds each entry's m base-p digits, (N, r, c, m), in the smallest
+    unsigned dtype; products go through _digit_mul in uint64 (Python ints where
+    p^2 >= 2^63) and inverses, x^(q-2), by square-and-multiply."""
     p, m, q = field.p, field.m, field.order
     count, r, c = mats.shape
     at, slot, rank = np.arange(count), np.full((count, r), r), np.zeros(count, np.int64)
     if q == 2:
         work = _pack_bits(mats)
         bits = 8 * work.itemsize
-    elif q <= _TABLE_ORDER:
-        digits, product, neg_inverse = _product_table(field)
-        work = digits[mats]
-
-        def codes(x):
-            return x[..., 0] if x.shape[-1] == 1 else _pack(x, p, 1, np.intp)[..., 0]
-
-        def times(x, y):  # digits of -x y
-            return product[codes(x), codes(y)]
-
-        def neg_inv(x):  # digits of -1/x
-            return digits[neg_inverse[codes(x)]]
     else:
         wide = object if p * p >= 1 << 63 else np.uint64
         table = _digit_products(field).astype(wide) if m > 1 else None
         work = (mats[..., None].astype(wide) // p ** np.arange(m, dtype=wide) % p).astype(
             object if wide is object else np.min_scalar_type(2 * p - 2))
-
-        def times(x, y):
-            return (p - _digit_mul(x.astype(wide), y.astype(wide), table, p)) % p
-
-        def neg_inv(x):
-            x, inv, e = x.astype(wide), np.zeros(x.shape, wide), q - 2
-            inv[..., 0] = 1
-            while e:
-                if e & 1:
-                    inv = _digit_mul(inv, x, table, p)
-                x, e = _digit_mul(x, x, table, p), e >> 1
-            return (p - inv) % p
-    if q != 2:
-        minus_one = np.zeros(work.shape[3], work.dtype)
-        minus_one[0] = p - 1
+        one = np.zeros(m, wide)
+        one[0] = 1
     for col in range(c if r and count else 0):
         if rank.min() == r:  # every matrix has its pivots
             break
@@ -270,30 +220,30 @@ def _eliminate(field: GF, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if q == 2:
             work[:, :, word:] ^= work[at, piv, word:][:, None] * nonzero[..., None]
             continue
-        row = work[at, piv, col:]  # scaled to a leading 1, or by 1 where no pivot
-        row = times(np.where(has[:, None], neg_inv(row[:, 0]), minus_one)[:, None], row)
+        row = work[at, piv, col:].astype(wide)
+        inv, x, e = np.zeros_like(row[:, 0]), row[:, 0], q - 2
+        inv[:, 0] = 1
+        while e:
+            if e & 1:
+                inv = _digit_mul(inv, x, table, p)
+            x, e = _digit_mul(x, x, table, p), e >> 1
+        # scaled to a leading 1, or by 1 where no pivot
+        row = _digit_mul(np.where(has[:, None], inv, one)[:, None], row, table, p)
         work[at, piv, col:] = row
-        factor = work[:, :, col] * nonzero[..., None]
-        _add(p, work[:, :, col:], times(factor[:, :, None], row[:, None]), work[:, :, col:])
+        factor = (work[:, :, col] * nonzero[..., None]).astype(wide)
+        minus = _digit_mul(factor[:, :, None], ((p - row) % p)[:, None], table, p)
+        _add(p, work[:, :, col:], minus, work[:, :, col:])
     return work, slot, rank
 
 
-def rref_bytes(field: GF, r: int, c: int) -> int:
-    """Bytes rref_batch holds per (r, c) matrix, its int64 rref included: 16 + 4m an
-    entry in packed words or table digits, 16 (m + 1)^2 with _digit_mul's uint64
-    products, five times that as Python ints, and 64 a row of bookkeeping."""
-    p, m, q = field.p, field.m, field.order
-    if q <= _TABLE_ORDER:
-        entry = 16 + 4 * m
-    else:
-        entry = 16 * (m + 1) ** 2 * (5 if p * p >= 1 << 63 else 1)
-    return r * c * entry + 64 * r + 64
-
-
-def rref_chunk(field: GF, r: int, c: int, budget: int) -> int:
-    """Matrices of (r, c) per rref_batch or rank_batch call so that the kernel holds
-    about budget bytes (rref_bytes); at least one."""
-    return max(1, budget // rref_bytes(field, r, c))
+def rref_chunk(field: GF, r: int, c: int) -> int:
+    """Matrices of (r, c) per rref_batch call so that it holds about _CHUNK_BYTES;
+    at least one.  An entry takes 20 bytes over GF(2), in packed words and the
+    int64 rref, and 16 (m + 1)^2 over other fields, with _digit_mul's uint64
+    products, five times that as Python ints; a row takes 64 of bookkeeping."""
+    p, m = field.p, field.m
+    entry = 20 if field.order == 2 else 16 * (m + 1) ** 2 * (5 if p * p >= 1 << 63 else 1)
+    return max(1, _CHUNK_BYTES // (r * c * entry + 64 * r + 64))
 
 
 def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
@@ -309,15 +259,13 @@ def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
     gives it, zero rows last; the rref is unique, so it is _rref_generic's.
     Over GF(2) a column step is a bit test, an argmax and an XOR of rows
     packed into words.  Over any other field entries are base-p digits in
-    the smallest unsigned dtype, for p = 2 packed in the element code, which
-    XOR adds whole; a product is one lookup in a q x q table
-    (for q above _TABLE_ORDER a contraction with _digit_products, and an
-    inverse x^(q-2) by square-and-multiply) and a difference is carry-free
-    (_add).  The kernel holds about rref_bytes per matrix, so callers pass
-    chunks of rref_chunk matrices.  The rref is int64, or Python ints where
-    p^2 >= 2^63.
+    the smallest unsigned dtype; a product is one contraction with
+    _digit_products, an inverse x^(q-2) by square-and-multiply, and a
+    difference is carry-free (_add).  Callers pass chunks of rref_chunk
+    matrices, which the kernel holds in about _CHUNK_BYTES.  The rref is
+    int64, or Python ints where p^2 >= 2^63.
     """
-    p, m, q = field.p, field.m, field.order
+    p, q = field.p, field.order
     mats = np.asarray(mats)
     *batch, r, c = mats.shape
     count = math.prod(batch)
@@ -336,13 +284,6 @@ def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
     else:
         rows = _pack(rows.reshape(count, r, c * work.shape[3]), p, c, dtype)
     return rows.reshape(*batch, r, c), rank.reshape(batch)
-
-
-def rank_batch(field: GF, mats) -> np.ndarray:
-    """The ranks of rref_batch, from the same elimination, its rows left where they are."""
-    mats = np.asarray(mats)
-    *batch, r, c = mats.shape
-    return _eliminate(field, mats.reshape(math.prod(batch), r, c))[2].reshape(batch)
 
 
 class MatrixGF:

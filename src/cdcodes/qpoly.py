@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from ._numpy import np
 from .gf import GF, extension_field, field_of_order
-from .linalg import MatrixGF, rank_batch, rref_chunk, span_blocks, span_into
+from .linalg import MatrixGF, rref_batch, rref_chunk, span_blocks, span_into
 
 DEFAULT_BUDGET = 1 << 24  # elements an enumeration or a construction may produce
 _CHUNK = 1 << 9  # codewords per span block
-_RANK_BYTES = 1 << 22  # bytes of elimination per _bounded_rank chunk (linalg.rref_chunk)
 
 
 class BudgetError(Exception):
@@ -155,10 +154,10 @@ def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, budget: int | None = DE
 
 def _bounded_rank(field: GF, words: np.ndarray, r: int) -> np.ndarray:
     """The nonzero matrices of words, a (count, n, n) array, of rank at most r, in order;
-    their ranks come from rank_batch, a chunk of about _RANK_BYTES at a time."""
-    step = rref_chunk(field, *words.shape[1:], _RANK_BYTES)
+    their ranks come from rref_batch, a chunk of linalg.rref_chunk matrices at a time."""
+    step = rref_chunk(field, *words.shape[1:])
     rank = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        rank_batch(field, words[lo:lo + step]) for lo in range(0, len(words), step)])
+        rref_batch(field, words[lo:lo + step])[1] for lo in range(0, len(words), step)])
     return words[(rank > 0) & (rank <= r)]
 
 

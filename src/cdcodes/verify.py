@@ -33,7 +33,7 @@ stacked-rank pair scan's price (_PAIR_COST m^2 k^2 N units a pair, its
 2k x N stack of m-digit entries) for at most _BUDGET_MEMBERS members, or
 the table or one level's keys would hold more than _ORACLE_BYTES.  Then
 the stacked-rank formula decides, a chunk of stacked pairs per
-linalg.rank_batch call, as for codes whose vector codes overflow int64
+linalg.rref_batch call, as for codes whose vector codes overflow int64
 (q^N > 2^63), up to _BUDGET_MEMBERS members; a larger code is refused in
 one line.  Both paths score a pair 2k - 2 dim(U cap V), so they agree.
 
@@ -43,7 +43,7 @@ in dimension j.  When the whole code's table would hold more than
 _ORACLE_BYTES, each chunk of drawn pairs builds the rows of its own
 members.  Codes whose vector codes overflow int64, and codes with one
 pair's rows above _ORACLE_BYTES, take the stacked-rank formula, a chunk of
-stacked pairs per rank_batch call.
+stacked pairs per rref_batch call.
 
 Sampling uses SplitMix64, fixed here by its constants so independent
 implementations can reproduce reports bit for bit: the state advances by
@@ -64,7 +64,7 @@ import math
 
 from ._numpy import np
 from .construct import CodeSet, bases_dtype, distinct_neighbours
-from .linalg import MatrixGF, Subspace, enumerate_bases, rank_batch, rref_chunk, span_into
+from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, rref_chunk, span_into
 from .rankdist import gaussian_binomial
 
 SAMPLED_PAIRS = 1_000_000
@@ -321,11 +321,11 @@ def _min_distance_pairs_generic(field, bases, pairs=None):
 
     dim(U cap V) is 2k less the rank of the stacked bases, so a pair scores
     2 rank - 2k; the ranks are taken for a chunk of stacked pairs per
-    linalg.rank_batch call, its rows packed into words over GF(2) and its
+    linalg.rref_batch call, its rows packed into words over GF(2) and its
     entries small unsigned digits over other fields.  linalg.rref_chunk
-    sizes a chunk so its elimination holds about _CHUNK_BYTES, so memory
-    does not grow with the pairs.  Ties go to the smallest index pair, the
-    smallest subspace pair of sorted bases.
+    sizes a chunk so its elimination holds about linalg._CHUNK_BYTES, so
+    memory does not grow with the pairs.  Ties go to the smallest index
+    pair, the smallest subspace pair of sorted bases.
     """
     m, k, n = bases.shape
     if pairs is None:  # pair t is (i, t - before[i] + i + 1), before[i] the pairs of rows < i
@@ -333,7 +333,7 @@ def _min_distance_pairs_generic(field, bases, pairs=None):
         count = m * (m - 1) // 2
     else:
         count = len(pairs[0])
-    step = rref_chunk(field, 2 * k, n, _CHUNK_BYTES)
+    step = rref_chunk(field, 2 * k, n)
     best = (math.inf,)
     for lo in range(0, count, step):
         if pairs is None:
@@ -342,7 +342,7 @@ def _min_distance_pairs_generic(field, bases, pairs=None):
             j = t - before[i] + i + 1
         else:
             i, j = pairs[0][lo:lo + step], pairs[1][lo:lo + step]
-        rank = rank_batch(field, np.concatenate([bases[i], bases[j]], axis=1))
+        rank = rref_batch(field, np.concatenate([bases[i], bases[j]], axis=1))[1]
         d = 2 * rank - 2 * k
         at = np.lexsort((j, i, d))[0]
         best = min(best, (int(d[at]), int(i[at]), int(j[at])))

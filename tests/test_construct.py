@@ -215,7 +215,7 @@ def test_codeset_sorts_its_bases_once_made():
 
 @pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
 def test_sorted_bases_finds_every_out_of_order_pair(chunk_bytes, monkeypatch):
-    # the order is checked 64 neighbours first, then in doubling chunks: an unsorted build
+    # the order is checked 64 neighbours first, then a chunk at a time: an unsorted build
     # and one out-of-order pair, the last, in the last chunk are both sorted
     monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
     field = field_of_order(2)
@@ -463,6 +463,7 @@ PARALLEL_LINKAGE = {
 def test_linkage_array_build_matches_the_per_member_reference(case, chunk_bytes, monkeypatch):
     u_code, q_matrices = LINKAGE[case]()
     monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)  # rref_batch chunks
     assert list(linkage(u_code, q_matrices, 2, 1).members) == linkage_reference(u_code, q_matrices)
 
 
@@ -476,6 +477,7 @@ def cached_parallel_linkage_reference(case):
 def test_parallel_linkage_array_build_matches_the_per_member_reference(case, chunk_bytes,
                                                                       monkeypatch):
     monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)  # rref_batch chunks
     built = parallel_linkage(*PARALLEL_LINKAGE[case])
     assert list(built.members) == cached_parallel_linkage_reference(case)
 
@@ -497,6 +499,7 @@ def test_multiblock_array_build_matches_the_generator_tuples(q, n, t, s):
 
 def test_array_builds_with_one_matrix_per_chunk(monkeypatch):
     monkeypatch.setattr(construct, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 1)  # rref_batch chunks
     assert list(multiblock_parallel_mrd(2, 2, 1, 2).members) == multiblock_reference(2, 2, 1, 2)
     assert list(multiblock_parallel_mrd(3, 2, 1, 1).members) == multiblock_reference(3, 2, 1, 1)
     assert list(lifted_mrd_code(16, 2, 0).members) == lifted_reference(16, 2, 0)
@@ -520,6 +523,7 @@ def test_array_members_come_out_sorted():
 def test_block_product_fills_one_array_term_after_term(chunk_bytes, monkeypatch):
     # the first term's first block is canonical, the second's is not
     monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)  # rref_batch chunks
     u_code, q_matrices = LINKAGE["q3-rect"]()
     shuffled = u_code.bases[:, ::-1]  # basis rows reversed: not in RREF
     right = np.array([m.rows for m in q_matrices], dtype=np.uint8)
@@ -573,7 +577,7 @@ def test_budget_errors_come_before_any_array(monkeypatch):
     u_code, q_matrices = LINKAGE["q2-n2"]()
     v_code = grassmannian_code(2, 4, 2)
     for owner, name in [(construct, "mrd_array"), (construct, "rref_batch"), (qpoly, "span_into"),
-                        (qpoly, "span_blocks"), (qpoly, "rank_batch"), (linalg, "span_blocks"), (np, "empty"),
+                        (qpoly, "span_blocks"), (qpoly, "rref_batch"), (linalg, "span_blocks"), (np, "empty"),
                         (np, "concatenate"), (np, "array"), (construct, "enumerate_bases")]:
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(BudgetError, match="construction would produce 4096 members"):

@@ -8,7 +8,7 @@ import pytest
 
 from cdcodes import qpoly
 from cdcodes.gf import extension_field, field_of_order
-from cdcodes.linalg import MatrixGF, rref_bytes
+from cdcodes.linalg import MatrixGF
 from cdcodes.qpoly import (
     BudgetError,
     QPolynomial,
@@ -233,9 +233,8 @@ def test_filtration_counts():
 
 
 def test_filtration_matches_formula_grid(monkeypatch):
+    monkeypatch.setattr(qpoly, "rref_chunk", lambda *shape: 7)  # ranks taken across chunk boundaries
     for q, n, t in [(2, 2, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2)]:
-        # ranks taken 7 matrices a chunk, across chunk boundaries
-        monkeypatch.setattr(qpoly, "_RANK_BYTES", 7 * rref_bytes(field_of_order(q), n, n))
         mats = list(enumerate_mrd(q, n, t))
         for j in range(t + 1):
             got = list(enumerate_filtration(q, n, t, j))

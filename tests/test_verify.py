@@ -18,8 +18,7 @@ from cdcodes.construct import (
     rect_lifted_mrd_code,
 )
 from cdcodes.gf import field_of_order
-from cdcodes.linalg import (MatrixGF, Subspace, rref_batch, rref_bytes, subspace_distance,
-                            subspace_from_rows)
+from cdcodes.linalg import MatrixGF, Subspace, rref_batch, subspace_distance, subspace_from_rows
 from cdcodes.qpoly import enumerate_mrd
 from cdcodes.rankdist import delsarte_distribution
 from cdcodes.verify import (
@@ -187,7 +186,7 @@ def stacked_rank_scan(code):
 
 def oracle_variants(code, monkeypatch):
     """min_distance_exhaustive as shipped, and its sub-subspace scan forced:
-    plain and with one-member chunks."""
+    plain and with one-member chunks, the stacked-rank scan one pair a chunk."""
     def run(**patches):
         for name, value in patches.items():
             monkeypatch.setattr(verify, name, value)
@@ -195,7 +194,8 @@ def oracle_variants(code, monkeypatch):
         monkeypatch.undo()
         return out
 
-    return [run(), run(_PAIR_COST=math.inf), run(_PAIR_COST=math.inf, _CHUNK_BYTES=1)]
+    return [run(), run(_PAIR_COST=math.inf),
+            run(_PAIR_COST=math.inf, _CHUNK_BYTES=1, rref_chunk=lambda *shape: 1)]
 
 
 def test_generic_path_agrees_with_masked():
@@ -207,11 +207,10 @@ def test_stacked_rank_scan_takes_every_pair_once_in_bounded_chunks(monkeypatch):
     code = lifted_mrd_code(2, 2, 1)  # 16 members, 120 pairs
     members, bases = sorted_bases(code)
     calls = []
-    batch = verify.rank_batch
-    monkeypatch.setattr(verify, "rank_batch", lambda f, mats: calls.append(mats) or batch(f, mats))
-    pair_bytes = rref_bytes(code.field, 2 * bases.shape[1], bases.shape[2])  # a stacked pair
+    batch = verify.rref_batch
+    monkeypatch.setattr(verify, "rref_batch", lambda f, mats: calls.append(mats) or batch(f, mats))
     for pairs_per_chunk in (1, 7, 120, 1000):
-        monkeypatch.setattr(verify, "_CHUNK_BYTES", pairs_per_chunk * pair_bytes)
+        monkeypatch.setattr(verify, "rref_chunk", lambda field, r, c: pairs_per_chunk)
         calls.clear()
         dist, (i, j) = verify._min_distance_pairs_generic(code.field, bases)
         assert (dist, (members[i], members[j])) == masked_pair_scan(code)
