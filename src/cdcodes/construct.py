@@ -22,12 +22,12 @@ from (count, k, n_j) arrays: MRD codewords from qpoly.mrd_array, an
 identity, or the bases of a smaller code.  (A | B) is canonical when A is,
 so only terms whose first block is not go through linalg.rref_batch, whose
 swap-free elimination packs GF(2) rows into words and holds other fields'
-entries as small unsigned digits; chunks are priced by linalg.rref_chunk.
-multiblock_generators and enumerate_mrd remain the per-member reference.
-_collect hands the array to CodeSet, whose sorted_bases call is the build's
-only sort, drops equal neighbours (copying only if any) and checks the count
-against the formula, so a silent collision surfaces as a count mismatch.
-Every build checks its budget before it builds.
+entries as small unsigned digits; its chunks and CodeSet's come from one
+budget, linalg._CHUNK_BYTES.  multiblock_generators and enumerate_mrd
+remain the per-member reference.  _collect hands the array to CodeSet, whose
+sorted_bases call is the build's only sort, drops equal neighbours (copying
+only if any) and checks the count against the formula, so a silent collision
+surfaces as a count mismatch.  Every build checks its budget before it builds.
 """
 
 from __future__ import annotations
@@ -38,14 +38,11 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .gf import GF, field_of_order
-from .linalg import (MatrixGF, Subspace, canonical_batch, enumerate_bases, rref_batch,
-                     rref_chunk, subspace_from_rows)
+from .linalg import (MatrixGF, Subspace, canonical_batch, enumerate_bases, per_chunk,
+                     rref_batch, rref_chunk, subspace_from_rows)
 from .qpoly import (DEFAULT_BUDGET, BudgetError, _bounded_rank, check_degree,
                     enumerate_filtration, enumerate_mrd, mrd_array)
 from .rankdist import gaussian_binomial, lifted_mrd_size, multiblock_size, parallel_linkage_size
-
-
-_CHUNK_BYTES = 1 << 22  # int64 element digits of one chunk of member matrices
 
 
 class ConstructionError(ValueError):
@@ -57,19 +54,15 @@ def bases_dtype(field) -> np.dtype:
     return np.min_scalar_type(field.order - 1)
 
 
-def _chunk(entries: int) -> int:
-    """Members per chunk when each member takes this many int64 digits: _CHUNK_BYTES in all."""
-    return max(1, _CHUNK_BYTES // (8 * entries or 1))
-
-
 def sorted_bases(bases: np.ndarray) -> np.ndarray:
     """bases in the order of their flattened entries, sorted only if out of
     it: Subspace.sort_key order for members of one dimension.  The order is
-    checked a chunk of neighbours at a time, the first 64 of them, then _chunk,
-    so unsorted input, as every multi-term build hands in, is found out early
-    and no temporary outgrows a chunk."""
+    checked a chunk of neighbours at a time, the first 64 of them, then as
+    many as linalg.per_chunk allows, so unsorted input, as every multi-term
+    build hands in, is found out early and no temporary outgrows a chunk."""
     flat = bases.reshape(len(bases), math.prod(bases.shape[1:]))
-    before, after, most = flat[:-1], flat[1:], _chunk(flat.shape[1])
+    # a neighbour pair holds its entries' inequality mask and the int64 argmax (tracemalloc)
+    before, after, most = flat[:-1], flat[1:], per_chunk(flat.shape[1] + 12)
     lo, step = 0, min(64, most)
     while lo < (len(before) if flat.shape[1] else 0):  # else all are 0-dimensional
         b, a = before[lo:lo + step], after[lo:lo + step]
@@ -118,7 +111,8 @@ class CodeSet:
             raise ValueError(f"member entry {bad!r} is not a non-negative int")
         if bases.size and bases.max() >= field.order:
             raise ValueError(f"member entry {bases.max()} is not below q={field.order}")
-        bases, step = bases.astype(bases_dtype(field), copy=False), _chunk(dim * ambient_dim)
+        bases = bases.astype(bases_dtype(field), copy=False)
+        step = per_chunk(dim * ambient_dim + 8 * dim + 8)  # a nonzero mask, k int64 pivots
         for lo in range(0, len(bases), step):
             if not (canonical := canonical_batch(bases[lo:lo + step])).all():
                 raise ValueError(f"member {lo + int(canonical.argmin())}: "
@@ -149,7 +143,7 @@ def _check_budget(predicted: int, budget: int | None) -> None:
         )
 
 
-def _collect(field, ambient_dim, dim, distance, bases, provenance, predicted, budget):
+def _collect(field, ambient_dim, dim, distance, bases, provenance, predicted):
     """The CodeSet of the distinct bases once their count is the predicted one; bases is a
     (count, dim, ambient_dim) array, or an iterable of bases.  Callers check the budget."""
     if not isinstance(bases, np.ndarray):
@@ -198,7 +192,7 @@ def _lifted(q: int, k: int, h: int, t: int, provenance: dict, budget: int | None
     _check_budget(predicted, budget)
     bases = _block_product(field, [[np.eye(k, dtype=bases_dtype(field))[None],
                                     mrd_array(q, k, t, h=h, budget=budget)]])
-    return _collect(field, 2 * k + h, k, 2 * (k - t), bases, provenance, predicted, budget)
+    return _collect(field, 2 * k + h, k, 2 * (k - t), bases, provenance, predicted)
 
 
 def lifted_mrd_code(q: int, n: int, t: int, *, budget: int | None = DEFAULT_BUDGET) -> CodeSet:
@@ -227,9 +221,7 @@ def grassmannian_code(q: int, ambient_dim: int, dim: int, *,
     _check_budget(predicted, budget)
     return _collect(
         field, ambient_dim, dim, 2, enumerate_bases(field, ambient_dim, dim),
-        {"construction": "grassmannian", "q": q, "N": ambient_dim, "k": dim},
-        predicted, budget,
-    )
+        {"construction": "grassmannian", "q": q, "N": ambient_dim, "k": dim}, predicted)
 
 
 def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
@@ -254,9 +246,7 @@ def linkage(u_code: CodeSet, q_matrices, d1: int, d2: int, *,
         field, u_code.ambient_dim + n2, k, min(d1, 2 * d2),
         _block_product(field, [[u_code.bases, q_array]]),
         {"construction": "linkage", "q": u_code.q, "n1": u_code.ambient_dim,
-         "n2": n2, "d1": d1, "d2": d2},
-        predicted, budget,
-    )
+         "n2": n2, "d1": d1, "d2": d2}, predicted)
 
 
 def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = None, *,
@@ -295,9 +285,7 @@ def parallel_linkage(q: int, k: int, h: int, d: int, v_code: CodeSet | None = No
         field, 3 * k + h, k, d, bases,
         {"construction": "parallel-linkage", "q": q, "k": k, "h": h, "d": d,
          "v_code": v_code.provenance.get("construction", "custom"),
-         "v_size": len(v_code)},
-        predicted, budget,
-    )
+         "v_size": len(v_code)}, predicted)
 
 
 @dataclass(frozen=True)
@@ -357,7 +345,5 @@ def multiblock_parallel_mrd(q: int, n: int, t: int, s: int, *,
     del full, restricted  # before the sort
     return _collect(
         field, (s + 1) * n, n, 2 * (n - t), bases,
-        {"construction": "multiblock", "q": q, "n": n, "t": t, "s": s},
-        predicted, budget,
-    )
+        {"construction": "multiblock", "q": q, "n": n, "t": t, "s": s}, predicted)
 

@@ -14,8 +14,7 @@ and at the end each pivot row moves to its place.  Over GF(2) a row is
 packed into words and a column step is a bit test, an argmax and an XOR;
 over any other field an entry is its m base-p digits in the smallest
 unsigned dtype, multiplied by a contraction (_digit_mul) and added
-carry-free.  rref_chunk sizes every caller's chunks from one price per
-matrix.
+carry-free.
 Spans have one kernel, span_blocks, which only adds: the q^r combinations
 of r rows are filled digit l of the index at a time, combination c q^l + i
 being combination i plus c row_l, into a preallocated output.  Addition is
@@ -23,6 +22,8 @@ carry-free, digit-wise mod p: XOR for p = 2, which also adds whole packed
 vector codes, and for odd p a sum and a conditional subtract on small
 unsigned digits.  It builds verify's vector tables and qpoly's MRD
 codewords.
+Every array kernel chunks by one budget, _CHUNK_BYTES, at a price an item
+from tracemalloc: rref_chunk's for elimination, _span_bytes' for spans.
 All values are immutable after construction and every operation is pure.
 """
 
@@ -33,6 +34,8 @@ import math
 
 from ._numpy import np
 from .gf import GF
+
+_CHUNK_BYTES = 1 << 22  # the one budget: bytes of temporaries a chunk of any kernel holds
 
 
 def _digit_products(field: GF) -> np.ndarray:
@@ -68,34 +71,53 @@ def _pack(digits, p: int, width: int, dtype):
     return codes
 
 
-def span_blocks(field: GF, rows, block: int, out=None):
+def per_chunk(item_bytes: int) -> int:
+    """Items of item_bytes a chunk holds within _CHUNK_BYTES, or 1."""
+    return max(1, _CHUNK_BYTES // max(1, item_bytes))
+
+
+def _span_bytes(field: GF, sets: int, r: int, length: int, width: int, dtype, new: bool):
+    """(held, per combination): about span_blocks' bytes for sets row sets (tracemalloc).
+    A set holds its int64 rows, for m > 1 their digit products, its prime rows and
+    prefix sums; a combination of each its low-table entry, for odd p its digits and
+    subtract temporary or packed codes, and without out the yielded and next block."""
+    p, m, code = field.p, field.m, np.dtype(dtype).itemsize * width
+    wide = code if p == 2 else np.min_scalar_type(2 * p - 2).itemsize * length * m
+    per_set = r * length * (9 + 16 * m * m * (m > 1)) + 2 * (r * m + 1) * wide
+    return sets * per_set, sets * (wide + (p != 2) * (wide + max(wide, code)) + 2 * new * code)
+
+
+def span_blocks(field: GF, rows, out=None):
     """Yield the q^r combinations sum_l c_l row_l of rows (..., r, L), c_l being
     base-q digit l of the index (c_0 least significant), in index order, a block
-    (..., n, W) of n consecutive combinations at a time, n a power of p at most
-    max(block, 1).  Entry j of a combination packs its coordinates j g, ...,
-    j g + g - 1 (g = L / W) into one base-q code, the first least significant:
-    W = L gives element codes, W = 1 the code of the whole vector.  With out,
-    (..., q^r, W), each block is written into its place in out and is a view of
-    it; without, each is a new array of element codes in the smallest unsigned
-    dtype.
+    (..., n, W) of n consecutive combinations at a time, n the largest power of
+    p that _CHUNK_BYTES holds (_span_bytes), or 1.  Entry j of a combination
+    packs its coordinates j g, ..., j g + g - 1 (g = L / W) into one base-q
+    code, the first least significant: W = L gives element codes, W = 1 the
+    code of the whole vector.  With out, (..., q^r, W), each block is written
+    into its place in out and is a view of it; without, each is a new array of
+    element codes in the smallest unsigned dtype.
 
     Its only field arithmetic is carry-free addition (_add).  Over GF(p) the
     rows span what the r m rows p^e row_l, e < m, span, with base-p digit
     l m + e of the index as the scalar of p^e row_l; their digits come from
-    the (m, m, m) table _digit_products.  The first w of those rows,
-    p^w <= block, fill a low table by doubling: combination c p^j + i is
-    combination i plus c row_j, the multiples c row_j taken by doubling c.
-    Block h is the low table plus combination h of the other rows, its
-    offset: from h to h + 1 the offset gains the sum of those rows 0..t, t
-    the number of trailing digits p - 1 of h (each wraps to 0, and
-    -(p - 1) row = row).  For p = 2 the rows are packed into codes before
-    the doubling; odd p packs each block's digits after it.
+    the (m, m, m) table _digit_products.  The first w of those rows, p^w = n,
+    fill a low table by doubling: combination c p^j + i is combination i plus
+    c row_j, the multiples c row_j taken by doubling c.  Block h is the low
+    table plus combination h of the other rows, its offset: from h to h + 1
+    the offset gains the sum of those rows 0..t, t the number of trailing
+    digits p - 1 of h (each wraps to 0, and -(p - 1) row = row).  For p = 2
+    the rows are packed into codes before the doubling; odd p packs each
+    block's digits after it.
     """
     p, m = field.p, field.m
     rows = np.asarray(rows, dtype=np.int64)
     *batch, r, length = rows.shape
     width = length if out is None else out.shape[-1]
     dtype = np.min_scalar_type(field.order - 1) if out is None else out.dtype
+    held, per_combination = _span_bytes(field, math.prod(batch), r, length, width, dtype,
+                                        out is None)
+    most = max(1, (_CHUNK_BYTES - held) // max(1, per_combination))  # blocks beside held rows
     if m > 1:  # digits of p^e row_l
         rows = np.einsum("...rlj,ejk->...relk", rows[..., None] // p ** np.arange(m) % p,
                          _digit_products(field)) % p
@@ -106,7 +128,7 @@ def span_blocks(field: GF, rows, block: int, out=None):
         prime = _pack(prime, 2, width, dtype)
     s, wide = r * m, prime.shape[-1]
     w = 0
-    while w < s and p ** (w + 1) <= block:
+    while w < s and p ** (w + 1) <= most:
         w += 1
     low = np.zeros((p ** w, *batch, wide), prime.dtype)
     for j in range(w):
@@ -142,12 +164,20 @@ def span_blocks(field: GF, rows, block: int, out=None):
             _add(p, offset, prefix[t], offset)
 
 
-def span_into(field: GF, rows, out, block: int):
-    """Fill out, (..., q^r, W), with the combinations of rows (span_blocks), a
-    block of at most max(block, 1) of them at a time, and return it."""
-    for _ in span_blocks(field, rows, block, out):
-        pass
-    return out
+def span_into(field: GF, rows, out):
+    """Fill out, (..., q^r, W), with the combinations of rows (span_blocks), and
+    return it: a chunk of the leading batch axis at a time, as many row sets as
+    hold their whole spans in about _CHUNK_BYTES, and at least one."""
+    rows, whole = np.asarray(rows), out
+    if rows.ndim == 2:  # one row set: a batch of one
+        rows, out = rows[None], out[None]
+    held, per_combination = _span_bytes(field, math.prod(rows.shape[1:-2]), *rows.shape[-2:],
+                                        out.shape[-1], out.dtype, False)
+    step = per_chunk(held + out.shape[-2] * per_combination)  # row sets whose spans fit
+    for lo in range(0, len(rows), step):
+        for _ in span_blocks(field, rows[lo:lo + step], out[lo:lo + step]):
+            pass
+    return whole
 
 
 def _digit_mul(x, y, table, p):
@@ -157,9 +187,6 @@ def _digit_mul(x, y, table, p):
         return x * y % p
     outer = x[..., :, None] * y[..., None, :]
     return outer.reshape(*outer.shape[:-2], -1) @ table.reshape(-1, len(table)) % p
-
-
-_CHUNK_BYTES = 1 << 22  # bytes one rref_batch call holds, for every caller (rref_chunk)
 
 
 def _pack_bits(mats) -> np.ndarray:
@@ -237,13 +264,14 @@ def _eliminate(field: GF, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def rref_chunk(field: GF, r: int, c: int) -> int:
-    """Matrices of (r, c) per rref_batch call so that it holds about _CHUNK_BYTES;
-    at least one.  An entry takes 20 bytes over GF(2), in packed words and the
-    int64 rref, and 16 (m + 1)^2 over other fields, with _digit_mul's uint64
-    products, five times that as Python ints; a row takes 64 of bookkeeping."""
+    """Matrices of (r, c) per rref_batch call (per_chunk): 192 bytes a matrix and, an
+    entry, 10 over GF(2), 28 over GF(p), 150 as Python ints, and for m > 1 digits
+    8 m^2 + 18 m + 16 (_digit_mul's uint64 products) and 16 m a column (the pivot
+    row's).  tracemalloc's peak on 6 x 12 matrices is 0.88 to 1.01 of it, m <= 16."""
     p, m = field.p, field.m
-    entry = 20 if field.order == 2 else 16 * (m + 1) ** 2 * (5 if p * p >= 1 << 63 else 1)
-    return max(1, _CHUNK_BYTES // (r * c * entry + 64 * r + 64))
+    if m > 1:
+        return per_chunk(r * c * (8 * m * m + 18 * m + 16) + 16 * m * c + 192)
+    return per_chunk(r * c * (10 if p == 2 else 150 if p * p >= 1 << 63 else 28) + 192)
 
 
 def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
@@ -257,13 +285,8 @@ def rref_batch(field: GF, mats) -> tuple[np.ndarray, np.ndarray]:
     clearing touches only this column and later ones.  Pivots are found in
     column order, so at the end each pivot row moves to the place its pivot
     gives it, zero rows last; the rref is unique, so it is _rref_generic's.
-    Over GF(2) a column step is a bit test, an argmax and an XOR of rows
-    packed into words.  Over any other field entries are base-p digits in
-    the smallest unsigned dtype; a product is one contraction with
-    _digit_products, an inverse x^(q-2) by square-and-multiply, and a
-    difference is carry-free (_add).  Callers pass chunks of rref_chunk
-    matrices, which the kernel holds in about _CHUNK_BYTES.  The rref is
-    int64, or Python ints where p^2 >= 2^63.
+    Callers pass chunks of rref_chunk matrices.  The rref is int64, or
+    Python ints where p^2 >= 2^63.
     """
     p, q = field.p, field.order
     mats = np.asarray(mats)

@@ -18,7 +18,8 @@ for odd p).  mrd_array has it fill one preallocated array in place, and
 enumerate_mrd yields the matrices of its blocks, each a table of the low
 digits built once plus one offset of the high digits.  _bounded_rank
 keeps the nonzero codewords of rank at most r, which enumerate_filtration
-yields as matrices.
+yields as matrices.  linalg sizes their blocks and rank chunks from one
+budget, linalg._CHUNK_BYTES.
 
 Enumeration order is an odometer over the integer codes of
 (a_0, ..., a_t) with a_0 varying fastest.
@@ -31,7 +32,6 @@ from .gf import GF, extension_field, field_of_order
 from .linalg import MatrixGF, rref_batch, rref_chunk, span_blocks, span_into
 
 DEFAULT_BUDGET = 1 << 24  # elements an enumeration or a construction may produce
-_CHUNK = 1 << 9  # codewords per span block
 
 
 class BudgetError(Exception):
@@ -133,7 +133,7 @@ def mrd_array(q: int, n: int, t: int, *, h: int = 0,
     filled in place by linalg.span_into."""
     field, count, basis = _mrd_basis(q, n, t, h, budget)
     out = np.empty((count, n, n + h), dtype=np.min_scalar_type(q - 1))
-    span_into(field, basis, out.reshape(count, n * (n + h)), _CHUNK)
+    span_into(field, basis, out.reshape(count, n * (n + h)))
     return out
 
 
@@ -143,13 +143,13 @@ def enumerate_mrd(q: int, n: int, t: int, *, h: int = 0, budget: int | None = DE
     The q^((n+h)(t+1)) maps GF(q^n) -> GF(q^(n+h)) form an MRD code with
     rank distance n - t; h = 0 is the square code.  Validation (including the budget check) happens at call time;
     indices are int64, so a code of more than 2^62 codewords is refused.
-    The codewords come from linalg.span_blocks, at most _CHUNK at a time.
+    The codewords come from linalg.span_blocks, a block at a time, sized by
+    the one budget, linalg._CHUNK_BYTES.
     """
     field, _count, basis = _mrd_basis(q, n, t, h, budget)
-    # the kernel's entries are in range by construction: no per-entry check
-    return (MatrixGF._of(field, tuple(map(tuple, rows)))
-            for block in span_blocks(field, basis, _CHUNK)
-            for rows in block.reshape(-1, n, n + h).tolist())
+    # entries in range by construction (no check), listed a codeword at a time, not a block
+    return (MatrixGF._of(field, tuple(map(tuple, rows.tolist())))
+            for block in span_blocks(field, basis) for rows in block.reshape(-1, n, n + h))
 
 
 def _bounded_rank(field: GF, words: np.ndarray, r: int) -> np.ndarray:

@@ -12,9 +12,10 @@ combinations sum_i c_i row_i, each encoded as its base-q code (coordinate
 c is digit c).  linalg.span_into, the kernel that also builds MRD
 codewords, writes them into the table by doubling, one row at a time:
 vector c q^l + i is vector i plus c row_l, added carry-free (XOR of whole
-codes for p = 2, digit-wise mod p for odd p), with temporaries of about
-_CHUNK_BYTES.  Its entries take the smallest unsigned dtype that holds
-q^N - 1.
+codes for p = 2, digit-wise mod p for odd p).  Its entries take the
+smallest unsigned dtype that holds q^N - 1.  Every chunk here comes from
+one budget, linalg._CHUNK_BYTES: each loop states its bytes an item to
+linalg.per_chunk, or leaves the sizing to span_into and rref_chunk.
 
 The exhaustive oracle looks at sub-subspaces, not at pairs.  Two members
 meet in dimension at least j exactly when some j-subspace lies in both, so
@@ -64,7 +65,8 @@ import math
 
 from ._numpy import np
 from .construct import CodeSet, bases_dtype, distinct_neighbours
-from .linalg import MatrixGF, Subspace, enumerate_bases, rref_batch, rref_chunk, span_into
+from .linalg import (MatrixGF, Subspace, enumerate_bases, per_chunk, rref_batch, rref_chunk,
+                     span_into)
 from .rankdist import gaussian_binomial
 
 SAMPLED_PAIRS = 1_000_000
@@ -78,12 +80,6 @@ def _witness(field, bases, pair):
     return tuple(Subspace(field, bases.shape[2], bases[i].tolist()) for i in pair)
 
 
-# Bytes of temporaries one chunk of the vector build, the key build, the
-# sampled pair sort or the stacked-rank scan may hold (at least one member,
-# vector or pair per chunk).
-_CHUNK_BYTES = 1 << 18
-
-
 def _table_bytes(q, ambient_dim, members, dim):
     """Bytes of the _vector_table of that many dim-dimensional members (q^N <= 2^63)."""
     return members * q ** dim * np.min_scalar_type(q ** ambient_dim - 1).itemsize
@@ -93,15 +89,10 @@ def _vector_table(field, ambient_dim, bases):
     """Row i: the q^k vector codes of member i of the (M, k, N) bases, in the
     smallest unsigned dtype holding q^N - 1.  Entry c is the base-q code of
     sum_l c_l row_l, c_l being base-q digit l of c (entry 0 is the zero
-    vector).  linalg.span_into writes them into the table, a chunk of members
-    and a block of combinations at a time."""
+    vector).  linalg.span_into writes them into the table, in chunks it sizes."""
     q, n, k = field.order, ambient_dim, bases.shape[1]
     table = np.empty((len(bases), q ** k), dtype=np.min_scalar_type(q ** n - 1))
-    per_vector = 3 * n * field.m + 8  # bytes of the kernel's temporaries, p < 128
-    width = min(q ** k, max(1, _CHUNK_BYTES // per_vector))  # combinations per block
-    step = max(1, _CHUNK_BYTES // (per_vector * width))  # members per chunk
-    for lo in range(0, len(bases), step):
-        span_into(field, bases[lo:lo + step], table[lo:lo + step, :, None], width)
+    span_into(field, bases, table[:, :, None])
     return table
 
 
@@ -182,7 +173,7 @@ def _level_pair(field, ambient_dim, table, dim, j):
     else:
         words = np.empty(count, dtype=np.uint64)
         place = np.array([field.order ** (ambient_dim * r) for r in range(j)], dtype=np.uint64)
-    step = max(1, _CHUNK_BYTES // (len(idx) * (2 * j * table.itemsize + 24)))
+    step = per_chunk(len(idx) * (2 * j * table.itemsize + 24))  # codes twice, 3 words a key
     for lo in range(0, members, step):
         chunk = table[lo:lo + step]
         owner = np.arange(lo, lo + len(chunk), dtype=np.uint64)
@@ -323,9 +314,9 @@ def _min_distance_pairs_generic(field, bases, pairs=None):
     2 rank - 2k; the ranks are taken for a chunk of stacked pairs per
     linalg.rref_batch call, its rows packed into words over GF(2) and its
     entries small unsigned digits over other fields.  linalg.rref_chunk
-    sizes a chunk so its elimination holds about linalg._CHUNK_BYTES, so
-    memory does not grow with the pairs.  Ties go to the smallest index
-    pair, the smallest subspace pair of sorted bases.
+    sizes a chunk from the one budget, linalg._CHUNK_BYTES, so memory does
+    not grow with the pairs.  Ties go to the smallest index pair, the
+    smallest subspace pair of sorted bases.
     """
     m, k, n = bases.shape
     if pairs is None:  # pair t is (i, t - before[i] + i + 1), before[i] the pairs of rows < i
@@ -349,7 +340,6 @@ def _min_distance_pairs_generic(field, bases, pairs=None):
     return best[0], best[1:]
 
 
-_DRAW_CHUNK = 1 << 16  # draws mixed at a time
 _MIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
@@ -372,9 +362,9 @@ def _draws(seed: int, count: int, size: int) -> np.ndarray:
     chunk of states at once, and uint64 arithmetic wraps mod 2^64 as the
     generator does.
     """
-    out = np.empty(count, dtype=np.int64)
-    for lo in range(0, count, _DRAW_CHUNK):
-        i = np.arange(lo, min(lo + _DRAW_CHUNK, count), dtype=np.uint64)
+    out, step = np.empty(count, dtype=np.int64), per_chunk(32)  # four uint64 a draw (tracemalloc)
+    for lo in range(0, count, step):
+        i = np.arange(lo, min(lo + step, count), dtype=np.uint64)
         states = np.uint64(seed & _U64) + i * np.uint64(_MIX[0])
         out[lo:lo + len(i)] = _vector_hash(states) % np.uint64(size)
     return out
@@ -439,7 +429,7 @@ def min_distance_sampled(code, pairs: int, seed: int):
         dist, pair = _min_distance_pairs_generic(code.field, bases, (low, high))
         return dist, _witness(code.field, bases, pair)
     table = membership_masks(code)[1]
-    chunk = max(1, _CHUNK_BYTES // pair_bytes)
+    chunk = per_chunk(pair_bytes + 24)  # and its two int64 indices and count (tracemalloc)
     counts = np.empty(pairs, dtype=np.int64)
     for lo in range(0, pairs, chunk):
         rows = np.stack([left[lo:lo + chunk], right[lo:lo + chunk]], axis=1).ravel()

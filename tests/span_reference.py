@@ -1,9 +1,12 @@
 """The product form of a span that the doubling kernel linalg.span_blocks is
-tested against: every combination evaluated on its own, as digit products."""
+tested against: every combination evaluated on its own, as digit products;
+and the byte budget at which the kernel yields blocks of a chosen size."""
+
+import math
 
 import numpy as np
 
-from cdcodes.linalg import _digit_products
+from cdcodes.linalg import _digit_products, _span_bytes
 
 
 def span_product(field, rows, idx) -> np.ndarray:
@@ -26,3 +29,15 @@ def span_product(field, rows, idx) -> np.ndarray:
     digits = np.asarray(idx, dtype=np.int64)[:, None] // p ** np.arange(r * m, dtype=np.int64)
     out = digits % p @ scaled % p
     return out.reshape(*out.shape[:-1], width, m) @ powers
+
+
+def span_budget(field, shape, block, width, dtype, new) -> tuple[int, int]:
+    """(budget, n): at linalg._CHUNK_BYTES = budget, span_blocks over rows of shape
+    (..., r, L) into width codes of dtype (new: without out) yields blocks of n
+    combinations, n the largest power of p within block and q^r, or 1."""
+    *batch, r, length = shape
+    held, per_combination = _span_bytes(field, math.prod(batch), r, length, width, dtype, new)
+    n = 1
+    while n * field.p <= min(block, field.order ** r):
+        n *= field.p
+    return held + block * max(1, per_combination), n

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cdcodes import bounds, cli, construct, gf, tables, verify
+from cdcodes import bounds, cli, gf, linalg, tables, verify
 from cdcodes.cli import main, read_codeset, write_codeset
 from cdcodes.construct import (CodeSet, bases_dtype, grassmannian_code, lifted_mrd_code,
                                multiblock_parallel_mrd)
@@ -538,7 +538,7 @@ def test_code_file_io_peaks_within_the_bases_and_one_chunk(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "_WRITE_CHUNK", 1024)
     monkeypatch.setattr(cli, "_READ_CHUNK", 1024)
     chunk = 1024 * len(cli._line_format(2, 4) % ((15,) * 8))  # 1,024 of the widest member lines
-    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk)  # CodeSet checks the array in chunks too
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk)  # CodeSet checks the array in chunks too
     path = tmp_path / "code.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         write_codeset(code, fh)

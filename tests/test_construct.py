@@ -213,11 +213,11 @@ def test_codeset_sorts_its_bases_once_made():
         assert list(CodeSet(code.field, 4, 2, 2, bases).members) == expected
 
 
-@pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
+@pytest.mark.parametrize("chunk_bytes", [linalg._CHUNK_BYTES, 1], ids=["chunks", "single"])
 def test_sorted_bases_finds_every_out_of_order_pair(chunk_bytes, monkeypatch):
     # the order is checked 64 neighbours first, then a chunk at a time: an unsorted build
     # and one out-of-order pair, the last, in the last chunk are both sorted
-    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
     field = field_of_order(2)
     restricted = qpoly._bounded_rank(field, qpoly.mrd_array(2, 3, 2), 2)
     built = construct._block_product(field, [  # the bench's 855-member (6, 855, 2, 3) terms
@@ -405,7 +405,7 @@ def test_codeset_count_check_catches_duplicates():
     field = field_of_order(2)
     s = subspace_from_rows(MatrixGF.identity(field, 2))
     with pytest.raises(ConstructionError):
-        _collect(field, 2, 2, 2, [s.basis, s.basis], {}, 2, None)
+        _collect(field, 2, 2, 2, [s.basis, s.basis], {}, 2)
 
 
 # Every construction whose code files and verify reports stay byte-identical.
@@ -458,12 +458,11 @@ PARALLEL_LINKAGE = {
 }
 
 
-@pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
+@pytest.mark.parametrize("chunk_bytes", [linalg._CHUNK_BYTES, 1], ids=["chunks", "single"])
 @pytest.mark.parametrize("case", LINKAGE)
 def test_linkage_array_build_matches_the_per_member_reference(case, chunk_bytes, monkeypatch):
     u_code, q_matrices = LINKAGE[case]()
-    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)  # rref_batch chunks
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
     assert list(linkage(u_code, q_matrices, 2, 1).members) == linkage_reference(u_code, q_matrices)
 
 
@@ -472,12 +471,11 @@ def cached_parallel_linkage_reference(case):
     return parallel_linkage_reference(*PARALLEL_LINKAGE[case])
 
 
-@pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
+@pytest.mark.parametrize("chunk_bytes", [linalg._CHUNK_BYTES, 1], ids=["chunks", "single"])
 @pytest.mark.parametrize("case", PARALLEL_LINKAGE)
 def test_parallel_linkage_array_build_matches_the_per_member_reference(case, chunk_bytes,
                                                                       monkeypatch):
-    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)  # rref_batch chunks
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
     built = parallel_linkage(*PARALLEL_LINKAGE[case])
     assert list(built.members) == cached_parallel_linkage_reference(case)
 
@@ -498,8 +496,7 @@ def test_multiblock_array_build_matches_the_generator_tuples(q, n, t, s):
 
 
 def test_array_builds_with_one_matrix_per_chunk(monkeypatch):
-    monkeypatch.setattr(construct, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 1)  # rref_batch chunks
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 1)
     assert list(multiblock_parallel_mrd(2, 2, 1, 2).members) == multiblock_reference(2, 2, 1, 2)
     assert list(multiblock_parallel_mrd(3, 2, 1, 1).members) == multiblock_reference(3, 2, 1, 1)
     assert list(lifted_mrd_code(16, 2, 0).members) == lifted_reference(16, 2, 0)
@@ -515,15 +512,14 @@ def test_array_members_come_out_sorted():
     products = [((1, 0, *r0), (0, 1, *r1)) for r0, r1 in right.tolist()]
     assert [tuple(map(tuple, b)) for b in bases.tolist()] == products
     expected = sorted(set(products))
-    code = construct._collect(field, 5, 2, 0, bases, {}, len(expected), None)
+    code = construct._collect(field, 5, 2, 0, bases, {}, len(expected))
     assert [tuple(map(tuple, b)) for b in code.bases.tolist()] == expected
 
 
-@pytest.mark.parametrize("chunk_bytes", [construct._CHUNK_BYTES, 1], ids=["chunks", "single"])
+@pytest.mark.parametrize("chunk_bytes", [linalg._CHUNK_BYTES, 1], ids=["chunks", "single"])
 def test_block_product_fills_one_array_term_after_term(chunk_bytes, monkeypatch):
     # the first term's first block is canonical, the second's is not
-    monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)  # rref_batch chunks
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
     u_code, q_matrices = LINKAGE["q3-rect"]()
     shuffled = u_code.bases[:, ::-1]  # basis rows reversed: not in RREF
     right = np.array([m.rows for m in q_matrices], dtype=np.uint8)

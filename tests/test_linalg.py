@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import cdcodes.gf as gf
 import cdcodes.linalg as linalg
 from cdcodes.construct import bases_dtype
-from cdcodes.gf import GF, field_of_order
+from cdcodes.gf import GF, extension_field, factor_prime_power, field_of_order
 from cdcodes.linalg import (
     _rref_generic,
     MatrixGF,
@@ -28,12 +29,18 @@ from cdcodes.linalg import (
     subspace_from_rows,
 )
 from rref_reference import rref_reference
-from span_reference import span_product
+from span_reference import span_budget, span_product
 from vector_oracle import encode_vector, subspace_vectors
 
 F2 = GF(2)
 F3 = GF(3)
 BIG = 4_294_967_311  # the least prime above 2^32: a product of two entries overflows int64
+
+
+def field_of(q):
+    """GF(q); past m = 4, where field_of_order stops, GF(p^m) over GF(p)."""
+    p, m = factor_prime_power(q)
+    return field_of_order(q) if m <= 4 else extension_field(p, m)
 
 
 def all_matrices(field, nrows, ncols):
@@ -314,7 +321,7 @@ def test_span_matches_a_fold_through_the_field(q):
     rng = np.random.default_rng(q)
     for r in (0, 1, 3):
         rows = rng.integers(0, q, size=(2, r, 5))  # a batch of two row sets
-        out = span_into(field, rows, np.empty((2, q ** r, 5), np.min_scalar_type(q - 1)), 7)
+        out = span_into(field, rows, np.empty((2, q ** r, 5), np.min_scalar_type(q - 1)))
         idx = rng.permutation(q ** r)[:7]
         for b, i in itertools.product(range(2), idx.tolist()):
             acc = [0] * 5
@@ -326,21 +333,24 @@ def test_span_matches_a_fold_through_the_field(q):
 
 def check_span_kernel(field, rows, block):
     """span_into and span_blocks against the product reference: element codes,
-    codes of coordinate groups, and whole-vector codes."""
+    codes of coordinate groups, and whole-vector codes, under the budget of
+    blocks of block combinations."""
     q, (*batch, r, length) = field.order, rows.shape
     expected = span_product(field, rows, np.arange(q ** r))
     dtype = np.min_scalar_type(q - 1)
-    out = np.empty((*batch, q ** r, length), dtype)
-    assert span_into(field, rows, out, block) is out and np.array_equal(out, expected)
-    blocks = list(span_blocks(field, rows, block))
-    assert all(b.dtype == dtype and b.shape[-2] <= max(block, 1) for b in blocks)
-    assert np.array_equal(np.concatenate(blocks, axis=-2), expected)
-    for width in [w for w in (1, 2) if length % w == 0]:
-        g = length // width
-        place = q ** np.arange(g, dtype=np.int64)
-        codes = expected.reshape(*batch, q ** r, width, g) @ place
-        out = np.empty((*batch, q ** r, width), np.min_scalar_type(q ** g - 1))
-        assert np.array_equal(span_into(field, rows, out, block), codes)
+    budget, n = span_budget(field, rows.shape, block, length, dtype, True)
+    with mock.patch.object(linalg, "_CHUNK_BYTES", budget):
+        out = np.empty((*batch, q ** r, length), dtype)
+        assert span_into(field, rows, out) is out and np.array_equal(out, expected)
+        blocks = list(span_blocks(field, rows))
+        assert all(b.dtype == dtype and b.shape[-2] == n for b in blocks)
+        assert np.array_equal(np.concatenate(blocks, axis=-2), expected)
+        for width in [w for w in (1, 2) if length % w == 0]:
+            g = length // width
+            place = q ** np.arange(g, dtype=np.int64)
+            codes = expected.reshape(*batch, q ** r, width, g) @ place
+            out = np.empty((*batch, q ** r, width), np.min_scalar_type(q ** g - 1))
+            assert np.array_equal(span_into(field, rows, out), codes)
 
 
 @pytest.mark.parametrize("q", SPAN_QS)
@@ -454,11 +464,11 @@ def ranked_matrices(field, r, c, rng, per_rank=2):
 SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (3, 7), (7, 3), (2, 9), (9, 2)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 251, 257])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 32, 251, 256, 257])
 def test_batched_rref_agrees_with_the_reference_and_the_per_matrix_kernel(q):
     """Every rank from 0 to full, empty, tall and wide shapes, q = 2 rows on the
     packed-word boundaries, and two leading batch axes."""
-    field, rng = field_of_order(q), random.Random(q)
+    field, rng = field_of(q), random.Random(q)
     for r, c in SHAPES + ([(3, 63), (4, 64), (4, 65), (3, 130)] if q == 2 else []):
         mats = ranked_matrices(field, r, c, rng)
         reduced, rank = rref_batch(field, mats)
@@ -472,12 +482,12 @@ def test_batched_rref_agrees_with_the_reference_and_the_per_matrix_kernel(q):
             assert (red, k) == ([list(row) for row in _rref_generic(field, m, c)[0]], k)
 
 
-@pytest.mark.parametrize("q, r, c", [(2, 6, 6), (2, 4, 130), (3, 6, 12), (16, 4, 8), (257, 3, 6),
-                                     (BIG, 3, 6)])
+@pytest.mark.parametrize("q, r, c", [(2, 6, 6), (2, 4, 130), (3, 6, 12), (16, 4, 8), (32, 6, 12),
+                                     (256, 3, 6), (257, 3, 6), (BIG, 3, 6)])
 def test_elimination_peaks_within_its_chunk_allowance(q, r, c, monkeypatch):
     """One call on an rref_chunk of matrices holds at most the chunk's bytes and a
     fixed slack: no copy of the batch per column."""
-    field, allowance, slack = field_of_order(q), 1 << 20, 1 << 16
+    field, allowance, slack = field_of(q), 1 << 20, 1 << 16
     monkeypatch.setattr(linalg, "_CHUNK_BYTES", allowance)
     count = rref_chunk(field, r, c)
     mats = np.random.default_rng(5).integers(0, q, size=(count, r, c)).astype(bases_dtype(field))

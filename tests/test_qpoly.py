@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cdcodes import qpoly
+from cdcodes import linalg, qpoly
 from cdcodes.gf import extension_field, field_of_order
 from cdcodes.linalg import MatrixGF
 from cdcodes.qpoly import (
@@ -18,7 +18,7 @@ from cdcodes.qpoly import (
     mrd_array,
 )
 from cdcodes.rankdist import filtration_size
-from span_reference import span_product
+from span_reference import span_budget, span_product
 
 
 def test_evaluate_identity_and_zero():
@@ -85,6 +85,23 @@ def test_enumerate_mrd_counts_and_order():
     assert len(list(enumerate_mrd(2, 4, 2))) == 4096
 
 
+def codeword_budget(q, n, t, h, block, new):
+    """(budget, size): at linalg._CHUNK_BYTES = budget the MRD code's span comes in
+    blocks of size codewords, the largest power of p within block: new for
+    enumerate_mrd's new blocks, else for mrd_array's writes into its output."""
+    field, _, basis = qpoly._mrd_basis(q, n, t, h, None)
+    return span_budget(field, basis.shape, block, n * (n + h), np.uint8, new)
+
+
+def recorded_blocks(monkeypatch):
+    """The codewords of each block the span kernel yields, as it yields them."""
+    sizes, kernel = [], linalg.span_blocks
+    record = lambda *args: (sizes.append(b.shape[-2]) or b for b in kernel(*args))
+    monkeypatch.setattr(linalg, "span_blocks", record)
+    monkeypatch.setattr(qpoly, "span_blocks", record)
+    return sizes
+
+
 @pytest.mark.parametrize("q,n,t,h", [(2, 3, 2, 0), (3, 3, 1, 0), (4, 2, 1, 0), (5, 2, 1, 0),
                                      (8, 2, 1, 0), (9, 2, 1, 0), (2, 2, 1, 1), (3, 2, 1, 2),
                                      (4, 2, 0, 1)])
@@ -96,9 +113,12 @@ def test_enumerate_mrd_matches_per_map_matrices(q, n, t, h, monkeypatch):
     for idx, m in enumerate(whole):
         coeffs = [idx // big.order ** i % big.order for i in range(t + 1)]
         assert m == QPolynomial(ext, coeffs, big).to_matrix()
-    # a chunk size that is no power of p: blocks of the largest power of p within it
-    monkeypatch.setattr(qpoly, "_CHUNK", 7)
+    # a budget of 7 codewords, no power of p: blocks of the largest power of p within it
+    budget, size = codeword_budget(q, n, t, h, 7, True)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", budget)
+    sizes = recorded_blocks(monkeypatch)
     assert list(enumerate_mrd(q, n, t, h=h)) == whole
+    assert set(sizes) == {size}
 
 
 @pytest.mark.parametrize("q,n,t,h", [(2, 3, 2, 0), (3, 2, 1, 1), (4, 2, 1, 0), (16, 2, 0, 1)])
@@ -107,8 +127,12 @@ def test_mrd_array_is_the_enumerate_mrd_stream(q, n, t, h, monkeypatch):
     assert whole.dtype == np.uint8 and whole.shape == (q ** ((n + h) * (t + 1)), n, n + h)
     assert [MatrixGF(field_of_order(q), m) for m in whole.tolist()] == list(
         enumerate_mrd(q, n, t, h=h))
-    monkeypatch.setattr(qpoly, "_CHUNK", 5)  # no power of p: blocks of the largest within it
+    # 5 codewords, no power of p: blocks of the largest within it
+    budget, size = codeword_budget(q, n, t, h, 5, False)
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", budget)
+    sizes = recorded_blocks(monkeypatch)
     assert (mrd_array(q, n, t, h=h) == whole).all()
+    assert set(sizes) == {size}
 
 
 @pytest.mark.parametrize("q,n,t,h", [(2, 3, 2, 0), (3, 3, 1, 0), (4, 2, 1, 0), (5, 2, 1, 0),
@@ -118,17 +142,26 @@ def test_mrd_codewords_match_the_product_reference(q, n, t, h, monkeypatch):
     # codeword idx is sum_d digit_d(idx) B_d over the basis matrices B_d
     field, count, basis = qpoly._mrd_basis(q, n, t, h, None)
     expected = span_product(field, basis, np.arange(count)).reshape(count, n, n + h)
-    for chunk in (qpoly._CHUNK, 100, 3, 1):  # 1: every codeword is a block of its own
-        monkeypatch.setattr(qpoly, "_CHUNK", chunk)
-        assert np.array_equal(mrd_array(q, n, t, h=h), expected)
-        assert [m.rows for m in enumerate_mrd(q, n, t, h=h)] == [
-            tuple(map(tuple, m)) for m in expected.tolist()]
+    for block in (None, 100, 3, 1):  # None: the default budget; 1: a block a codeword
+        for new in (False, True):
+            if block is not None:
+                budget, size = codeword_budget(q, n, t, h, block, new)
+                monkeypatch.setattr(linalg, "_CHUNK_BYTES", budget)
+            sizes = recorded_blocks(monkeypatch)
+            if new:
+                assert [m.rows for m in enumerate_mrd(q, n, t, h=h)] == [
+                    tuple(map(tuple, m)) for m in expected.tolist()]
+            else:
+                assert np.array_equal(mrd_array(q, n, t, h=h), expected)
+            assert block is None or set(sizes) == {size}
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("q,n,t,h", [(2, 5, 2, 0), (4, 3, 2, 0), (3, 3, 2, 0), (5, 2, 1, 1)])
-def test_mrd_array_peaks_within_its_output_and_one_chunk(q, n, t, h):
+def test_mrd_array_peaks_within_its_output_and_one_chunk(q, n, t, h, monkeypatch):
     # the codewords are written into the output a block at a time: beside it
-    # the build holds less than _CHUNK codewords of int64 entries
+    # the build holds less than a budget of 512 codewords of int64 entries
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 8 * 512 * n * (n + h))
     mrd_array(q, n, t, h=h)  # fields and their tables are cached outside the trace
     tracemalloc.start()
     try:
@@ -136,8 +169,8 @@ def test_mrd_array_peaks_within_its_output_and_one_chunk(q, n, t, h):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.nbytes >= 16 * qpoly._CHUNK * n * (n + h)  # the output outweighs a chunk
-    assert peak < out.nbytes + 8 * qpoly._CHUNK * n * (n + h)
+    assert out.nbytes >= 2 * linalg._CHUNK_BYTES  # the output outweighs a chunk
+    assert peak < out.nbytes + linalg._CHUNK_BYTES
 
 
 def test_enumerate_mrd_skips_the_entry_checks(monkeypatch):

@@ -46,3 +46,20 @@ def test_only_the_lazy_module_imports_numpy():
         if any(name.split(".")[0] == "numpy" for name in imported(node))
     ]
     assert (SRC / "_numpy.py").exists() and not offenders, offenders
+
+
+def test_only_linalg_assigns_a_chunk_budget():
+    # every array kernel chunks by one byte budget, linalg._CHUNK_BYTES, through
+    # linalg.per_chunk; a second budget constant would split that policy again
+    def budget(name):
+        return name.endswith("_CHUNK_BYTES") or name in ("_CHUNK", "_DRAW_CHUNK")
+
+    def assigned(path):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            yield from (t.id for t in targets if isinstance(t, ast.Name) and budget(t.id))
+
+    offenders = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "linalg.py" for name in assigned(path)]
+    assert list(assigned(SRC / "linalg.py")) == ["_CHUNK_BYTES"] and not offenders, offenders

@@ -19,7 +19,7 @@ from cdcodes.construct import (
 )
 from cdcodes.gf import field_of_order
 from cdcodes.linalg import MatrixGF, Subspace, rref_batch, subspace_distance, subspace_from_rows
-from cdcodes.qpoly import enumerate_mrd
+from cdcodes.qpoly import enumerate_mrd, mrd_array
 from cdcodes.rankdist import delsarte_distribution
 from cdcodes.verify import (
     empirical_rank_distribution,
@@ -30,6 +30,7 @@ from cdcodes.verify import (
 )
 import cdcodes.construct as construct
 import cdcodes.gf as gf
+import cdcodes.linalg as linalg
 import cdcodes.verify as verify
 from subspace_codes import code_of
 from span_reference import span_product
@@ -187,15 +188,15 @@ def stacked_rank_scan(code):
 def oracle_variants(code, monkeypatch):
     """min_distance_exhaustive as shipped, and its sub-subspace scan forced:
     plain and with one-member chunks, the stacked-rank scan one pair a chunk."""
-    def run(**patches):
+    def run(chunk_bytes=linalg._CHUNK_BYTES, **patches):
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
         for name, value in patches.items():
             monkeypatch.setattr(verify, name, value)
         out = min_distance_exhaustive(code)
         monkeypatch.undo()
         return out
 
-    return [run(), run(_PAIR_COST=math.inf),
-            run(_PAIR_COST=math.inf, _CHUNK_BYTES=1, rref_chunk=lambda *shape: 1)]
+    return [run(), run(_PAIR_COST=math.inf), run(1, _PAIR_COST=math.inf)]
 
 
 def test_generic_path_agrees_with_masked():
@@ -271,7 +272,7 @@ def test_masks_match_the_vectors_reference(q, monkeypatch):
             continue
         # one member per chunk, then a few: boundaries fall inside the code
         for chunk_bytes in (1, 3000):
-            monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
             assert np.array_equal(membership_masks(code)[1], table)
         monkeypatch.undo()
         fast = (min_distance_exhaustive(code),
@@ -288,10 +289,10 @@ def test_vector_table_matches_the_product_reference(q, monkeypatch):
         bases = rng.integers(0, q, size=(6, k, n)).astype(np.uint8)
         bases[::3] = 0  # zero rows
         expected = span_product(field, bases, np.arange(q ** k)) @ q ** np.arange(n, dtype=np.int64)
-        for chunk_bytes in (verify._CHUNK_BYTES, 3000, 1):  # chunks of members, of combinations
+        for chunk_bytes in (linalg._CHUNK_BYTES, 3000, 300, 1):  # chunks of members, of combinations
             if chunk_bytes == 1 and q ** k > 4096:
                 continue  # one combination a block: 15,625 blocks a member
-            monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
             table = verify._vector_table(field, n, bases)
             assert table.dtype == np.min_scalar_type(q ** n - 1) and np.array_equal(table, expected)
 
@@ -444,8 +445,27 @@ def test_sampled_agrees_with_the_masked_reference_on_random_codes(monkeypatch, c
     assert min_distance_sampled(code, pairs, seed) == expected  # distance and witness
     with monkeypatch.context() as patch:  # each chunk of a few pairs builds its own rows
         patch.setattr(verify, "_ORACLE_BYTES", 0)
-        patch.setattr(verify, "_CHUNK_BYTES", 1000)
+        patch.setattr(linalg, "_CHUNK_BYTES", 1000)
         assert min_distance_sampled(code, pairs, seed) == expected
+
+
+def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch):
+    # every array kernel chunks by linalg._CHUNK_BYTES alone: at a budget of one
+    # byte (one item a chunk), of a few hundred bytes and the default, each build,
+    # MRD array, report and draw is the same
+    def outputs():
+        codes = [lifted_mrd_code(3, 2, 1), multiblock_parallel_mrd(2, 2, 1, 2),
+                 parallel_linkage(2, 2, 0, 2)]
+        return ([(code.bases.tobytes(), code.provenance) for code in codes],
+                [mrd_array(q, 2, 1).tobytes() for q in (2, 3, 4)],
+                [validate_codeset(code, mode="exhaustive") for code in codes],
+                [validate_codeset(code, 2000, seed=5, mode="sampled") for code in codes],
+                verify._draws(7, 5000, 571).tobytes())
+
+    expected = outputs()
+    for chunk_bytes in (1, 300, linalg._CHUNK_BYTES):
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
+        assert outputs() == expected
 
 
 def record_vector_builds(monkeypatch):
@@ -662,17 +682,18 @@ def test_sampled_generic_path(monkeypatch):
         assert bool(calls) == table
 
 
-def test_a_wide_member_builds_its_vectors_in_chunks():
+def test_a_wide_member_builds_its_vectors_in_chunks(monkeypatch):
     # the 2^16 vectors of one 16-dim member are built a chunk of them at a
     # time: the build holds little more than the 512 KB table of uint32 codes
     code = lifted_pair(2, 16, 8, 16)  # (I | 0) and (I | diag(1^8, 0)) in GF(2)^32
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 1 << 18)
     tracemalloc.start()
     try:
         table = membership_masks(code)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.nbytes == 2 * 2 ** 16 * 4 and peak < table.nbytes + 2 * verify._CHUNK_BYTES
+    assert table.nbytes == 2 * 2 ** 16 * 4 and peak < table.nbytes + 2 * linalg._CHUNK_BYTES
     combos = np.arange(2 ** 16, dtype=np.uint64)  # coefficient c gives c, then c + (c mod 2^8) 2^16
     assert sorted(np.sort(table, axis=1).tolist()) == [
         combos.tolist(), np.sort(combos + (combos % 256 << np.uint64(16))).tolist()]
@@ -693,11 +714,11 @@ def test_sampled_masks_per_chunk_of_pairs_agree_with_stacked_ranks(build, args, 
     monkeypatch.setattr(verify, "_ORACLE_BYTES", table_bytes)
     assert min_distance_sampled(code, 3000, seed=11) == whole and built == [len(code)]
     monkeypatch.setattr(verify, "_ORACLE_BYTES", table_bytes - 1)
-    # the chunk allowance for one pair's two rows and their boolean temporary
+    # a pair's price: its two rows, their boolean temporary, two int64 indices and a count
     pair_bytes = 2 * code.q ** code.dim * (np.min_scalar_type(code.q ** code.ambient_dim - 1).itemsize + 1)
     for pairs_per_chunk in (1, 5, 7):
         built.clear()
-        monkeypatch.setattr(verify, "_CHUNK_BYTES", pairs_per_chunk * pair_bytes)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", pairs_per_chunk * (pair_bytes + 24))
         assert min_distance_sampled(code, 3000, seed=11) == whole
         assert built == [2 * pairs_per_chunk] * (3000 // pairs_per_chunk) + (
             [2 * (3000 % pairs_per_chunk)] if 3000 % pairs_per_chunk else [])
